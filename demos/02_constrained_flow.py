@@ -13,8 +13,8 @@ from cartmech.constraints import jacobian_psi
 from cartmech.dynamics import (
     constrained_dynamics,
     constrained_hamiltonian_dynamics,
+    constrained_lagrangian_dynamics,
     grad_hamiltonian,
-    hamiltonian_multipliers,
     projection_matrix,
     unconstrained_dynamics,
 )
@@ -36,10 +36,12 @@ def main():
     print("idempotency |P^2 - P|:", np.abs(P @ P - P).max())
     print("free flow leaves the manifold:   |DPsi zdot| =", np.abs(dpsi @ free).max())
     print("projected flow stays tangent:    |DPsi zdot| =", np.abs(dpsi @ constrained).max())
-    print("multipliers lambda =", hamiltonian_multipliers(ctx, z).round(4))
 
-    # same trajectory whether the state carries momenta or velocities
+    # same multipliers and trajectory whether the state carries momenta or velocities
     ctx_l = system.context(LAGRANGIAN)
+    X, V = ctx_l.split(convert_flavor(ctx, z, LAGRANGIAN))
+    _, lam = constrained_lagrangian_dynamics(ctx_l, X, V)
+    print("multipliers lambda =", lam.round(4))
     t_eval = np.linspace(0.0, 1.0, 11)
     run_h = integrate_adaptive(lambda w: constrained_dynamics(ctx, w), z, 1.0,
                                t_eval=t_eval, tol=Tolerances(1e-9, 1e-11))

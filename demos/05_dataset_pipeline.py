@@ -1,8 +1,9 @@
 """The dataset pipeline: generation, on-disk format, CSV export.
 
 Datasets are reproducible down to the byte: every trajectory draws from its
-own counter-keyed stream, so the result is independent of worker scheduling,
-and the manifest/payload pair round-trips exactly.
+own counter-keyed stream, so the same seed gives the same states and the
+first n trajectories of a larger pool are a smaller pool, and the
+manifest/payload pair round-trips exactly.
 """
 import json
 import pathlib
@@ -16,11 +17,11 @@ from cartmech.dataset import export_trajectory_csv
 
 def main():
     system = build_system("coupled", n=2)
-    ds = generate_dataset(system, 4, steps=20, seed=7, split="test", workers=2)
+    ds = generate_dataset(system, 4, steps=20, seed=7, split="test")
     print("trajectories:", len(ds), " states:", ds.states.shape)
 
-    again = generate_dataset(system, 4, steps=20, seed=7, split="test", workers=1)
-    print("independent of worker count:", np.array_equal(ds.states, again.states))
+    again = generate_dataset(system, 4, steps=20, seed=7, split="test")
+    print("same seed, same states:", np.array_equal(ds.states, again.states))
     print("prefix property:", np.array_equal(ds.subset(2).states,
                                              generate_dataset(system, 2, steps=20,
                                                               seed=7, split="test").states))

@@ -42,9 +42,7 @@ from .states import (
     LAGRANGIAN,
     PhaseState,
     flatten_matrix,
-    flatten_state,
     unflatten_matrix,
-    unflatten_state,
 )
 from .systems import System, build_system, disable_system_constraints, system_names
 from .topology import SystemTopology
@@ -94,7 +92,6 @@ __all__ = [
     "evaluate_model",
     "evaluate_rollout",
     "flatten_matrix",
-    "flatten_state",
     "generate_dataset",
     "geometric_mean",
     "integrate_adaptive",
@@ -107,6 +104,5 @@ __all__ = [
     "system_names",
     "train",
     "unflatten_matrix",
-    "unflatten_state",
     "__version__",
 ]

@@ -215,12 +215,6 @@ def expand(a: Node, shape) -> Node:
     return a.tape._append(np.broadcast_to(a.value, shape).copy(), "expand", (a,), a.value.shape)
 
 
-def trace(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ShapeError("trace expects a 2-d matrix")
-    return a.tape._append(np.trace(a.value), "trace", (a,))
-
-
 def solve(a, b) -> Node:
     """x with a x = b; a is (.., k, k), b at least 2-d.  LU under the hood."""
     a, b = _pair(a, b)
@@ -323,7 +317,6 @@ _VJP = {
     "narrow": None,
     "reshape": lambda node, g: (reshape(g, node.extra),),
     "expand": lambda node, g: (_unbroadcast(g, node.extra),),
-    "trace": lambda node, g: (mul(g, node.tape.constant(np.eye(node.parents[0].value.shape[0]))),),
     "solve": _vjp_solve,
 }
 

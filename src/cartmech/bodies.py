@@ -9,7 +9,7 @@ lambda_i.  Point masses are the 0-dimensional special case with M = [m].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class MassModel:
 
     matrix: np.ndarray
     inverse: np.ndarray
-    blocks: tuple[slice, ...] = field(repr=False, default=())
 
     @property
     def n_points(self) -> int:
@@ -126,16 +125,14 @@ def assemble_mass_matrix(bodies) -> MassModel:
     n = sum(b.n_points for b in bodies)
     M = np.zeros((n, n))
     Minv = np.zeros((n, n))
-    blocks = []
     at = 0
     for body in bodies:
         k = body.n_points
         sl = slice(at, at + k)
         M[sl, sl] = mass_block(body)
         Minv[sl, sl] = mass_block_inverse(body)
-        blocks.append(sl)
         at += k
-    return MassModel(matrix=M, inverse=Minv, blocks=tuple(blocks))
+    return MassModel(matrix=M, inverse=Minv)
 
 
 def kinetic_energy(V: np.ndarray, mass: MassModel) -> float:
@@ -156,3 +153,15 @@ def velocity_to_momentum(V: np.ndarray, mass: MassModel) -> np.ndarray:
 def momentum_to_velocity(P: np.ndarray, mass: MassModel) -> np.ndarray:
     """V = P M^-1."""
     return P @ mass.inverse
+
+
+def apply_inverse_mass(mass: MassModel, w: np.ndarray) -> np.ndarray:
+    """(M^-1 kron I_d) w for flat point-major vectors w of shape (..., n*d).
+
+    M^-1 acts on the point index, so all rows of a (C, dn) Jacobian are
+    transformed by one matmul.
+    """
+    w = np.asarray(w)
+    n = mass.n_points
+    pts = w.reshape(w.shape[:-1] + (n, w.shape[-1] // n))
+    return (mass.inverse.T @ pts).reshape(w.shape)

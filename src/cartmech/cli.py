@@ -48,7 +48,7 @@ from .training import TrainConfig, train, write_history
 DEFAULT_CONFIG = {
     "system": {"kind": "npendulum"},
     "data": {"n_traj": 200, "steps": 100, "dt": 0.03, "rtol": 1e-7, "atol": 1e-9,
-             "seed": 0, "workers": 1},
+             "seed": 0},
     "model": {"kind": "chnn", "hidden": [256, 256, 256]},
     "train": {"epochs": 2000, "batch_size": 200, "lr": 3e-3, "weight_decay": 1e-4,
               "substeps": 1, "seed": 0, "checkpoint_every": 0, "max_bad_steps": 10},
@@ -164,16 +164,6 @@ def load_config(args) -> dict:
     return resolve_config(doc)
 
 
-def _workers(requested: int) -> int:
-    cap = os.environ.get("CARTMECH_THREADS")
-    if cap:
-        try:
-            return max(1, min(int(requested), int(cap)))
-        except ValueError:
-            raise SchemaError(f"CARTMECH_THREADS={cap!r} is not an integer") from None
-    return int(requested)
-
-
 def _system_from_config(cfg: dict):
     params = dict(cfg["system"])
     kind = params.pop("kind")
@@ -203,13 +193,12 @@ def cmd_generate(args) -> int:
     cfg = load_config(args)
     system = _system_from_config(cfg)
     tol = _tolerances(cfg)
-    workers = _workers(cfg["data"]["workers"])
     train_ds = generate_dataset(system, cfg["data"]["n_traj"], steps=cfg["data"]["steps"],
                                 tolerances=tol, seed=cfg["data"]["seed"], split="train",
-                                workers=workers, log=_log)
+                                log=_log)
     test_ds = generate_dataset(system, cfg["eval"]["n_test"], steps=cfg["data"]["steps"],
                                tolerances=tol, seed=cfg["eval"]["seed"], split="test",
-                               workers=workers, log=_log)
+                               log=_log)
     save_dataset(train_ds, os.path.join(args.out, "train"))
     save_dataset(test_ds, os.path.join(args.out, "test"))
     print(f"train_chunks {len(train_ds)}")

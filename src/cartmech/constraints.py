@@ -10,8 +10,13 @@ Four declarable forms, all reducing to two compiled row kinds:
 
 Anchors are virtual fixed points and contribute zero Jacobian columns.
 
-The velocity-level constraint is phidot = DPhi(X) vec(Xdot), and the full
-first-order system Psi = (phi, phidot) has the block Jacobian
+Every row is at most quadratic in x, so DPhi is affine in x:
+vec(DPhi)(x) = A x + b.  ConstraintSet.affine_maps builds (A, b) once per
+topology, and that map is the one constraint Jacobian: DPhi(x) is
+(A x + b) reshaped to (C, dn), and because A stacks the symmetric Hessians of
+the rows, D_x phidot at velocity xdot is (A xdot) reshaped the same way.  The
+velocity-level constraint is phidot = DPhi(X) vec(Xdot), and the first-order
+system Psi = (phi, phidot) has the block Jacobian
     DPsi = [[DPhi, 0], [D_x phidot, D_p phidot]],
 with D_p phidot = DPhi contracted with M^-1 through Xdot = P M^-1.
 
@@ -24,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BodySpec, body_point_coeffs, delta_matrix
+from .bodies import apply_inverse_mass, body_point_coeffs, delta_matrix
 from .errors import ShapeError
-from .states import unflatten_matrix
+from .states import flatten_matrix, unflatten_matrix
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,7 @@ class ConstraintSet:
 
         DPhi is affine in x (quadratic phi rows are linear, joint/axis rows are
         constant), so extracting it from the analytic Jacobian on basis states
-        is exact.  Used by the differentiable-tape path; cached.
+        is exact.  Built once per constraint set and cached.
         """
         if self._affine is None:
             d, n = self.dim, self.n_points
@@ -237,6 +242,7 @@ def phi(topology, X: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_phi_raw(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
+    """Row-by-row DPhi; only affine_maps calls it, to build (A, b)."""
     d = cs.dim
     J = np.zeros((cs.n_rows, d * cs.n_points))
     if cs.quads:
@@ -256,7 +262,9 @@ def _jacobian_phi_raw(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
 
 def jacobian_phi(topology, X: np.ndarray) -> np.ndarray:
     """DPhi of shape (C, dn); anchor endpoints contribute zero columns."""
-    return _jacobian_phi_raw(topology.constraint_set, X)
+    cs = topology.constraint_set
+    A, b = cs.affine_maps()
+    return (A @ flatten_matrix(X) + b).reshape(cs.n_rows, cs.dim * cs.n_points)
 
 
 def phidot(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
@@ -273,19 +281,14 @@ def phidot(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
 
 
 def jacobian_phidot_x(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
-    """D_x phidot, shape (C, dn): 2(xdot_i - xdot_j) pattern on quad rows, zero on affine."""
+    """D_x phidot, shape (C, dn).
+
+    Exact for any X: DPhi is affine, so D_x phidot depends on Xdot alone and
+    equals the linear part of the map applied to it (Hessian symmetry).
+    """
     cs = topology.constraint_set
-    d = cs.dim
-    J = np.zeros((cs.n_rows, d * cs.n_points))
-    if cs.quads:
-        dU, dW = cs.endpoint_velocities(Xdot)
-        diff = 2.0 * (dU - dW)
-        for k, q in enumerate(cs.quads):
-            if q.i >= 0:
-                J[q.row, q.i * d:(q.i + 1) * d] += diff[:, k]
-            if q.j >= 0:
-                J[q.row, q.j * d:(q.j + 1) * d] -= diff[:, k]
-    return J
+    A, _ = cs.affine_maps()
+    return (A @ flatten_matrix(Xdot)).reshape(cs.n_rows, cs.dim * cs.n_points)
 
 
 def jacobian_psi(topology, z: np.ndarray, mass) -> np.ndarray:
@@ -293,18 +296,11 @@ def jacobian_psi(topology, z: np.ndarray, mass) -> np.ndarray:
     d = topology.dim
     dn = z.size // 2
     X = unflatten_matrix(z[:dn], d)
-    P = unflatten_matrix(z[dn:], d)
-    Xdot = P @ mass.inverse
-    C = topology.constraint_set.n_rows
+    Xdot = unflatten_matrix(apply_inverse_mass(mass, z[dn:]), d)
     DPhi = jacobian_phi(topology, X)
-    out = np.zeros((2 * C, 2 * dn))
-    out[:C, :dn] = DPhi
-    out[C:, :dn] = jacobian_phidot_x(topology, X, Xdot)
-    # D_p phidot: contract DPhi's point index with M^-1 (Xdot = P M^-1).
-    n = topology.n_points
-    D3 = DPhi.reshape(C, n, d)
-    out[C:, dn:] = np.einsum("rpc,pq->rqc", D3, mass.inverse).reshape(C, dn)
-    return out
+    # D_p phidot = DPhi (M^-1 kron I_d), because Xdot = P M^-1
+    return np.block([[DPhi, np.zeros_like(DPhi)],
+                     [jacobian_phidot_x(topology, X, Xdot), apply_inverse_mass(mass, DPhi)]])
 
 
 def violation_rmse(topology, states: np.ndarray) -> float:

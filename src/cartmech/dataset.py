@@ -3,14 +3,13 @@
 Trajectories are integrated in Hamiltonian form and stored as (x, xdot)
 states, since learned models must never see momenta computed with the true
 mass matrix.  Each trajectory draws from its own rng stream seeded by
-(seed, index), so a dataset is reproducible independently of scheduling and
-the first n trajectories of a larger pool form a nested subset.
+(seed, index), so a dataset is reproducible and the first n trajectories of a
+larger pool form a nested subset.
 """
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,7 +71,7 @@ def _sample_trajectory(system: System, rng: np.random.Generator, steps: int,
 
 def generate_dataset(system: System, n_traj: int, steps: int = 100,
                      tolerances: Tolerances = Tolerances(1e-7, 1e-9), seed: int = 0,
-                     split: str = TRAIN, workers: int = 1, retries: int = 3,
+                     split: str = TRAIN, retries: int = 3,
                      log=None) -> Dataset:
     """Integrate n_traj sampled initial conditions and package them.
 
@@ -96,11 +95,7 @@ def generate_dataset(system: System, n_traj: int, steps: int = 100,
         sl = slice(c * CHUNK_STATES, (c + 1) * CHUNK_STATES)
         return t_eval[sl], states[sl]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(n_traj)))
-    else:
-        rows = [one(i) for i in range(n_traj)]
+    rows = [one(i) for i in range(n_traj)]
     times = np.stack([r[0] for r in rows])
     states = np.stack([r[1] for r in rows])
     return Dataset(system_to_dict(system), system.dt, split, seed, tolerances,

@@ -5,12 +5,25 @@ Hamiltonian flavor works on z = (vec(X), vec(P)) with
 which equals the projected flow P J grad H with
     P = I - J DPsi^T [DPsi J DPsi^T]^-1 DPsi.
 
-Lagrangian flavor works on (vec(X), vec(V)) with the acceleration
-    xddot = M^-1 f - M^-1 DPhi^T [DPhi M^-1 DPhi^T]^-1 (DPhi M^-1 f + (D_x phidot) v),
-    f = -grad_X V.
+The 2C x 2C system has a C x C core.  With v = M^-1 p, G = DPhi,
+D = D_x phidot(v), H = G M^-1 (a matrix, not the Hamiltonian),
+K = G H^T = G M^-1 G^T and S = D H^T - H D^T,
+    DPsi J DPsi^T = [[0, K], [-K, S]],
+so the multipliers lambda = (lambda_1, lambda_2) of the phi and phidot rows
+and the field need only K:
+    lambda_2 = -K^-1 G v
+    lambda_1 = K^-1 (S lambda_2 + D v - H grad V)
+    xdot = v + H^T lambda_2
+    pdot = -grad V - G^T lambda_1 - D^T lambda_2.
 
-All solves go through a pivoted LU factorization (numpy.linalg.solve); a
-condition estimate above COND_LIMIT raises DegenerateConfigurationError.
+Lagrangian flavor works on (vec(X), vec(V)) with the acceleration
+    xddot = M^-1 f - H^T K^-1 (H f + D v),   f = -grad_X V.
+
+Both flavors solve with K alone, through checked_solve: a pivoted LU
+factorization (numpy.linalg.solve) behind an SVD condition estimate, where a
+value above COND_LIMIT raises DegenerateConfigurationError.  The 2C x 2C
+matrix has determinant det(K)^2, so the guard on K fires exactly where the
+full system is singular.
 """
 from __future__ import annotations
 
@@ -18,17 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bodies import MassModel, hamiltonian_kinetic, kinetic_energy
-from .constraints import jacobian_phi, jacobian_phidot_x, jacobian_psi
+from .bodies import MassModel, apply_inverse_mass, hamiltonian_kinetic, kinetic_energy
+from .constraints import jacobian_phi, jacobian_phidot_x
 from .errors import DegenerateConfigurationError
-from .states import (
-    HAMILTONIAN,
-    LAGRANGIAN,
-    flatten_matrix,
-    symplectic_apply,
-    symplectic_matrix,
-    unflatten_matrix,
-)
+from .states import HAMILTONIAN, LAGRANGIAN, flatten_matrix, symplectic_apply, unflatten_matrix
 from .topology import SystemTopology
 
 COND_LIMIT = 1e12
@@ -85,6 +91,25 @@ def unconstrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
     return symplectic_apply(grad_hamiltonian(ctx, z))
 
 
+def constrained_hamiltonian_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
+    """zdot = J (grad H + DPsi^T lambda); identical to P J grad H."""
+    g = grad_hamiltonian(ctx, z)
+    dn = g.size // 2
+    grad_V, v = g[:dn], g[dn:]
+    X = unflatten_matrix(z[:dn], ctx.dim)
+    G = jacobian_phi(ctx.topology, X)
+    if G.shape[0] == 0:
+        return symplectic_apply(g)
+    D = jacobian_phidot_x(ctx.topology, X, unflatten_matrix(v, ctx.dim))
+    H = apply_inverse_mass(ctx.mass, G)
+    S = D @ H.T - H @ D.T
+    # one guarded solve: K^-1 [G v, D v - H grad V, S]
+    W = checked_solve(G @ H.T, np.column_stack([G @ v, D @ v - H @ grad_V, S]))
+    lam2 = -W[:, 0]
+    lam1 = W[:, 1] + W[:, 2:] @ lam2
+    return np.concatenate([v + H.T @ lam2, -grad_V - G.T @ lam1 - D.T @ lam2])
+
+
 def _apply_j_rows(DPsi: np.ndarray) -> np.ndarray:
     """J DPsi^T as a (2dn, 2C) matrix: J applied to each row of DPsi."""
     dn = DPsi.shape[1] // 2
@@ -94,27 +119,11 @@ def _apply_j_rows(DPsi: np.ndarray) -> np.ndarray:
     return out
 
 
-def hamiltonian_multipliers(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
-    """lambda = -[DPsi J DPsi^T]^-1 DPsi J grad H, shape (2C,)."""
-    g = grad_hamiltonian(ctx, z)
-    DPsi = jacobian_psi(ctx.topology, z, ctx.mass)
-    A = DPsi @ _apply_j_rows(DPsi)
-    return -checked_solve(A, DPsi @ symplectic_apply(g))
-
-
-def constrained_hamiltonian_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
-    """zdot = J (grad H + DPsi^T lambda); identical to P J grad H."""
-    g = grad_hamiltonian(ctx, z)
-    DPsi = jacobian_psi(ctx.topology, z, ctx.mass)
-    if DPsi.shape[0] == 0:
-        return symplectic_apply(g)
-    A = DPsi @ _apply_j_rows(DPsi)
-    lam = -checked_solve(A, DPsi @ symplectic_apply(g))
-    return symplectic_apply(g + DPsi.T @ lam)
-
-
 def projection_matrix(dpsi: np.ndarray) -> np.ndarray:
-    """P = I - J DPsi^T [DPsi J DPsi^T]^-1 DPsi for a (2C, 2dn) constraint Jacobian."""
+    """P = I - J DPsi^T [DPsi J DPsi^T]^-1 DPsi for a (2C, 2dn) constraint Jacobian.
+
+    The explicit 2C x 2C form of the field; tests compare against it.
+    """
     two_dn = dpsi.shape[1]
     if dpsi.shape[0] == 0:
         return np.eye(two_dn)
@@ -123,26 +132,18 @@ def projection_matrix(dpsi: np.ndarray) -> np.ndarray:
     return np.eye(two_dn) - JDPsiT @ checked_solve(A, dpsi)
 
 
-def _apply_minv_flat(mass: MassModel, w: np.ndarray, dim: int) -> np.ndarray:
-    """(M^-1 kron I_d) w in the flat point-major layout."""
-    return flatten_matrix(unflatten_matrix(w, dim) @ mass.inverse)
-
-
 def constrained_lagrangian_dynamics(ctx: DynamicsContext, X: np.ndarray,
                                     V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Acceleration matrix Xddot of shape (d, n) and the multiplier lambda (C,)."""
-    dim = ctx.dim
     f = -flatten_matrix(ctx.potential.grad(X))
-    minv_f = _apply_minv_flat(ctx.mass, f, dim)
+    minv_f = apply_inverse_mass(ctx.mass, f)
     G = jacobian_phi(ctx.topology, X)
     if G.shape[0] == 0:
-        return unflatten_matrix(minv_f, dim), np.zeros(0)
-    v = flatten_matrix(V)
-    GMinvT = np.stack([_apply_minv_flat(ctx.mass, row, dim) for row in G], axis=1)
-    A = G @ GMinvT
-    rhs = G @ minv_f + jacobian_phidot_x(ctx.topology, X, V) @ v
-    lam = checked_solve(A, rhs)
-    return unflatten_matrix(minv_f - GMinvT @ lam, dim), lam
+        return unflatten_matrix(minv_f, ctx.dim), np.zeros(0)
+    H = apply_inverse_mass(ctx.mass, G)
+    rhs = G @ minv_f + jacobian_phidot_x(ctx.topology, X, V) @ flatten_matrix(V)
+    lam = checked_solve(G @ H.T, rhs)
+    return unflatten_matrix(minv_f - H.T @ lam, ctx.dim), lam
 
 
 def constrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
@@ -176,7 +177,3 @@ def energy(ctx: DynamicsContext, z: np.ndarray) -> float:
     else:
         T = kinetic_energy(Z, ctx.mass)
     return T + float(ctx.potential.value(X))
-
-
-def symplectic_form(dn: int) -> np.ndarray:
-    return symplectic_matrix(dn)

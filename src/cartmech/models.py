@@ -52,13 +52,7 @@ class DynamicsModel:
 
     def dynamics_fn(self, store: ad.ParamStore):
         """Plain-array batched dynamics for evaluation rollouts."""
-
-        def f(w):
-            tape = ad.Tape()
-            leaves = _const_leaves(tape, store)
-            return self.dynamics_node(leaves, tape.constant(np.asarray(w, dtype=float))).value
-
-        return f
+        return lambda w: self._apply_np(store, self.dynamics_node, w)
 
     def _apply_np(self, store: ad.ParamStore, fn, array: np.ndarray) -> np.ndarray:
         tape = ad.Tape()

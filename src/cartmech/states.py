@@ -60,26 +60,8 @@ def unflatten_matrix(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(v.size // dim, dim).T
 
 
-def flatten_state(state: PhaseState) -> np.ndarray:
-    return state.flat()
-
-
-def unflatten_state(z: np.ndarray, dim: int, flavor: str = HAMILTONIAN) -> PhaseState:
-    z = np.asarray(z, dtype=float)
-    half = z.size // 2
-    return PhaseState(unflatten_matrix(z[:half], dim), unflatten_matrix(z[half:], dim), flavor)
-
-
 def symplectic_apply(z: np.ndarray) -> np.ndarray:
     """J z for the flat layout: (a, b) -> (b, -a).  Works on (.., 2dn) arrays."""
     z = np.asarray(z)
     half = z.shape[-1] // 2
     return np.concatenate([z[..., half:], -z[..., :half]], axis=-1)
-
-
-def symplectic_matrix(dn: int) -> np.ndarray:
-    """Explicit 2dn x 2dn matrix J = [[0, I], [-I, 0]]."""
-    J = np.zeros((2 * dn, 2 * dn))
-    J[:dn, dn:] = np.eye(dn)
-    J[dn:, :dn] = -np.eye(dn)
-    return J

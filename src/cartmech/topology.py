@@ -1,11 +1,11 @@
 """System topology: bodies, anchors, and the compiled constraint set."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bodies import BodySpec, body_point_coeffs
+from .bodies import BodySpec
 from .constraints import ConstraintSet, auto_rigidity
 from .errors import ShapeError
 
@@ -70,9 +70,3 @@ class SystemTopology:
     def disable_constraints(self, indices) -> "SystemTopology":
         """New topology with the given all_constraints indices switched off."""
         return replace(self, disabled=self.disabled | set(int(i) for i in indices))
-
-
-def body_point_world(topology: SystemTopology, X: np.ndarray, body: int, c) -> np.ndarray:
-    """World position of the body-frame point c of one body: X c_tilde."""
-    coeffs = body_point_coeffs(topology.bodies[body], c)
-    return X[:, topology.body_slice(body)] @ coeffs

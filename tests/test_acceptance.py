@@ -403,7 +403,7 @@ def _run_cli(*args):
 
 def test_pipeline_is_bitwise_reproducible(tmp_path):
     args = ("--set", "system.n=2", "--set", "data.n_traj=6", "--set", "data.steps=10",
-            "--set", "data.workers=1", "--set", "eval.n_test=2",
+            "--set", "eval.n_test=2",
             "--set", "model.hidden=[8,8]",
             "--set", "train.epochs=2", "--set", "train.batch_size=6")
     outputs = []

@@ -77,7 +77,6 @@ def test_mixed_assembly_blocks():
     mass = assemble_mass_matrix([BodySpec.point(1.0), BodySpec.rigid(2.0, (0.3, 0.4, 0.5))])
     assert mass.matrix.shape == (5, 5)
     np.testing.assert_allclose(mass.matrix @ mass.inverse, np.eye(5), atol=1e-12)
-    assert mass.blocks == (slice(0, 1), slice(1, 5))
 
 
 def test_momentum_velocity_roundtrip():

@@ -85,16 +85,18 @@ def test_generate_writes_both_splits(workdir):
     assert test.states.shape == (2, 11, 8)
 
 
-def test_generate_is_deterministic_and_thread_capped(workdir, tmp_path, monkeypatch):
-    monkeypatch.setenv("CARTMECH_THREADS", "1")
-    rc, _, err = run_cli("generate", *TINY, "--set", "data.workers=8",
-                         "--out", str(tmp_path / "again"))
+def test_generate_is_deterministic_and_has_no_workers_key(workdir, tmp_path):
+    rc, _, err = run_cli("generate", *TINY, "--out", str(tmp_path / "again"))
     assert rc == 0, err
     for split in ("train", "test"):
         for name in ("payload.bin", "manifest.json"):
             a = (workdir / "data" / split / name).read_bytes()
             b = (tmp_path / "again" / split / name).read_bytes()
             assert a == b
+    rc, _, err = run_cli("generate", *TINY, "--set", "data.workers=1",
+                         "--out", str(tmp_path / "workers"))
+    assert rc == 1
+    assert "data.workers" in err
 
 
 def test_train_writes_checkpoint_and_history(workdir):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from conftest import fd_jacobian
 
-from cartmech.bodies import BodySpec, assemble_mass_matrix
-from cartmech.constraints import Link, anchor, jacobian_psi, phi, phidot, point
+from cartmech.bodies import BodySpec, apply_inverse_mass, assemble_mass_matrix
+from cartmech.constraints import Link, anchor, jacobian_phi, jacobian_psi, phi, phidot, point
 from cartmech.dynamics import (
     DynamicsContext,
     constrained_dynamics,
@@ -12,13 +12,13 @@ from cartmech.dynamics import (
     convert_flavor,
     energy,
     grad_hamiltonian,
-    hamiltonian_multipliers,
     projection_matrix,
     unconstrained_dynamics,
 )
 from cartmech.errors import DegenerateConfigurationError
 from cartmech.integrators import Tolerances, integrate_adaptive
 from cartmech.states import LAGRANGIAN, flatten_matrix, symplectic_apply
+from cartmech.systems import build_system, system_names
 
 
 class Gravity:
@@ -60,12 +60,13 @@ def test_hanging_equilibrium_and_multiplier():
     z = hanging_state(1)
     zdot = constrained_hamiltonian_dynamics(ctx, z)
     np.testing.assert_allclose(zdot, 0.0, atol=1e-12)
-    lam = hamiltonian_multipliers(ctx, z)
-    # Phi-component of lambda is mg/2 in the squared-distance convention,
-    # producing the constraint force -DPhi^T lam_phi = (0, +mg).
-    np.testing.assert_allclose(lam[0], 0.5, atol=1e-12)
-    DPhi = jacobian_psi(ctx.topology, z, ctx.mass)[:1, :2]
-    np.testing.assert_allclose(-DPhi.T @ lam[:1], [0.0, 1.0], atol=1e-12)
+    X, V = ctx.split(z)
+    _, lam = constrained_lagrangian_dynamics(ctx, X, V)
+    # lambda is mg/2 in the squared-distance convention,
+    # producing the constraint force -DPhi^T lam = (0, +mg).
+    np.testing.assert_allclose(lam, [0.5], atol=1e-12)
+    DPhi = jacobian_phi(ctx.topology, X)
+    np.testing.assert_allclose(-DPhi.T @ lam, [0.0, 1.0], atol=1e-12)
 
 
 def test_horizontal_release():
@@ -100,6 +101,28 @@ def test_projection_is_idempotent_and_kills_constraint_drift():
         zdot = P @ symplectic_apply(grad_hamiltonian(ctx, z))
         np.testing.assert_allclose(DPsi @ zdot, 0.0, atol=1e-9)
         np.testing.assert_allclose(zdot, constrained_hamiltonian_dynamics(ctx, z), atol=1e-9)
+
+
+@pytest.mark.parametrize("name", system_names())
+def test_field_matches_projection_oracle_on_every_system(name):
+    system = build_system(name)
+    ctx = system.context()
+    rng = np.random.default_rng(17)
+    sampled = [system.sample(rng) for _ in range(20)]
+    perturbed = [z + 1e-2 * rng.normal(size=z.size) for z in sampled]
+    for z in sampled + perturbed:
+        P = projection_matrix(jacobian_psi(system.topology, z, system.mass))
+        oracle = P @ symplectic_apply(grad_hamiltonian(ctx, z))
+        zdot = constrained_dynamics(ctx, z)
+        assert np.linalg.norm(zdot - oracle) <= 1e-10 * np.linalg.norm(oracle)
+    # on the manifold the Lagrangian acceleration is M^-1 pdot
+    ctx_l = system.context(LAGRANGIAN)
+    dn = system.topology.dn
+    for z in sampled:
+        X, V = ctx_l.split(convert_flavor(ctx, z, LAGRANGIAN))
+        xddot, _ = constrained_lagrangian_dynamics(ctx_l, X, V)
+        expected = apply_inverse_mass(system.mass, constrained_dynamics(ctx, z)[dn:])
+        assert np.linalg.norm(flatten_matrix(xddot) - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_unconstrained_is_free_fall():
