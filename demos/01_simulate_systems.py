@@ -7,8 +7,7 @@ out of a linear solve at every evaluation.
 import numpy as np
 
 from cartmech import HAMILTONIAN, Tolerances, build_system, integrate_adaptive, system_names
-from cartmech.constraints import violation_rmse
-from cartmech.metrics import energy_error
+from cartmech.metrics import constraint_rmse_curve, energy_error
 
 
 def main():
@@ -21,7 +20,7 @@ def main():
                                  tol=Tolerances(1e-7, 1e-9))
         drift = energy_error(system, run.states, np.broadcast_to(z0, run.states.shape),
                              flavor=HAMILTONIAN).max()
-        phi = violation_rmse(system.topology, run.states)
+        phi = np.sqrt(np.mean(constraint_rmse_curve(system, run.states) ** 2))
         print(f"{name:10s} points={system.topology.n_points} "
               f"constraints={len(system.topology.all_constraints)} "
               f"steps={run.n_accepted:4d} rejected={run.n_rejected:2d} "

@@ -15,7 +15,7 @@ def main():
 
     # forward + backward on a small expression
     tape = ad.Tape()
-    x = tape.leaf(np.array([1.5, -0.5]))
+    x = tape.constant(np.array([1.5, -0.5]))
     y = ad.reduce_sum(ad.mul(x, x) * 3.0)
     (gx,) = ad.grad(y, [x])
     print("d/dx 3|x|^2 =", gx.value, "(expect 6x =", 6 * x.value, ")")

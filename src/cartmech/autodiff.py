@@ -14,6 +14,7 @@ without ever forming an explicit inverse.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -37,10 +38,8 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def leaf(self, value) -> "Node":
-        return self._append(value, None, ())
-
     def constant(self, value) -> "Node":
+        """An input node; grad() differentiates with respect to any node."""
         return self._append(value, None, ())
 
     def __len__(self):
@@ -70,42 +69,19 @@ class Node:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(self.tape, other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_wrap(self.tape, other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-
-def _wrap(tape: Tape, x) -> Node:
-    return x if isinstance(x, Node) else tape.constant(x)
+    # + and * are all that rk4_step needs; other ops are module functions
 
 
 def _pair(a, b) -> tuple[Node, Node]:
+    """Both operands as nodes of one tape; a plain array becomes a constant."""
     if isinstance(a, Node):
-        return a, _wrap(a.tape, b)
+        return a, b if isinstance(b, Node) else a.tape.constant(b)
     if isinstance(b, Node):
-        return _wrap(b.tape, a), b
+        return b.tape.constant(a), b
     raise ShapeError("at least one operand must be a tape node")
 
 
@@ -153,31 +129,12 @@ def reduce_sum(a: Node, axis=None, keepdims: bool = False) -> Node:
     return a.tape._append(value, "sum", (a,), (axis, keepdims, a.value.shape))
 
 
-def dot(a, b) -> Node:
-    a, b = _pair(a, b)
-    if a.value.ndim != 1 or b.value.ndim != 1:
-        raise ShapeError("dot expects 1-d vectors")
-    return a.tape._append(np.dot(a.value, b.value), "dot", (a, b))
-
-
 def tanh(a: Node) -> Node:
     return a.tape._append(np.tanh(a.value), "tanh", (a,))
 
 
 def exp(a: Node) -> Node:
     return a.tape._append(np.exp(a.value), "exp", (a,))
-
-
-def log(a: Node) -> Node:
-    return a.tape._append(np.log(a.value), "log", (a,))
-
-
-def sqrt(a: Node) -> Node:
-    return a.tape._append(np.sqrt(a.value), "sqrt", (a,))
-
-
-def power(a: Node, exponent: float) -> Node:
-    return a.tape._append(a.value ** exponent, "power", (a,), float(exponent))
 
 
 def sin(a: Node) -> Node:
@@ -221,10 +178,6 @@ def solve(a, b) -> Node:
     if b.value.ndim < 2:
         raise ShapeError("solve right-hand side must be at least 2-d")
     return a.tape._append(np.linalg.solve(a.value, b.value), "solve", (a, b))
-
-
-def mean(a: Node) -> Node:
-    return reduce_sum(a) / float(a.value.size)
 
 
 # -- backward rules -----------------------------------------------------------
@@ -302,13 +255,8 @@ _VJP = {
     "matmul": _vjp_matmul,
     "transpose": lambda node, g: (transpose(g),),
     "sum": _vjp_sum,
-    "dot": lambda node, g: (mul(g, node.parents[1]), mul(g, node.parents[0])),
     "tanh": lambda node, g: (mul(g, sub(_ones_like(node), mul(node, node))),),
     "exp": lambda node, g: (mul(g, node),),
-    "log": lambda node, g: (div(g, node.parents[0]),),
-    "sqrt": lambda node, g: (div(mul(g, node.tape.constant(0.5)), node),),
-    "power": lambda node, g: (mul(g, mul(node.tape.constant(node.extra),
-                                         power(node.parents[0], node.extra - 1.0))),),
     "sin": lambda node, g: (mul(g, cos(node.parents[0])),),
     "cos": lambda node, g: (neg(mul(g, sin(node.parents[0]))),),
     # sign treated as locally constant: exact a.e., zero curvature.
@@ -444,7 +392,7 @@ class ParamStore:
         return self._params.items()
 
     def leaves(self, tape: Tape) -> dict[str, Node]:
-        return {name: tape.leaf(value) for name, value in self._params.items()}
+        return {name: tape.constant(value) for name, value in self._params.items()}
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -516,27 +464,43 @@ def save_checkpoint(store: ParamStore, path) -> None:
 
 
 def load_checkpoint(path) -> ParamStore:
+    """Parameters written by save_checkpoint; a malformed file raises FormatError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: not a CMK1 checkpoint")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        table = []
-        for _ in range(count):
-            (n,) = struct.unpack("<I", fh.read(4))
-            table.append(fh.read(n).decode("utf-8"))
-        store = ParamStore()
-        for expected in table:
-            (n,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(n).decode("utf-8")
-            if name != expected:
-                raise FormatError(f"{path}: name table mismatch ({name!r} != {expected!r})")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n_items = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * n_items), dtype="<f8").reshape(shape)
-            store.add(name, data)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes")
+        raw = fh.read()
+    if raw[:4] != CHECKPOINT_MAGIC:
+        raise FormatError(f"{path}: not a CMK1 checkpoint")
+    at = 4
+
+    def take(size: int) -> bytes:
+        nonlocal at
+        if at + size > len(raw):
+            raise FormatError(f"{path}: truncated at byte {len(raw)}, needs {at + size}")
+        at += size
+        return raw[at - size:at]
+
+    def uints(count: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    def name() -> str:
+        try:
+            return take(uints(1)[0]).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: parameter name is not UTF-8") from None
+
+    version, count = uints(2)
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    table = [name() for _ in range(count)]
+    if len(set(table)) != len(table):
+        raise FormatError(f"{path}: duplicate names in the name table")
+    store = ParamStore()
+    for expected in table:
+        found = name()
+        if found != expected:
+            raise FormatError(f"{path}: name table mismatch ({found!r} != {expected!r})")
+        shape = uints(uints(1)[0])
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        store.add(found, data)
+    if at != len(raw):
+        raise FormatError(f"{path}: trailing bytes")
     return store

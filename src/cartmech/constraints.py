@@ -301,14 +301,3 @@ def jacobian_psi(topology, z: np.ndarray, mass) -> np.ndarray:
     # D_p phidot = DPhi (M^-1 kron I_d), because Xdot = P M^-1
     return np.block([[DPhi, np.zeros_like(DPhi)],
                      [jacobian_phidot_x(topology, X, Xdot), apply_inverse_mass(mass, DPhi)]])
-
-
-def violation_rmse(topology, states: np.ndarray) -> float:
-    """RMS of all phi components over trajectory states of shape (T, 2dn)."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    if topology.constraint_set.n_rows == 0:
-        return 0.0
-    d = topology.dim
-    dn = states.shape[1] // 2
-    vals = [phi(topology, unflatten_matrix(row[:dn], d)) for row in states]
-    return float(np.sqrt(np.mean(np.square(vals))))

@@ -9,6 +9,7 @@ larger pool form a nested subset.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -126,26 +127,55 @@ def save_dataset(dataset: Dataset, directory) -> None:
         fh.write(np.ascontiguousarray(dataset.states, dtype="<f8").tobytes())
 
 
+def _entry(mapping: dict, key: str, kind, where: str):
+    """mapping[key] if present and of the given type (bool is not a number)."""
+    value = mapping.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FormatError(f"{where}: manifest entry {key!r} is missing or ill-typed ({value!r})")
+    return value
+
+
+def _shape(manifest: dict, key: str, where: str) -> tuple[int, ...]:
+    shape = _entry(manifest, key, list, where)
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise FormatError(f"{where}: manifest entry {key!r} is not a shape ({shape!r})")
+    return tuple(shape)
+
+
 def load_dataset(directory) -> Dataset:
+    """A dataset written by save_dataset; a malformed manifest or payload raises FormatError."""
     path = os.path.join(directory, "manifest.json")
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as err:
+            raise FormatError(f"{path}: not a JSON manifest ({err})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: format version {version!r}, expected {FORMAT_VERSION}")
-    t_shape = tuple(manifest["times_shape"])
-    s_shape = tuple(manifest["states_shape"])
-    expected = 8 * (int(np.prod(t_shape)) + int(np.prod(s_shape)))
+    layout = (_entry(manifest, "dtype", str, path), _entry(manifest, "order", str, path))
+    if layout != ("<f8", "C"):
+        raise FormatError(f"{path}: unsupported payload layout {layout}")
+    t_shape = _shape(manifest, "times_shape", path)
+    s_shape = _shape(manifest, "states_shape", path)
+    tolerances = _entry(manifest, "tolerances", dict, path)
+    tol = Tolerances(float(_entry(tolerances, "rtol", (int, float), path)),
+                     float(_entry(tolerances, "atol", (int, float), path)))
+    system_spec = _entry(manifest, "system", dict, path)
+    dt = float(_entry(manifest, "dt", (int, float), path))
+    split = _entry(manifest, "split", str, path)
+    seed = _entry(manifest, "seed", int, path)
+    n_t = math.prod(t_shape)
+    expected = 8 * (n_t + math.prod(s_shape))
     with open(os.path.join(directory, "payload.bin"), "rb") as fh:
         raw = fh.read()
     if len(raw) != expected:
         raise FormatError(f"{directory}: payload has {len(raw)} bytes, expected {expected}")
-    n_t = int(np.prod(t_shape))
     times = np.frombuffer(raw[:8 * n_t], dtype="<f8").reshape(t_shape)
     states = np.frombuffer(raw[8 * n_t:], dtype="<f8").reshape(s_shape)
-    tol = Tolerances(manifest["tolerances"]["rtol"], manifest["tolerances"]["atol"])
-    return Dataset(manifest["system"], float(manifest["dt"]), manifest["split"],
-                   int(manifest["seed"]), tol, times, states)
+    return Dataset(system_spec, dt, split, seed, tol, times, states)
 
 
 # -- CSV export -----------------------------------------------------------------------

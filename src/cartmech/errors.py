@@ -46,7 +46,7 @@ class GimbalLockError(CartmechError):
 
 
 class TrainingError(CartmechError):
-    """Training aborted (repeated non-finite losses)."""
+    """Training aborted (repeated non-finite losses or gradients)."""
 
 
 class SchemaError(CartmechError, ValueError):

@@ -17,10 +17,6 @@ from .oracles import pendulum_angles
 from .states import unflatten_matrix
 
 
-def _const_leaves(tape: ad.Tape, store: ad.ParamStore) -> dict:
-    return {name: tape.constant(value) for name, value in store.items()}
-
-
 class DynamicsModel:
     """Shared plumbing: parameter init, tape conversions, numpy evaluation."""
 
@@ -56,7 +52,7 @@ class DynamicsModel:
 
     def _apply_np(self, store: ad.ParamStore, fn, array: np.ndarray) -> np.ndarray:
         tape = ad.Tape()
-        leaves = _const_leaves(tape, store)
+        leaves = store.leaves(tape)
         return fn(leaves, tape.constant(np.asarray(array, dtype=float))).value
 
     def rollout(self, store: ad.ParamStore, xv0: np.ndarray, times,

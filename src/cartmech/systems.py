@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
 from .bodies import (
     BodySpec,
     MassModel,
@@ -99,22 +98,38 @@ class SpringChain:
         return out
 
 
-def dipole_field(r, moment) -> np.ndarray:
-    """B(r) = (3 r (r.m) - |r|^2 m) / |r|^5 in units with mu0/4pi = 1."""
+def _dipole(r, moment) -> tuple[np.ndarray, np.ndarray]:
+    """Field B(r) = (3 r (r.m) - |r|^2 m) / |r|^5 of one dipole, and dB/dr.
+
+    Units with mu0/4pi = 1.  The Jacobian
+    dB/dr = (3 ((r.m) I + r m^T + m r^T) - 15 (r.m) r r^T / |r|^2) / |r|^5
+    is symmetric.
+    """
     r = np.asarray(r, dtype=float)
     moment = np.asarray(moment, dtype=float)
     rr = float(r @ r)
     if rr < EPS_FIELD ** 2:
         raise FieldSingularityError(f"field evaluated {math.sqrt(rr):.2e} from a dipole")
-    return (3.0 * r * (r @ moment) - rr * moment) / rr ** 2.5
+    s = float(r @ moment)
+    scale = rr ** -2.5
+    field = (3.0 * s * r - rr * moment) * scale
+    rm = np.outer(r, moment)
+    jac = (3.0 * (s * np.eye(3) + rm + rm.T) - (15.0 * s / rr) * np.outer(r, r)) * scale
+    return field, jac
+
+
+def dipole_field(r, moment) -> np.ndarray:
+    """B(r) = (3 r (r.m) - |r|^2 m) / |r|^5 in units with mu0/4pi = 1."""
+    return _dipole(r, moment)[0]
 
 
 class DipolePotential:
     """V(x) = -m0(x)^T B(x) with m0 = -q x/|x| and B the summed dipole fields.
 
-    Only the first point column of X feels the field.  The gradient is taken
-    off the autodiff tape rather than derived by hand; evaluation closer than
-    EPS_FIELD to a magnet (or the origin) raises FieldSingularityError.
+    Only the first point column of X feels the field.  With u = x/|x| the
+    gradient is q ((B - u (u.B)) / |x| + sum_k dB_k/dx^T u); evaluation
+    closer than EPS_FIELD to a magnet (or the origin) raises
+    FieldSingularityError.
     """
 
     def __init__(self, positions, moments, strength: float = 1.0):
@@ -132,32 +147,24 @@ class DipolePotential:
                 raise FieldSingularityError(
                     f"pendulum within {EPS_FIELD:g} of the magnet at {r}")
 
+    def _field(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Summed dipole field B(x) and its Jacobian dB/dx."""
+        self._check(x)
+        parts = [_dipole(x - r, m) for r, m in zip(self.positions, self.moments)]
+        return sum(b for b, _ in parts), sum(j for _, j in parts)
+
     def value(self, X: np.ndarray) -> float:
         x = X[:, 0]
-        self._check(x)
-        m0 = -self.strength * x / np.linalg.norm(x)
-        B = sum(dipole_field(x - r, m) for r, m in zip(self.positions, self.moments))
-        return float(-m0 @ B)
-
-    def _tape_value(self, x: ad.Node) -> ad.Node:
-        m0 = x * (-self.strength) / ad.sqrt(ad.dot(x, x))
-        terms = []
-        for r, m in zip(self.positions, self.moments):
-            d = x - r
-            dd = ad.dot(d, d)
-            terms.append((d * (ad.dot(d, m) * 3.0) - dd * m) / ad.power(dd, 2.5))
-        B = terms[0]
-        for t in terms[1:]:
-            B = B + t
-        return -ad.dot(m0, B)
+        field, _ = self._field(x)
+        return float(self.strength * (x @ field) / np.linalg.norm(x))
 
     def grad(self, X: np.ndarray) -> np.ndarray:
-        self._check(X[:, 0])
-        tape = ad.Tape()
-        x = tape.leaf(X[:, 0])
-        g = ad.grad(self._tape_value(x), [x])[0]
+        x = X[:, 0]
+        field, jac = self._field(x)
+        norm = np.linalg.norm(x)
+        u = x / norm
         out = np.zeros_like(X)
-        out[:, 0] = g.value
+        out[:, 0] = self.strength * ((field - u * (u @ field)) / norm + jac @ u)
         return out
 
 

@@ -114,8 +114,8 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
     """Minibatch AdamW over shuffled chunk batches with cosine annealing.
 
     Init and shuffle randomness derive from config.seed only, so a fixed seed
-    reproduces the run bit for bit.  Non-finite losses skip the optimizer step;
-    max_bad_steps consecutive ones abort with TrainingError.
+    reproduces the run bit for bit.  A non-finite loss or gradient skips the
+    optimizer step; max_bad_steps consecutive ones abort with TrainingError.
     """
     chunks = np.asarray(chunks, dtype=float)
     if chunks.ndim != 3:
@@ -141,19 +141,23 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
             except np.linalg.LinAlgError:
                 # a singular multiplier solve counts as a bad step, same as nan
                 value = float("nan")
-            if not np.isfinite(value):
+            bad = None if np.isfinite(value) else "loss"
+            if bad is None:
+                grad_nodes = ad.grad(loss, [leaves[name] for name in names])
+                grads = {name: node.value for name, node in zip(names, grad_nodes)}
+                if not all(np.isfinite(g).all() for g in grads.values()):
+                    bad = "gradient"
+            if bad is not None:
                 bad_total += 1
                 bad_streak += 1
                 if log is not None:
-                    log(f"epoch {epoch}: non-finite loss, step skipped "
+                    log(f"epoch {epoch}: non-finite {bad}, step skipped "
                         f"({bad_streak} consecutive)")
                 if bad_streak >= config.max_bad_steps:
-                    raise TrainingError(
-                        f"aborting: {bad_streak} consecutive non-finite losses at epoch {epoch}")
+                    raise TrainingError(f"aborting: {bad_streak} consecutive non-finite "
+                                        f"losses or gradients at epoch {epoch}")
                 continue
             bad_streak = 0
-            grad_nodes = ad.grad(loss, [leaves[name] for name in names])
-            grads = {name: node.value for name, node in zip(names, grad_nodes)}
             optimizer.step(store, grads, lr_t)
             epoch_losses.append(value)
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")

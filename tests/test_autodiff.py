@@ -18,8 +18,8 @@ from cartmech.errors import FormatError, ShapeError
 
 def test_elementwise_chain():
     tape = Tape()
-    x = tape.leaf(np.array([0.3, -0.7, 1.2]))
-    y = ad.reduce_sum(ad.tanh(x) * ad.exp(x) + x ** 2.0)
+    x = tape.constant(np.array([0.3, -0.7, 1.2]))
+    y = ad.reduce_sum(ad.tanh(x) * ad.exp(x) + x * x)
     (gx,) = grad(y, [x])
     v = x.value
     expected = (1 - np.tanh(v) ** 2) * np.exp(v) + np.tanh(v) * np.exp(v) + 2 * v
@@ -32,12 +32,12 @@ def test_grad_matches_fd_on_messy_scalar():
 
     def f(x):
         tape = Tape()
-        xn = tape.leaf(x)
+        xn = tape.constant(x)
         return float(_messy(tape, xn, A).value)
 
     def g(x):
         tape = Tape()
-        xn = tape.leaf(x)
+        xn = tape.constant(x)
         return grad(_messy(tape, xn, A), [xn])[0].value
 
     err = finite_difference_check(f, g, rng.uniform(0.5, 1.5, size=4))
@@ -47,15 +47,15 @@ def test_grad_matches_fd_on_messy_scalar():
 def _messy(tape, xn, A):
     xm = ad.reshape(xn, (1, 4))
     q = ad.matmul(ad.matmul(xm, A), ad.transpose(xm))
-    s = ad.reduce_sum(ad.sin(xn) * ad.cos(xn)) + ad.dot(xn, xn)
-    r = ad.log(ad.sqrt(ad.reduce_sum(xn * xn))) + ad.reduce_sum(ad.absolute(xn))
+    s = ad.reduce_sum(ad.sin(xn) * ad.cos(xn)) + ad.reduce_sum(xn * xn)
+    r = ad.reduce_sum(ad.div(1.0, xn * xn + 1.0)) + ad.reduce_sum(ad.absolute(ad.sub(xn, 1.0)))
     return ad.reduce_sum(q) + s + r
 
 
 def test_unused_input_gets_zero():
     tape = Tape()
-    x = tape.leaf(np.array([1.0, 2.0]))
-    z = tape.leaf(np.array([3.0]))
+    x = tape.constant(np.array([1.0, 2.0]))
+    z = tape.constant(np.array([3.0]))
     y = ad.reduce_sum(x * x)
     gx, gz = grad(y, [x, z])
     np.testing.assert_array_equal(gz.value, [0.0])
@@ -64,15 +64,15 @@ def test_unused_input_gets_zero():
 
 def test_grad_requires_scalar():
     tape = Tape()
-    x = tape.leaf(np.array([1.0, 2.0]))
+    x = tape.constant(np.array([1.0, 2.0]))
     with pytest.raises(ShapeError):
         grad(x * x, [x])
 
 
 def test_bias_add_broadcast_backward():
     tape = Tape()
-    W = tape.leaf(np.ones((2, 4)))
-    b = tape.leaf(np.zeros(4))
+    W = tape.constant(np.ones((2, 4)))
+    b = tape.constant(np.zeros(4))
     x = tape.constant(np.arange(6.0).reshape(3, 2))
     y = ad.reduce_sum(ad.matmul(x, W) + b)
     gW, gb = grad(y, [W, b])
@@ -87,14 +87,14 @@ def test_batched_matmul_and_solve_backward():
 
     def f(theta):
         tape = Tape()
-        t = tape.leaf(theta)
+        t = tape.constant(theta)
         A = tape.constant(A0) + ad.reshape(t, (1, 1, 1)) * tape.constant(np.eye(3))
         x = ad.solve(A, tape.constant(b0))
         return float(ad.reduce_sum(x * x).value)
 
     def g(theta):
         tape = Tape()
-        t = tape.leaf(theta)
+        t = tape.constant(theta)
         A = tape.constant(A0) + ad.reshape(t, (1, 1, 1)) * tape.constant(np.eye(3))
         x = ad.solve(A, tape.constant(b0))
         return grad(ad.reduce_sum(x * x), [t])[0].value
@@ -104,10 +104,11 @@ def test_batched_matmul_and_solve_backward():
 
 def test_concat_narrow_backward():
     tape = Tape()
-    a = tape.leaf(np.array([1.0, 2.0]))
-    b = tape.leaf(np.array([3.0, 4.0, 5.0]))
+    a = tape.constant(np.array([1.0, 2.0]))
+    b = tape.constant(np.array([3.0, 4.0, 5.0]))
     joined = ad.concat([a, b])
-    y = ad.reduce_sum(ad.narrow(joined, 0, 1, 3) ** 2.0)
+    middle = ad.narrow(joined, 0, 1, 3)
+    y = ad.reduce_sum(middle * middle)
     ga, gb = grad(y, [a, b])
     np.testing.assert_allclose(ga.value, [0.0, 4.0])
     np.testing.assert_allclose(gb.value, [6.0, 8.0, 0.0])
@@ -116,7 +117,7 @@ def test_concat_narrow_backward():
 def test_second_order_through_gradient():
     # y = sum(tanh(x)); d2y/dx2 = -2 tanh(x) (1 - tanh(x)^2)
     tape = Tape()
-    x = tape.leaf(np.array([0.4, -0.9]))
+    x = tape.constant(np.array([0.4, -0.9]))
     y = ad.reduce_sum(ad.tanh(x))
     (g1,) = grad(y, [x])
     (g2,) = grad(ad.reduce_sum(g1), [x])
@@ -129,7 +130,7 @@ def test_second_order_hessian_vs_fd():
 
     def hess_diag(x):
         tape = Tape()
-        xn = tape.leaf(x)
+        xn = tape.constant(x)
         y = ad.reduce_sum(ad.exp(ad.sin(xn)) * xn)
         (g1,) = grad(y, [xn])
         rows = []
@@ -140,7 +141,7 @@ def test_second_order_hessian_vs_fd():
 
     def grad_val(x):
         tape = Tape()
-        xn = tape.leaf(x)
+        xn = tape.constant(x)
         y = ad.reduce_sum(ad.exp(ad.sin(xn)) * xn)
         return grad(y, [xn])[0].value
 
@@ -157,12 +158,12 @@ def test_input_gradient_of_mlp_and_second_order():
     def v(x):
         tape = Tape()
         leaves = store.leaves(tape)
-        return float(ad.reduce_sum(mlp_apply(leaves, tape.leaf(x.reshape(4, 3)))).value)
+        return float(ad.reduce_sum(mlp_apply(leaves, tape.constant(x.reshape(4, 3)))).value)
 
     def dv(x):
         tape = Tape()
         leaves = store.leaves(tape)
-        xn = tape.leaf(x.reshape(4, 3))
+        xn = tape.constant(x.reshape(4, 3))
         return input_gradient(lambda q: mlp_apply(leaves, q), xn).value.reshape(-1)
 
     assert finite_difference_check(v, dv, X0.reshape(-1)) < 1e-6
@@ -171,7 +172,7 @@ def test_input_gradient_of_mlp_and_second_order():
     def loss(w0flat):
         tape = Tape()
         leaves = store.leaves(tape)
-        leaves["mlp.w0"] = tape.leaf(w0flat.reshape(store["mlp.w0"].shape))
+        leaves["mlp.w0"] = tape.constant(w0flat.reshape(store["mlp.w0"].shape))
         xn = tape.constant(X0)
         gX = input_gradient(lambda q: mlp_apply(leaves, q), xn)
         return float(ad.reduce_sum(gX * gX).value)
@@ -179,7 +180,7 @@ def test_input_gradient_of_mlp_and_second_order():
     def dloss(w0flat):
         tape = Tape()
         leaves = store.leaves(tape)
-        w0 = tape.leaf(w0flat.reshape(store["mlp.w0"].shape))
+        w0 = tape.constant(w0flat.reshape(store["mlp.w0"].shape))
         leaves["mlp.w0"] = w0
         xn = tape.constant(X0)
         gX = input_gradient(lambda q: mlp_apply(leaves, q), xn)
@@ -202,7 +203,7 @@ def test_backward_visits_each_node_once():
     # Diamond graph: y = (x*x) + (x*x reused); adjoint of the shared node
     # must be accumulated, not recomputed.
     tape = Tape()
-    x = tape.leaf(np.array(2.0))
+    x = tape.constant(np.array(2.0))
     sq = x * x
     y = sq + sq
     (gx,) = grad(y, [x])
@@ -233,11 +234,28 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_truncated_anywhere_is_a_format_error(tmp_path):
+    rng = np.random.default_rng(26)
+    store = ParamStore({"a.w": rng.normal(size=(3, 2)), "b": rng.normal(size=5),
+                        "scalar": np.array(1.5)})
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(store, path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(FormatError):
+            load_checkpoint(cut)
+    cut.write_bytes(raw + b"\x00")
+    with pytest.raises(FormatError):
+        load_checkpoint(cut)
+
+
 def test_grad_wrt_interior_node_is_retained():
     # asking for the adjoint of a non-leaf node must not lose it while the
     # sweep still propagates through it to earlier leaves
     tape = Tape()
-    x = tape.leaf(np.array([3.0]))
+    x = tape.constant(np.array([3.0]))
     y = ad.mul(x, 2.0)
     out = ad.reduce_sum(ad.mul(y, y))
     gx, gy = grad(out, [x, y])

@@ -3,6 +3,9 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,6 +238,21 @@ def test_missing_files_are_user_errors(tmp_path):
                          "--data", str(tmp_path / "nowhere"),
                          "--out", str(tmp_path / "run"))
     assert rc == 1
+
+
+def test_truncated_checkpoint_exits_1_without_traceback(workdir, tmp_path):
+    raw = (workdir / "run" / "final.cmk").read_bytes()
+    (tmp_path / "cut.cmk").write_bytes(raw[:len(raw) // 2])
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cartmech.cli", "evaluate", *TINY,
+         "--checkpoint", str(tmp_path / "cut.cmk"), "--dataset", str(workdir / "data" / "test")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "truncated" in proc.stderr
 
 
 def test_bad_arguments_exit_1_not_2():

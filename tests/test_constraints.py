@@ -15,7 +15,6 @@ from cartmech.constraints import (
     phi,
     phidot,
     point,
-    violation_rmse,
 )
 from cartmech.errors import ShapeError
 from cartmech.states import flatten_matrix, unflatten_matrix
@@ -110,16 +109,6 @@ def test_auto_rigidity_count_and_targets():
     assert len(rig) == 6  # (3+1 choose 2)
     assert {r.body for r in rig} == {0}
     assert sorted(r.sq_dist for r in rig) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-
-
-def test_violation_rmse():
-    topo = chain_topology(2)
-    X = np.array([[0.0, 0.0], [-1.0, -2.0]])
-    z = np.concatenate([flatten_matrix(X), np.zeros(4)])
-    assert violation_rmse(topo, z[None, :]) < 1e-12
-    X_bad = X + 0.1
-    z_bad = np.concatenate([flatten_matrix(X_bad), np.zeros(4)])
-    assert violation_rmse(topo, np.stack([z, z_bad])) > 1e-3
 
 
 def test_affine_extraction_matches_jacobian():

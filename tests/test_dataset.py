@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from cartmech.constraints import violation_rmse
 from cartmech.dataset import (
     CHUNK_STATES,
     Dataset,
@@ -17,6 +16,7 @@ from cartmech.dataset import (
 )
 from cartmech.errors import FormatError, IntegrationError
 from cartmech.integrators import Tolerances
+from cartmech.metrics import constraint_rmse_curve
 from cartmech.systems import build_system
 
 TOL = Tolerances(1e-7, 1e-9)
@@ -42,7 +42,7 @@ def test_generated_states_stay_on_manifold():
     ds = small_train(4, seed=2)
     system = ds.system()
     flat = ds.states.reshape(-1, ds.states.shape[-1])
-    assert violation_rmse(system.topology, flat) < 1e-6
+    assert np.sqrt(np.mean(constraint_rmse_curve(system, flat) ** 2)) < 1e-6
 
 
 def test_test_split_keeps_full_trajectories():
@@ -97,6 +97,23 @@ def test_load_rejects_bad_version_and_truncation(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     payload = (tmp_path / "payload.bin").read_bytes()
     (tmp_path / "payload.bin").write_bytes(payload[:-8])
+    with pytest.raises(FormatError):
+        load_dataset(tmp_path)
+
+
+def test_load_rejects_missing_or_ill_typed_manifest_entries(tmp_path):
+    save_dataset(small_train(2, seed=9), tmp_path)
+    good = json.loads((tmp_path / "manifest.json").read_text())
+    broken = [{k: v for k, v in good.items() if k != key} for key in good]
+    broken += [dict(good, **{key: value}) for key, value in (
+        ("times_shape", "2x5"), ("states_shape", [2, 5.0, 8]), ("dt", "0.03"),
+        ("seed", 1.5), ("split", None), ("system", [1]), ("dtype", "<f4"),
+        ("order", "F"), ("tolerances", {"rtol": 1e-7}))]
+    for manifest in broken:
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError):
+            load_dataset(tmp_path)
+    (tmp_path / "manifest.json").write_text("[1, 2")
     with pytest.raises(FormatError):
         load_dataset(tmp_path)
 

@@ -3,6 +3,7 @@ finite differences, and the Cartesian flows agree with the generalized oracles."
 import numpy as np
 import pytest
 
+import cartmech.autodiff as ad
 from cartmech.constraints import phi, phidot
 from cartmech.dynamics import (
     DynamicsContext,
@@ -210,20 +211,52 @@ def test_dipole_field_frozen_examples():
         dipole_field([0.0, 0.0, 1e-8], [0.0, 0.0, 1.0])
 
 
-def test_magnet_gradient_matches_fd():
-    system = build_system("magnet")
-    z = system.sample(np.random.default_rng(5))
-    X = system.context().split(z)[0]
-    pot = system.potential
-    grad = pot.grad(X)
-    h = 1e-6
+def _dipole_fd_gradient(pot, X, h=1e-6):
     fd = np.zeros_like(X)
     for i in range(3):
         Xp, Xm = X.copy(), X.copy()
         Xp[i, 0] += h
         Xm[i, 0] -= h
         fd[i, 0] = (pot.value(Xp) - pot.value(Xm)) / (2.0 * h)
-    assert np.abs(grad - fd).max() < 1e-6
+    return fd
+
+
+def test_magnet_gradient_matches_fd():
+    layouts = [
+        {},
+        # three dipoles with tilted moments, one of them reversed, at another strength
+        {"magnet_positions": ((0.5, 0.1, -1.2), (-0.4, 0.3, -1.2), (0.0, -0.5, -1.3)),
+         "magnet_moments": ((0.3, 0.0, 1.0), (0.0, -0.4, 0.8), (0.5, 0.5, -1.0)),
+         "strength": 1.7},
+    ]
+    rng = np.random.default_rng(5)
+    for layout in layouts:
+        system = build_system("magnet", **layout)
+        pot = system.potential
+        for z in system.sample(rng, 20):
+            X = system.context().split(z)[0]
+            # on the sphere and 0.05 off it, where the constraint does not hold
+            for Xs in (X, X + 0.05 * rng.normal(size=X.shape)):
+                assert np.abs(pot.grad(Xs) - _dipole_fd_gradient(pot, Xs)).max() < 1e-6
+
+
+def test_ground_truth_builds_no_tape(monkeypatch):
+    # the autodiff tape serves the learned models only
+    def refuse(self):
+        raise AssertionError("ground-truth code built an autodiff tape")
+
+    monkeypatch.setattr(ad.Tape, "__init__", refuse)
+    rng = np.random.default_rng(6)
+    for name in system_names():
+        system = build_system(name)
+        z = system.sample(rng)
+        assert np.all(np.isfinite(system.dynamics(z)))
+        X = system.context().split(z)[0]
+        assert np.all(np.isfinite(system.potential.grad(X)))
+    magnet = build_system("magnet")
+    run = integrate_adaptive(magnet.dynamics, magnet.sample(rng), 0.3,
+                             t_eval=np.linspace(0.0, 0.3, 4))
+    assert np.all(np.isfinite(run.states))
 
 
 def test_zero_strength_magnet_is_spherical_pendulum():

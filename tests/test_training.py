@@ -228,6 +228,43 @@ def test_train_aborts_after_consecutive_bad_steps():
     assert sum("non-finite" in m for m in messages) == 10
 
 
+def test_non_finite_gradient_skips_the_step():
+    # the loss carries a*(b*c) = 1e100 (finite), but backward forms
+    # d/dc = a*b = 1e400, which overflows to inf
+    class Overflowing:
+        def __init__(self, system):
+            self.system = system
+
+        def init_params(self, rng):
+            return ad.ParamStore({"a": np.array(1e200), "b": np.array(1e200),
+                                  "c": np.array(1e-300)})
+
+        def encode(self, xv):
+            return xv
+
+        def to_state_node(self, leaves, raw):
+            return raw
+
+        def decode_node(self, leaves, w):
+            return ad.add(w, ad.mul(leaves["a"], ad.mul(leaves["b"], leaves["c"])))
+
+        def dynamics_node(self, leaves, w):
+            return ad.mul(w, 0.0)
+
+    model = Overflowing(free_particle_system())
+    chunks = free_particle_chunks(np.random.default_rng(9), 4, steps=1)
+    start = model.init_params(None)
+    messages = []
+    with np.errstate(over="ignore"):
+        tape = ad.Tape()
+        assert np.isfinite(trajectory_loss_node(model, start.leaves(tape), chunks).value)
+        result = train(model, chunks, TrainConfig(epochs=1, batch_size=4), log=messages.append)
+    assert result.bad_steps == 1
+    assert any("non-finite gradient" in m for m in messages)
+    for name in start.names():
+        assert np.array_equal(result.store[name], start[name])
+
+
 def test_train_config_validation():
     with pytest.raises(ParameterDomainError):
         TrainConfig(epochs=0)
