@@ -28,7 +28,10 @@ from .dataset import (
 from .dynamics import convert_flavor
 from .errors import (
     DegenerateConfigurationError,
+    FieldSingularityError,
     FormatError,
+    GimbalLockError,
+    GradientSingularityError,
     IntegrationError,
     SchemaError,
     TrainingError,
@@ -218,7 +221,7 @@ def cmd_simulate(args) -> int:
     ctx = system.context()
     traj = integrate_adaptive(system.dynamics, z0, steps * system.dt, t_eval=t_eval,
                               tol=Tolerances(args.rtol, args.atol))
-    truth = np.stack([convert_flavor(ctx, s, LAGRANGIAN) for s in traj.states])
+    truth = convert_flavor(ctx, traj.states, LAGRANGIAN)
     if args.checkpoint:
         store = ad.load_checkpoint(args.checkpoint)
         model = build_model(args.model, system, hidden=tuple(args.hidden))
@@ -384,7 +387,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (IntegrationError, DegenerateConfigurationError, TrainingError,
+    except (IntegrationError, DegenerateConfigurationError, FieldSingularityError,
+            GradientSingularityError, GimbalLockError, TrainingError,
             FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 2

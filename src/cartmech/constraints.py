@@ -14,7 +14,8 @@ Every row is at most quadratic in x, so DPhi is affine in x:
 vec(DPhi)(x) = A x + b.  ConstraintSet.affine_maps builds (A, b) once per
 topology, and that map is the one constraint Jacobian: DPhi(x) is
 (A x + b) reshaped to (C, dn), and because A stacks the symmetric Hessians of
-the rows, D_x phidot at velocity xdot is (A xdot) reshaped the same way.  The
+the rows, D_x phidot at velocity xdot is (A xdot) reshaped the same way.
+Both take positions or velocities with leading batch axes.  The
 velocity-level constraint is phidot = DPhi(X) vec(Xdot), and the first-order
 system Psi = (phi, phidot) has the block Jacobian
     DPsi = [[DPhi, 0], [D_x phidot, D_p phidot]],
@@ -260,11 +261,20 @@ def _jacobian_phi_raw(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
     return J
 
 
+def _linear_part(cs: ConstraintSet, x: np.ndarray) -> np.ndarray:
+    """(A x) reshaped to (..., C, dn) for flat rows x of shape (..., dn).
+
+    A acts on each row through its own matrix-vector product, so a row's
+    rounding does not depend on how many rows are stacked with it.
+    """
+    A, _ = cs.affine_maps()
+    return (A @ x[..., None])[..., 0].reshape(x.shape[:-1] + (cs.n_rows, x.shape[-1]))
+
+
 def jacobian_phi(topology, X: np.ndarray) -> np.ndarray:
-    """DPhi of shape (C, dn); anchor endpoints contribute zero columns."""
+    """DPhi of shape (..., C, dn) for positions (..., d, n); anchors contribute zero columns."""
     cs = topology.constraint_set
-    A, b = cs.affine_maps()
-    return (A @ flatten_matrix(X) + b).reshape(cs.n_rows, cs.dim * cs.n_points)
+    return _linear_part(cs, flatten_matrix(X)) + cs.affine_maps()[1].reshape(cs.n_rows, -1)
 
 
 def phidot(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
@@ -281,14 +291,12 @@ def phidot(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
 
 
 def jacobian_phidot_x(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
-    """D_x phidot, shape (C, dn).
+    """D_x phidot, shape (..., C, dn) for velocities Xdot of shape (..., d, n).
 
     Exact for any X: DPhi is affine, so D_x phidot depends on Xdot alone and
     equals the linear part of the map applied to it (Hessian symmetry).
     """
-    cs = topology.constraint_set
-    A, _ = cs.affine_maps()
-    return (A @ flatten_matrix(Xdot)).reshape(cs.n_rows, cs.dim * cs.n_points)
+    return _linear_part(topology.constraint_set, flatten_matrix(Xdot))
 
 
 def jacobian_psi(topology, z: np.ndarray, mass) -> np.ndarray:

@@ -4,7 +4,9 @@ Trajectories are integrated in Hamiltonian form and stored as (x, xdot)
 states, since learned models must never see momenta computed with the true
 mass matrix.  Each trajectory draws from its own rng stream seeded by
 (seed, index), so a dataset is reproducible and the first n trajectories of a
-larger pool form a nested subset.
+larger pool form a nested subset.  A split is integrated as one batch; the
+batched field and integrator compute every row as they would compute it
+alone, which keeps both properties.
 """
 from __future__ import annotations
 
@@ -51,22 +53,35 @@ class Dataset:
         return system_from_dict(self.system_spec)
 
 
-def _sample_trajectory(system: System, rng: np.random.Generator, steps: int,
-                       tol: Tolerances, retries: int, log=None) -> np.ndarray:
+def _integrate_rows(system: System, rngs: list, steps: int, tol: Tolerances,
+                    retries: int, log=None) -> np.ndarray:
+    """(N, steps + 1, 2dn) Hamiltonian trajectories, one per rng stream.
+
+    Every initial state is drawn first and all are integrated in one batched
+    call.  A row whose integration fails is redrawn from its own stream and
+    integrated again with the other failed rows, up to `retries` times; the
+    last failure is raised.  Other errors propagate.
+    """
     t_eval = system.dt * np.arange(steps + 1)
-    ctx = system.context()
+    todo = np.arange(len(rngs))
+    z0 = np.stack([system.sample(rng) for rng in rngs])
+    states = None
     for attempt in range(retries + 1):
-        z0 = system.sample(rng)
-        try:
-            traj = integrate_adaptive(system.dynamics, z0, steps * system.dt,
-                                      t_eval=t_eval, tol=tol)
-        except IntegrationError as err:
+        run = integrate_adaptive(system.dynamics, z0, steps * system.dt, t_eval=t_eval, tol=tol)
+        failed = [(i, err) for i, err in zip(todo, run.failures) if err is not None]
+        if states is None:
+            states = run.states
+        else:
+            states[todo] = run.states
+        for i, err in failed:
             if log is not None:
-                log(f"integration failed (attempt {attempt + 1}): {err}")
-            if attempt == retries:
-                raise
-            continue
-        return np.stack([convert_flavor(ctx, s, LAGRANGIAN) for s in traj.states])
+                log(f"trajectory {i}: integration failed (attempt {attempt + 1}): {err}")
+        if not failed:
+            return states
+        if attempt == retries:
+            raise failed[0][1]
+        todo = np.array([i for i, _ in failed])
+        z0 = np.stack([system.sample(rngs[i]) for i in todo])
     raise AssertionError("unreachable")
 
 
@@ -76,6 +91,8 @@ def generate_dataset(system: System, n_traj: int, steps: int = 100,
                      log=None) -> Dataset:
     """Integrate n_traj sampled initial conditions and package them.
 
+    All trajectories of the split go through one batched integration; a row
+    that fails is resampled from its own rng stream (see _integrate_rows).
     Train split: each trajectory contributes one uniformly chosen chunk of
     CHUNK_STATES consecutive states from its non-overlapping partition.
     Test split: full trajectories.
@@ -85,22 +102,19 @@ def generate_dataset(system: System, n_traj: int, steps: int = 100,
     if steps < CHUNK_STATES:
         raise ValueError(f"steps must be at least {CHUNK_STATES}")
     t_eval = system.dt * np.arange(steps + 1)
-    n_chunks = steps // CHUNK_STATES
-
-    def one(index: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng([seed, index])
-        states = _sample_trajectory(system, rng, steps, tolerances, retries, log)
-        if split == TEST:
-            return t_eval, states
-        c = int(rng.integers(n_chunks))
-        sl = slice(c * CHUNK_STATES, (c + 1) * CHUNK_STATES)
-        return t_eval[sl], states[sl]
-
-    rows = [one(i) for i in range(n_traj)]
-    times = np.stack([r[0] for r in rows])
-    states = np.stack([r[1] for r in rows])
+    rngs = [np.random.default_rng([seed, index]) for index in range(n_traj)]
+    states = _integrate_rows(system, rngs, steps, tolerances, retries, log)
+    if split == TEST:
+        times = np.tile(t_eval, (n_traj, 1))
+    else:
+        # chunk c of each row, drawn from the row's stream after its last sample
+        first = CHUNK_STATES * np.array([rng.integers(steps // CHUNK_STATES) for rng in rngs],
+                                        dtype=int)
+        take = first[:, None] + np.arange(CHUNK_STATES)
+        times = t_eval[take]
+        states = np.take_along_axis(states, take[:, :, None], axis=1)
     return Dataset(system_to_dict(system), system.dt, split, seed, tolerances,
-                   times, states)
+                   times, convert_flavor(system.context(), states, LAGRANGIAN))
 
 
 # -- persistence (JSON manifest + raw little-endian payload) --------------------------

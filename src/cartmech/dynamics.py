@@ -24,6 +24,12 @@ factorization (numpy.linalg.solve) behind an SVD condition estimate, where a
 value above COND_LIMIT raises DegenerateConfigurationError.  The 2C x 2C
 matrix has determinant det(K)^2, so the guard on K fires exactly where the
 full system is singular.
+
+Every field takes flat states with leading batch axes, (..., 2dn) ->
+(..., 2dn); a single state (2dn,) is the case without them.  The batch is
+carried through stacked matrix products (one BLAS call per row), stacked
+LAPACK solves and element-wise arithmetic, so each row is computed exactly
+as it would be alone, and the guard raises if any row is degenerate.
 """
 from __future__ import annotations
 
@@ -65,25 +71,38 @@ class DynamicsContext:
         return replace(self, flavor=flavor)
 
     def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dn = z.size // 2
-        return unflatten_matrix(z[:dn], self.dim), unflatten_matrix(z[dn:], self.dim)
+        """(X, P-or-V) matrices of shape (..., d, n) from flat states (..., 2dn)."""
+        dn = z.shape[-1] // 2
+        return unflatten_matrix(z[..., :dn], self.dim), unflatten_matrix(z[..., dn:], self.dim)
+
+
+def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x for stacks of matrices (..., r, c) and vectors (..., c).
+
+    Every row is its own matrix-vector product, so its rounding does not
+    depend on the size or content of the batch around it.
+    """
+    return (M @ x[..., None])[..., 0]
 
 
 def checked_solve(A: np.ndarray, B: np.ndarray, what: str = "constraint system") -> np.ndarray:
-    """LU solve with an SVD condition estimate guarding degenerate configurations."""
-    if A.shape[0] == 0:
+    """LU solves of (..., C, C) systems, each guarded by an SVD condition estimate."""
+    if A.shape[-1] == 0:
         return np.zeros(B.shape)
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DegenerateConfigurationError(f"{what} is numerically singular", cond=float(cond))
+    bad = ~(cond <= COND_LIMIT)  # also catches nan
+    if np.count_nonzero(bad):
+        raise DegenerateConfigurationError(f"{what} is numerically singular",
+                                           cond=float(np.asarray(cond)[bad].flat[0]))
     return np.linalg.solve(A, B)
 
 
 def grad_hamiltonian(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
     """grad_z H = (grad_X V, vec(P M^-1)) for H = Tr(P M^-1 P^T)/2 + V(X)."""
+    z = np.asarray(z, dtype=float)
     X, P = ctx.split(z)
     return np.concatenate([flatten_matrix(ctx.potential.grad(X)),
-                           flatten_matrix(P @ ctx.mass.inverse)])
+                           flatten_matrix(P @ ctx.mass.inverse)], axis=-1)
 
 
 def unconstrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
@@ -93,21 +112,24 @@ def unconstrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
 
 def constrained_hamiltonian_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
     """zdot = J (grad H + DPsi^T lambda); identical to P J grad H."""
+    z = np.asarray(z, dtype=float)
     g = grad_hamiltonian(ctx, z)
-    dn = g.size // 2
-    grad_V, v = g[:dn], g[dn:]
-    X = unflatten_matrix(z[:dn], ctx.dim)
+    dn = g.shape[-1] // 2
+    grad_V, v = g[..., :dn], g[..., dn:]
+    X = unflatten_matrix(z[..., :dn], ctx.dim)
     G = jacobian_phi(ctx.topology, X)
-    if G.shape[0] == 0:
+    if G.shape[-2] == 0:
         return symplectic_apply(g)
     D = jacobian_phidot_x(ctx.topology, X, unflatten_matrix(v, ctx.dim))
     H = apply_inverse_mass(ctx.mass, G)
-    S = D @ H.T - H @ D.T
+    Gt, Dt, Ht = G.mT, D.mT, H.mT
     # one guarded solve: K^-1 [G v, D v - H grad V, S]
-    W = checked_solve(G @ H.T, np.column_stack([G @ v, D @ v - H @ grad_V, S]))
-    lam2 = -W[:, 0]
-    lam1 = W[:, 1] + W[:, 2:] @ lam2
-    return np.concatenate([v + H.T @ lam2, -grad_V - G.T @ lam1 - D.T @ lam2])
+    rhs = np.concatenate([_mv(G, v)[..., None], (_mv(D, v) - _mv(H, grad_V))[..., None],
+                          D @ Ht - H @ Dt], axis=-1)
+    W = checked_solve(G @ Ht, rhs)
+    lam2 = -W[..., 0]
+    lam1 = W[..., 1] + _mv(W[..., 2:], lam2)
+    return np.concatenate([v + _mv(Ht, lam2), -grad_V - _mv(Gt, lam1) - _mv(Dt, lam2)], axis=-1)
 
 
 def _apply_j_rows(DPsi: np.ndarray) -> np.ndarray:
@@ -134,39 +156,41 @@ def projection_matrix(dpsi: np.ndarray) -> np.ndarray:
 
 def constrained_lagrangian_dynamics(ctx: DynamicsContext, X: np.ndarray,
                                     V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Acceleration matrix Xddot of shape (d, n) and the multiplier lambda (C,)."""
+    """Accelerations Xddot of shape (..., d, n) and multipliers lambda (..., C)."""
     f = -flatten_matrix(ctx.potential.grad(X))
     minv_f = apply_inverse_mass(ctx.mass, f)
     G = jacobian_phi(ctx.topology, X)
-    if G.shape[0] == 0:
-        return unflatten_matrix(minv_f, ctx.dim), np.zeros(0)
-    H = apply_inverse_mass(ctx.mass, G)
-    rhs = G @ minv_f + jacobian_phidot_x(ctx.topology, X, V) @ flatten_matrix(V)
-    lam = checked_solve(G @ H.T, rhs)
-    return unflatten_matrix(minv_f - H.T @ lam, ctx.dim), lam
+    if G.shape[-2] == 0:
+        return unflatten_matrix(minv_f, ctx.dim), np.zeros(G.shape[:-1])
+    Ht = apply_inverse_mass(ctx.mass, G).mT
+    rhs = _mv(G, minv_f) + _mv(jacobian_phidot_x(ctx.topology, X, V), flatten_matrix(V))
+    lam = checked_solve(G @ Ht, rhs[..., None])[..., 0]
+    return unflatten_matrix(minv_f - _mv(Ht, lam), ctx.dim), lam
 
 
 def constrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
-    """Flavor dispatch z -> zdot for integrator callbacks."""
+    """Flavor dispatch z -> zdot for integrator callbacks, per row of (..., 2dn)."""
     if ctx.flavor == HAMILTONIAN:
         return constrained_hamiltonian_dynamics(ctx, z)
+    z = np.asarray(z, dtype=float)
     X, V = ctx.split(z)
     xddot, _ = constrained_lagrangian_dynamics(ctx, X, V)
-    return np.concatenate([flatten_matrix(V), flatten_matrix(xddot)])
+    return np.concatenate([z[..., z.shape[-1] // 2:], flatten_matrix(xddot)], axis=-1)
 
 
 def convert_flavor(ctx: DynamicsContext, z: np.ndarray, to: str) -> np.ndarray:
-    """Map a flat state between (x, p) and (x, v) using the context's mass."""
-    X, Z = ctx.split(z)
+    """Map flat states (..., 2dn) between (x, p) and (x, v) using the context's mass."""
+    z = np.asarray(z, dtype=float)
     if to == ctx.flavor:
-        return np.asarray(z, dtype=float).copy()
+        return z.copy()
     if to == LAGRANGIAN:
-        out = Z @ ctx.mass.inverse
+        M = ctx.mass.inverse
     elif to == HAMILTONIAN:
-        out = Z @ ctx.mass.matrix
+        M = ctx.mass.matrix
     else:
         raise ValueError(f"unknown flavor {to!r}")
-    return np.concatenate([flatten_matrix(X), flatten_matrix(out)])
+    X, Z = ctx.split(z)
+    return np.concatenate([flatten_matrix(X), flatten_matrix(Z @ M)], axis=-1)
 
 
 def energy(ctx: DynamicsContext, z: np.ndarray) -> float:

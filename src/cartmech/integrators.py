@@ -4,7 +4,11 @@ The fixed path is the differentiable one: rk4_step and rollout_fixed only use
 +, * and calls to f, so they accept either plain arrays or autodiff tape nodes.
 The adaptive path is for ground truth only and rejects non-array states; it
 implements the Dormand-Prince 5(4) pair with first-same-as-last stage reuse,
-a PI step-size controller and quartic (4th-order) dense output.
+a PI step-size controller and quartic (4th-order) dense output.  It runs a
+whole batch of initial states in one loop: each row keeps its own time, step
+size and controller state, and rows leave the loop as they finish or fail.
+Stage sums and dense output are element-wise, so a row's result is the same
+bits whether it runs alone or in any batch.
 """
 from __future__ import annotations
 
@@ -55,12 +59,17 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid and the state at each time, row per time."""
+    """Time grid and the state at each time, row per time.
+
+    From a batch, states is (B, T, N), the counts are per-row arrays and
+    failures holds each row's IntegrationError, or None where it finished.
+    """
 
     times: np.ndarray
     states: np.ndarray
     n_accepted: int = 0
     n_rejected: int = 0
+    failures: tuple = ()
 
     def __len__(self):
         return len(self.times)
@@ -95,108 +104,186 @@ def rollout_fixed(f, z0, times, substeps: int = 1):
     return out
 
 
-def _error_norm(err, scale):
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+# The tableau rows shaped (S, 1, 1) to weight stacked stages (S, R, N).
+_A_ROWS = [a[:, None, None] for a in DP_A]
+_E_ROW = DP_E[:, None, None]
+
+
+def _combine(z, h, weights, k):
+    """z + h * sum_j weights[j] k[j] for stages k (S, R, N), row by row.
+
+    weights is (S, 1, 1) for every row or (S, R, 1) per row.  The stage sum
+    runs over the leading axis with element-wise adds, so a row's rounding
+    does not depend on which rows share the batch.
+    """
+    return z + h * np.add.reduce(weights * k, axis=0)
+
+
+def _rms(w):
+    """Per-row root mean square over the last axis."""
+    return np.sqrt(np.add.reduce(w * w, axis=-1) / w.shape[-1])
 
 
 def _initial_step(f, z0, f0, t_span, tol: Tolerances):
-    """Hairer's starting-step heuristic from |z0| and |f(z0)|."""
+    """Hairer's starting-step heuristic from |z0| and |f(z0)|, per row of (R, N)."""
     scale = tol.atol + tol.rtol * np.abs(z0)
-    d0 = float(np.sqrt(np.mean((z0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    f1 = f(z0 + h0 * f0)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_span)
+    d0 = _rms(z0 / scale)
+    d1 = _rms(f0 / scale)
+    # the clamps only touch values the np.where branches discard
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
+    f1 = f(z0 + h0[:, None] * f0)
+    d = np.maximum(d1, _rms((f1 - f0) / scale) / h0)
+    h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / np.maximum(d, 1e-15)) ** 0.2)
+    return np.minimum(np.minimum(100 * h0, h1), t_span)
+
+
+class _Active:
+    """Per-row integrator state of the rows still running, compacted as rows leave."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask):
+        for name, value in vars(self).items():
+            setattr(self, name, value[mask])
 
 
 def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tolerances(),
                        max_steps: int = 1_000_000) -> Trajectory:
     """Integrate dz/dt = f(z) from t=0 to t=t_span with Dormand-Prince 5(4).
 
-    t_eval requests dense output at specific times inside [0, t_span]; when
-    omitted, the accepted step points are returned.  Raises IntegrationError
-    on step underflow, non-finite states or step budget exhaustion.
+    z0 is one state (N,) or a batch (B, N).  t_eval requests dense output at
+    specific times inside [0, t_span]; when omitted, the accepted step points
+    are returned (one state only).
+
+    One state: f is called with (N,) states, and step underflow, a non-finite
+    state or an exhausted step budget raise IntegrationError with the time
+    and the accepted step count.
+
+    A batch needs t_eval.  f is called with the (R, N) rows still running and
+    must treat each row on its own.  Every row keeps its own t, step size, PI
+    controller state, accept/reject decision, dense output and step counts,
+    and leaves the active set when it reaches t_span or fails; a failure ends
+    only its own row.  The result holds states (B, T, N) (NaN on failed
+    rows), per-row n_accepted/n_rejected arrays, and failures: the
+    IntegrationError of each row, or None where the row finished.  Each row
+    is computed exactly as a run of that state alone would compute it.
+    Exceptions raised by f propagate.
     """
     z0 = np.asarray(z0, dtype=float)
-    if not isinstance(f(z0), np.ndarray):
-        raise TypeError("integrate_adaptive requires a plain-array dynamics function")
+    if z0.ndim not in (1, 2):
+        raise ValueError(f"z0 must be (N,) or (B, N), got shape {z0.shape}")
+    single = z0.ndim == 1
     if t_span <= 0:
         raise ValueError("t_span must be positive")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.size and (t_eval[0] < 0 or t_eval[-1] > t_span * (1 + 1e-12) or np.any(np.diff(t_eval) < 0)):
             raise ValueError("t_eval must be increasing inside [0, t_span]")
+    elif not single:
+        raise ValueError("a batch of initial states needs t_eval")
 
-    t = 0.0
-    z = z0
-    k = np.empty((7, z0.size))
-    f_now = f(z0)  # refreshed only on accepted steps; rejections must not clobber it
-    h = _initial_step(f, z0, f_now, t_span, tol)
-    err_prev = 1.0
+    def field(rows):
+        out = f(rows[0] if single else rows)
+        if not isinstance(out, np.ndarray):
+            raise TypeError("integrate_adaptive requires a plain-array dynamics function")
+        return out[None] if single else out
 
-    times = [0.0]
-    states = [z0]
-    eval_idx = 0
-    out_times: list[float] = []
-    out_states: list[np.ndarray] = []
-    if t_eval is not None:
-        while eval_idx < len(t_eval) and t_eval[eval_idx] <= 0.0:
-            out_times.append(float(t_eval[eval_idx]))
-            out_states.append(z0)
-            eval_idx += 1
+    z0 = np.atleast_2d(z0)
+    n_rows, size = z0.shape
+    n_eval = 0 if t_eval is None else t_eval.size
+    n_start = 0 if t_eval is None else int(np.searchsorted(t_eval, 0.0, side="right"))
+    out = np.full((n_rows, n_eval, size), np.nan)
+    out[:, :n_start] = z0[:, None]
+    n_accepted = np.zeros(n_rows, dtype=int)
+    n_rejected = np.zeros(n_rows, dtype=int)
+    n_emitted = np.zeros(n_rows, dtype=int)
+    failures: list = [None] * n_rows
+    steps = [(0.0, z0[0])] if t_eval is None else None
 
-    n_accepted = 0
-    n_rejected = 0
-    for _ in range(max_steps):
-        if t >= t_span:
+    a = _Active(rows=np.arange(n_rows), t=np.zeros(n_rows), h=np.zeros(n_rows),
+                err_prev=np.ones(n_rows), z=z0.copy(), f_now=np.zeros_like(z0),
+                n_acc=n_accepted.copy(), n_rej=n_rejected.copy(),
+                eval_idx=np.full(n_rows, n_start))
+
+    def leave(mask, reason=None):
+        """Drop the rows under mask, recording their counts and failure."""
+        if not np.count_nonzero(mask):
+            return
+        for i in np.flatnonzero(mask):
+            r = a.rows[i]
+            n_accepted[r], n_rejected[r], n_emitted[r] = a.n_acc[i], a.n_rej[i], a.eval_idx[i]
+            if reason is not None:
+                failures[r] = IntegrationError(f"{reason} at t={a.t[i]:.6g}", t=float(a.t[i]),
+                                               step=int(a.n_acc[i]))
+        a.keep(~mask)
+
+    leave(~np.all(np.isfinite(a.z), axis=1), "non-finite state")
+    if a.rows.size:
+        a.f_now = field(a.z)  # refreshed only on accepted steps
+        a.h = _initial_step(field, a.z, a.f_now, t_span, tol)
+
+    while a.rows.size:
+        leave(a.t >= t_span)
+        leave(a.n_acc + a.n_rej >= max_steps, f"exceeded {max_steps} steps")
+        a.h = np.minimum(a.h, t_span - a.t)
+        leave(a.h < 1e-14 * np.maximum(1.0, np.abs(a.t)), "step size underflow")
+        if not a.rows.size:
             break
-        h = min(h, t_span - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError(f"step size underflow at t={t:.6g}", t=t, step=n_accepted)
 
-        k[0] = f_now  # first-same-as-last
+        k = np.empty((7,) + a.z.shape)
+        k[0] = a.f_now  # first-same-as-last
+        h = a.h[:, None]
         for s in range(1, 7):
-            zs = z + h * (DP_A[s] @ k[:s])
-            k[s] = f(zs)
-        z_new = z + h * (DP_B @ k)
-        if not np.all(np.isfinite(z_new)):
-            raise IntegrationError(f"non-finite state at t={t:.6g}", t=t, step=n_accepted)
-        err = h * (DP_E @ k)
-        scale = tol.atol + tol.rtol * np.maximum(np.abs(z), np.abs(z_new))
-        err_norm = _error_norm(err, scale)
+            zs = _combine(a.z, h, _A_ROWS[s], k[:s])
+            if not np.isfinite(zs).all():
+                bad = ~np.all(np.isfinite(zs), axis=1)
+                leave(bad, "non-finite state")
+                k, h, zs = k[:, ~bad], h[~bad], zs[~bad]
+                if not a.rows.size:
+                    break
+            k[s] = field(zs)
+        if not a.rows.size:
+            break
+        z_new = zs  # the last stage sits at the new state: DP_A[6] is DP_B without its 0
+        scale = tol.atol + tol.rtol * np.maximum(np.abs(a.z), np.abs(z_new))
+        err_norm = _rms(_combine(0.0, h, _E_ROW, k) / scale)
+        accept = err_norm <= 1.0
 
-        if err_norm <= 1.0:
-            if t_eval is not None and eval_idx < len(t_eval):
-                # Quartic dense output on the accepted interval.
-                Q = k.T @ DP_P
-                while eval_idx < len(t_eval) and t_eval[eval_idx] <= t + h * (1 + 1e-12):
-                    u = (t_eval[eval_idx] - t) / h
-                    out_times.append(float(t_eval[eval_idx]))
-                    out_states.append(z + h * (Q @ (u ** np.arange(1, 5))))
-                    eval_idx += 1
-            t += h
-            z = z_new
-            f_now = k[6].copy()  # k is reused by later attempts; a view would go stale
-            times.append(t)
-            states.append(z)
-            n_accepted += 1
-            if err_norm == 0.0:
-                factor = MAX_FACTOR
-            else:
-                factor = min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err_norm ** -K_I * err_prev ** K_P))
-            err_prev = max(err_norm, 1e-10)
-            h *= factor
-        else:
-            n_rejected += 1
-            h *= max(MIN_FACTOR, SAFETY * err_norm ** -0.2)
-    else:
-        raise IntegrationError(f"exceeded {max_steps} steps at t={t:.6g}", t=t, step=n_accepted)
+        if n_eval:
+            # quartic dense output at every t_eval point inside each accepted step
+            reach = np.searchsorted(t_eval, a.t + a.h * (1 + 1e-12), side="right")
+            end = np.where(accept, np.maximum(reach, a.eval_idx), a.eval_idx)
+            count = end - a.eval_idx
+            if np.count_nonzero(count):
+                i = np.repeat(np.arange(a.rows.size), count)
+                point = np.arange(i.size) + np.repeat(end - np.cumsum(count), count)
+                u = ((t_eval[point] - a.t[i]) / a.h[i])[:, None]
+                weights = (((DP_P[:, 3] * u + DP_P[:, 2]) * u + DP_P[:, 1]) * u + DP_P[:, 0]) * u
+                out[a.rows[i], point] = _combine(a.z[i], h[i], weights.T[:, :, None], k[:, i])
+                a.eval_idx = end
+        # PI growth on accepted rows, plain shrink on rejected ones; the clamp
+        # on err_norm only reaches rows whose factor is capped at MAX_FACTOR
+        e = np.maximum(err_norm, 1e-300)
+        grow = np.fmin(MAX_FACTOR, np.fmax(MIN_FACTOR, SAFETY * e ** -K_I * a.err_prev ** K_P))
+        shrink = np.fmax(MIN_FACTOR, SAFETY * e ** -0.2)
+        a.t = np.where(accept, a.t + a.h, a.t)
+        a.z = np.where(accept[:, None], z_new, a.z)
+        a.f_now = np.where(accept[:, None], k[6], a.f_now)
+        a.err_prev = np.where(accept, np.maximum(err_norm, 1e-10), a.err_prev)
+        a.h = a.h * np.where(accept, grow, shrink)
+        a.n_acc = a.n_acc + accept
+        a.n_rej = a.n_rej + ~accept
+        if steps is not None and accept[0]:
+            steps.append((float(a.t[0]), a.z[0]))
 
-    if t_eval is not None:
-        return Trajectory(np.array(out_times), np.array(out_states), n_accepted, n_rejected)
-    return Trajectory(np.array(times), np.stack(states), n_accepted, n_rejected)
+    if not single:
+        out[[r for r, err in enumerate(failures) if err is not None]] = np.nan
+        return Trajectory(t_eval.copy(), out, n_accepted, n_rejected, tuple(failures))
+    if failures[0] is not None:
+        raise failures[0]
+    if steps is not None:
+        return Trajectory(np.array([p[0] for p in steps]), np.stack([p[1] for p in steps]),
+                          int(n_accepted[0]), int(n_rejected[0]))
+    done = n_emitted[0]
+    return Trajectory(t_eval[:done].copy(), out[0, :done], int(n_accepted[0]), int(n_rejected[0]))

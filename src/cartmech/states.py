@@ -48,16 +48,20 @@ class PhaseState:
 
 
 def flatten_matrix(A: np.ndarray) -> np.ndarray:
-    """Column-major vec of a (d, n) matrix: point 0's coords, then point 1's, ..."""
-    return np.asarray(A).ravel(order="F")
+    """Column-major vec of (d, n) matrices: point 0's coords, then point 1's, ...
+
+    Leading axes of a (..., d, n) stack are kept: the result is (..., d*n).
+    """
+    A = np.asarray(A)
+    return A.mT.reshape(A.shape[:-2] + (-1,))
 
 
 def unflatten_matrix(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of flatten_matrix; infers the point count from the length."""
+    """Inverse of flatten_matrix on the last axis; infers the point count from its length."""
     v = np.asarray(v)
-    if v.size % dim:
-        raise ShapeError(f"flat length {v.size} is not a multiple of dim {dim}")
-    return v.reshape(v.size // dim, dim).T
+    if v.shape[-1] % dim:
+        raise ShapeError(f"flat length {v.shape[-1]} is not a multiple of dim {dim}")
+    return v.reshape(v.shape[:-1] + (-1, dim)).mT
 
 
 def symplectic_apply(z: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Benchmark systems: configs, potentials, builders, and on-manifold samplers.
 
 Five ground-truth systems share one recipe: a topology of point masses or
-extended bodies, a block-diagonal mass model, a potential with value/grad,
-and a seeded sampler that embeds generalized coordinates so every sampled
-state satisfies Phi = 0 and Phid = 0 by construction.
+extended bodies, a block-diagonal mass model, a potential with value (of one
+(d, n) position matrix) and grad (of positions (..., d, n) with any leading
+batch axes), and a seeded sampler that embeds generalized coordinates so
+every sampled state satisfies Phi = 0 and Phid = 0 by construction.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ class LinearGravity:
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros_like(X)
-        out[self.axis] = self.g * self.weights
+        out[..., self.axis, :] = self.g * self.weights
         return out
 
 
@@ -87,40 +88,42 @@ class SpringChain:
     def grad(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros_like(X)
         for i, j in self.pairs:
-            d = X[:, i] - X[:, j]
-            r = float(np.linalg.norm(d))
-            if r < EPS_SPRING:
+            d = X[..., :, i] - X[..., :, j]
+            r = np.sqrt(np.vecdot(d, d))[..., None]
+            if np.any(r < EPS_SPRING):
                 raise GradientSingularityError(
-                    f"spring endpoints {i}, {j} coincide (separation {r:.2e})")
+                    f"spring endpoints {i}, {j} coincide (separation {r.min():.2e})")
             f = self.k * (r - self.rest) * d / r
-            out[:, i] += f
-            out[:, j] -= f
+            out[..., :, i] += f
+            out[..., :, j] -= f
         return out
 
 
-def _dipole(r, moment) -> tuple[np.ndarray, np.ndarray]:
-    """Field B(r) = (3 r (r.m) - |r|^2 m) / |r|^5 of one dipole, and dB/dr.
+def _dipole(r, moment, u) -> tuple[np.ndarray, np.ndarray]:
+    """Field B(r) = (3 r (r.m) - |r|^2 m) / |r|^5 of one dipole, and (dB/dr) u.
 
-    Units with mu0/4pi = 1.  The Jacobian
+    Units with mu0/4pi = 1; r, the moment and the direction u broadcast over
+    leading axes (..., 3).  The Jacobian
     dB/dr = (3 ((r.m) I + r m^T + m r^T) - 15 (r.m) r r^T / |r|^2) / |r|^5
-    is symmetric.
+    is symmetric.  Callers keep r away from 0.
     """
-    r = np.asarray(r, dtype=float)
-    moment = np.asarray(moment, dtype=float)
-    rr = float(r @ r)
-    if rr < EPS_FIELD ** 2:
-        raise FieldSingularityError(f"field evaluated {math.sqrt(rr):.2e} from a dipole")
-    s = float(r @ moment)
+    rr = np.vecdot(r, r)[..., None]
+    s = np.vecdot(r, moment)[..., None]
+    ru = np.vecdot(r, u)[..., None]
     scale = rr ** -2.5
     field = (3.0 * s * r - rr * moment) * scale
-    rm = np.outer(r, moment)
-    jac = (3.0 * (s * np.eye(3) + rm + rm.T) - (15.0 * s / rr) * np.outer(r, r)) * scale
-    return field, jac
+    along = (3.0 * (s * u + ru * moment + np.vecdot(moment, u)[..., None] * r)
+             - (15.0 * s * ru / rr) * r) * scale
+    return field, along
 
 
 def dipole_field(r, moment) -> np.ndarray:
     """B(r) = (3 r (r.m) - |r|^2 m) / |r|^5 in units with mu0/4pi = 1."""
-    return _dipole(r, moment)[0]
+    r = np.asarray(r, dtype=float)
+    distance = math.sqrt(float(r @ r))
+    if distance < EPS_FIELD:
+        raise FieldSingularityError(f"field evaluated {distance:.2e} from a dipole")
+    return _dipole(r, np.asarray(moment, dtype=float), r)[0]
 
 
 class DipolePotential:
@@ -129,7 +132,7 @@ class DipolePotential:
     Only the first point column of X feels the field.  With u = x/|x| the
     gradient is q ((B - u (u.B)) / |x| + sum_k dB_k/dx^T u); evaluation
     closer than EPS_FIELD to a magnet (or the origin) raises
-    FieldSingularityError.
+    FieldSingularityError.  grad takes positions over any leading axes.
     """
 
     def __init__(self, positions, moments, strength: float = 1.0):
@@ -139,32 +142,31 @@ class DipolePotential:
             raise ParameterDomainError("magnet positions and moments must pair up")
         self.strength = float(strength)
 
-    def _check(self, x: np.ndarray) -> None:
-        if float(x @ x) < EPS_FIELD ** 2:
+    def _field(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|x|, the summed field B(x) and (dB/dx) x/|x| at positions x (..., 3)."""
+        xx = np.vecdot(x, x)[..., None]
+        if np.any(xx < EPS_FIELD ** 2):
             raise FieldSingularityError("pendulum charge at the origin")
-        for r in self.positions:
-            if float(np.linalg.norm(x - r)) < EPS_FIELD:
-                raise FieldSingularityError(
-                    f"pendulum within {EPS_FIELD:g} of the magnet at {r}")
-
-    def _field(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Summed dipole field B(x) and its Jacobian dB/dx."""
-        self._check(x)
-        parts = [_dipole(x - r, m) for r, m in zip(self.positions, self.moments)]
-        return sum(b for b, _ in parts), sum(j for _, j in parts)
+        r = x[..., None, :] - self.positions  # (..., magnets, 3)
+        near = np.vecdot(r, r) < EPS_FIELD ** 2
+        if np.any(near):
+            magnet = self.positions[np.nonzero(near)[-1][0]]
+            raise FieldSingularityError(f"pendulum within {EPS_FIELD:g} of the magnet at {magnet}")
+        norm = np.sqrt(xx)
+        field, along = _dipole(r, self.moments, (x / norm)[..., None, :])
+        return norm, field.sum(axis=-2), along.sum(axis=-2)
 
     def value(self, X: np.ndarray) -> float:
         x = X[:, 0]
-        field, _ = self._field(x)
-        return float(self.strength * (x @ field) / np.linalg.norm(x))
+        norm, field, _ = self._field(x)
+        return float(self.strength * (x @ field) / norm[0])
 
     def grad(self, X: np.ndarray) -> np.ndarray:
-        x = X[:, 0]
-        field, jac = self._field(x)
-        norm = np.linalg.norm(x)
+        x = X[..., :, 0]
+        norm, field, along = self._field(x)
         u = x / norm
         out = np.zeros_like(X)
-        out[:, 0] = self.strength * ((field - u * (u @ field)) / norm + jac @ u)
+        out[..., :, 0] = self.strength * ((field - u * np.vecdot(u, field)[..., None]) / norm + along)
         return out
 
 

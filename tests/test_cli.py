@@ -255,6 +255,26 @@ def test_truncated_checkpoint_exits_1_without_traceback(workdir, tmp_path):
     assert "truncated" in proc.stderr
 
 
+def test_field_singularity_exits_2_without_traceback(tmp_path):
+    # a magnet right below the pivot and a bead that starts at the bottom of
+    # the sphere: the first field evaluation is at the dipole
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cartmech.cli", "generate",
+         "--set", "system.kind=magnet",
+         "--set", "system.magnet_positions=[[0.0,0.0,-1.0]]",
+         "--set", "system.magnet_moments=[[0.0,0.0,1.0]]",
+         "--set", "system.polar_max=0.0",
+         "--set", "data.n_traj=1", "--set", "data.steps=5", "--set", "eval.n_test=1",
+         "--out", str(tmp_path / "D")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "numeric failure" in proc.stderr
+
+
 def test_bad_arguments_exit_1_not_2():
     rc, _, err = run_cli("simulate", "--system", "hovercraft")
     assert rc == 1

@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from cartmech.dataset import (
     load_dataset,
     save_dataset,
     trajectory_columns,
-    _sample_trajectory,
 )
 from cartmech.errors import FormatError, IntegrationError
 from cartmech.integrators import Tolerances
@@ -118,49 +119,44 @@ def test_load_rejects_missing_or_ill_typed_manifest_entries(tmp_path):
         load_dataset(tmp_path)
 
 
-class FlakySystem:
-    """Wraps a system so the first n_bad sampled states poison integration."""
+def poisoned(system, bad_draws):
+    """The system with non-finite initial states on chosen draws.
 
-    def __init__(self, system, n_bad):
-        self._system = system
-        self.remaining = n_bad
-        self.sample_calls = 0
+    bad_draws maps a trajectory index to how many of its first draws are
+    poisoned; draws[i] counts every draw from trajectory i's rng stream,
+    whose seed sequence is (seed, i).
+    """
+    draws = Counter()
 
-    @property
-    def dt(self):
-        return self._system.dt
+    def sampler(rng):
+        index = rng.bit_generator.seed_seq.entropy[1]
+        draws[index] += 1
+        z = system.sampler(rng)
+        return np.full_like(z, np.inf) if draws[index] <= bad_draws.get(index, 0) else z
 
-    def context(self):
-        return self._system.context()
-
-    def sample(self, rng):
-        self.sample_calls += 1
-        z = self._system.sample(rng).copy()
-        if self.remaining > 0:
-            self.remaining -= 1
-            z[:] = np.inf
-        return z
-
-    def dynamics(self, z):
-        if not np.all(np.isfinite(z)):
-            raise IntegrationError("poisoned state")
-        return self._system.dynamics(z)
+    return replace(system, sampler=sampler), draws
 
 
 def test_integration_failures_resample_up_to_three_retries():
-    base = build_system("npendulum", n=1)
-    flaky = FlakySystem(base, n_bad=2)
+    base = build_system("npendulum", n=2)
+    clean = generate_dataset(base, 5, steps=10, tolerances=TOL, seed=4)
+    flaky, draws = poisoned(base, {1: 2, 3: 1})
     messages = []
-    states = _sample_trajectory(flaky, np.random.default_rng(0), steps=10, tol=TOL,
-                                retries=3, log=messages.append)
-    assert flaky.sample_calls == 3
-    assert len(messages) == 2
-    assert np.all(np.isfinite(states))
+    ds = generate_dataset(flaky, 5, steps=10, tolerances=TOL, seed=4, log=messages.append)
+    assert [draws[i] for i in range(5)] == [1, 3, 1, 2, 1]
+    assert sorted(m.split(":")[0] for m in messages) == ["trajectory 1", "trajectory 1",
+                                                          "trajectory 3"]
+    assert all("integration failed" in m for m in messages)
+    assert np.all(np.isfinite(ds.states))
+    healthy = [0, 2, 4]
+    assert np.array_equal(ds.states[healthy], clean.states[healthy])
+    assert np.array_equal(ds.times[healthy], clean.times[healthy])
 
-    exhausted = FlakySystem(base, n_bad=10)
+    exhausted, draws = poisoned(base, {2: 10})
     with pytest.raises(IntegrationError):
-        _sample_trajectory(exhausted, np.random.default_rng(0), steps=10, tol=TOL, retries=3)
-    assert exhausted.sample_calls == 4  # initial try + 3 retries
+        generate_dataset(exhausted, 5, steps=10, tolerances=TOL, seed=4, retries=3)
+    assert draws[2] == 4  # initial try + 3 retries
+    assert [draws[i] for i in (0, 1, 3, 4)] == [1, 1, 1, 1]
 
 
 def test_trajectory_csv_layout(tmp_path):

@@ -17,7 +17,7 @@ from cartmech.dynamics import (
 )
 from cartmech.errors import DegenerateConfigurationError
 from cartmech.integrators import Tolerances, integrate_adaptive
-from cartmech.states import LAGRANGIAN, flatten_matrix, symplectic_apply
+from cartmech.states import HAMILTONIAN, LAGRANGIAN, flatten_matrix, symplectic_apply
 from cartmech.systems import build_system, system_names
 
 
@@ -123,6 +123,22 @@ def test_field_matches_projection_oracle_on_every_system(name):
         xddot, _ = constrained_lagrangian_dynamics(ctx_l, X, V)
         expected = apply_inverse_mass(system.mass, constrained_dynamics(ctx, z)[dn:])
         assert np.linalg.norm(flatten_matrix(xddot) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("name", system_names())
+def test_batched_field_rows_equal_single_calls_bitwise(name):
+    # a row's value must not depend on the size or content of its batch
+    system = build_system(name)
+    rng = np.random.default_rng(23)
+    Z = np.stack([system.sample(rng) for _ in range(64)])
+    for flavor in (HAMILTONIAN, LAGRANGIAN):
+        ctx = system.context(flavor)
+        W = convert_flavor(system.context(), Z, flavor)
+        single = np.stack([constrained_dynamics(ctx, w) for w in W])
+        for B in (1, 7, 64):
+            batch = constrained_dynamics(ctx, W[:B])
+            assert batch.shape == (B, W.shape[1])
+            assert np.array_equal(batch, single[:B])
 
 
 def test_unconstrained_is_free_fall():

@@ -5,6 +5,7 @@ import pytest
 
 from cartmech.errors import IntegrationError
 from cartmech.integrators import Tolerances, integrate_adaptive, rk4_step, rollout_fixed
+from cartmech.systems import build_system
 
 
 def test_rk4_exponential_single_step():
@@ -81,3 +82,39 @@ def test_adaptive_rejects_bad_t_eval():
 def test_adaptive_requires_array_dynamics():
     with pytest.raises(TypeError):
         integrate_adaptive(lambda z: [float(z[0])], np.array([1.0]), 1.0)
+
+
+@pytest.mark.parametrize("name, params, n_rows", [("npendulum", {"n": 2}, 6), ("gyroscope", {}, 3)])
+def test_batch_rows_equal_single_runs_bitwise(name, params, n_rows):
+    system = build_system(name, **params)
+    Z0 = np.stack([system.sample(np.random.default_rng([9, i])) for i in range(n_rows)])
+    t_eval = np.linspace(0.0, 0.6, 21)
+    tol = Tolerances(1e-7, 1e-9)
+    batch = integrate_adaptive(system.dynamics, Z0, 0.6, t_eval=t_eval, tol=tol)
+    assert batch.states.shape == (n_rows, 21, Z0.shape[1])
+    assert batch.failures == (None,) * n_rows
+    attempts = set()
+    for i, z0 in enumerate(Z0):
+        alone = integrate_adaptive(system.dynamics, z0, 0.6, t_eval=t_eval, tol=tol)
+        assert np.array_equal(batch.states[i], alone.states)
+        assert (batch.n_accepted[i], batch.n_rejected[i]) == (alone.n_accepted, alone.n_rejected)
+        attempts.add(alone.n_accepted + alone.n_rejected)
+    assert len(attempts) > 1  # rows finish at different iterations of the batch loop
+
+
+def test_batch_row_failures_stay_on_their_row():
+    # z' = z^2 blows up at t = 1/z0: the first row fails, the second finishes,
+    # the third is not finite from the start
+    f = lambda z: z ** 2
+    t_eval = np.linspace(0.0, 1.5, 4)
+    batch = integrate_adaptive(f, np.array([[1.0], [0.2], [np.inf]]), 1.5, t_eval=t_eval)
+    blown, fine, poisoned = batch.failures
+    assert isinstance(blown, IntegrationError) and 0.9 < blown.t < 1.1 and blown.step > 0
+    assert fine is None
+    assert isinstance(poisoned, IntegrationError) and poisoned.t == 0.0 and poisoned.step == 0
+    assert np.all(np.isnan(batch.states[2])) and np.all(np.isnan(batch.states[0, -1]))
+    alone = integrate_adaptive(f, np.array([0.2]), 1.5, t_eval=t_eval)
+    assert np.array_equal(batch.states[1], alone.states)
+    assert batch.n_accepted[1] == alone.n_accepted
+    with pytest.raises(ValueError):
+        integrate_adaptive(f, np.array([[0.2], [0.3]]), 1.5)  # a batch needs t_eval
