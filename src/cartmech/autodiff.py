@@ -5,7 +5,10 @@ recording its kind and parents.  grad() runs a single reverse-topological
 sweep and emits each primitive's backward pass as new forward nodes, so
 gradients are themselves differentiable (second order comes from calling
 grad on a graph that already contains a gradient, e.g. through
-input_gradient of a learned potential).
+input_gradient of a learned potential).  The generic ops support any order.
+mlp_apply is one fused node whose derivatives are written in closed form; it
+supports exactly second order: differentiating its second-order outputs or
+its parameter adjoints again raises NotImplementedError.
 
 Scalars are 0-d arrays.  Broadcasting is supported where numpy allows it
 (bias-add, scalar scaling, batched matmul/solve); backward passes sum the
@@ -28,10 +31,11 @@ CHECKPOINT_VERSION = 1
 class Tape:
     """Append-only record of operations for one differentiable computation."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "_memo")
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._memo: dict = {}
 
     def _append(self, value, op, parents, extra=None) -> "Node":
         node = Node(self, np.asarray(value, dtype=float), op, parents, extra, len(self.nodes))
@@ -41,6 +45,18 @@ class Tape:
     def constant(self, value) -> "Node":
         """An input node; grad() differentiates with respect to any node."""
         return self._append(value, None, ())
+
+    def memo(self, key, build):
+        """build() on the first call with key; later calls reuse its nodes."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def clear(self) -> None:
+        """Drop every node.  Nodes refer back to their tape, so a tape that is
+        no longer used is otherwise freed only by a full garbage collection."""
+        self.nodes.clear()
+        self._memo.clear()
 
     def __len__(self):
         return len(self.nodes)
@@ -181,6 +197,10 @@ def solve(a, b) -> Node:
 
 
 # -- backward rules -----------------------------------------------------------
+#
+# A rule maps (node, g, need) to one contribution per parent, where need[i]
+# says whether parent i leads to a requested input; a rule may return None
+# for a parent that does not.
 
 def _unbroadcast(g: Node, shape: tuple) -> Node:
     """Sum g's broadcast axes away so it matches the parent's shape."""
@@ -200,43 +220,46 @@ def _ones_like(node: Node) -> Node:
     return node.tape.constant(np.ones(node.value.shape))
 
 
-def _vjp_add(node, g):
+def _vjp_add(node, g, need):
     a, b = node.parents
-    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    return (_unbroadcast(g, a.shape) if need[0] else None,
+            _unbroadcast(g, b.shape) if need[1] else None)
 
 
-def _vjp_sub(node, g):
+def _vjp_sub(node, g, need):
     a, b = node.parents
-    return _unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape)
+    return (_unbroadcast(g, a.shape) if need[0] else None,
+            _unbroadcast(neg(g), b.shape) if need[1] else None)
 
 
-def _vjp_mul(node, g):
+def _vjp_mul(node, g, need):
     a, b = node.parents
-    return _unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)
+    return (_unbroadcast(mul(g, b), a.shape) if need[0] else None,
+            _unbroadcast(mul(g, a), b.shape) if need[1] else None)
 
 
-def _vjp_div(node, g):
+def _vjp_div(node, g, need):
     a, b = node.parents
-    ga = _unbroadcast(div(g, b), a.shape)
-    gb = _unbroadcast(neg(mul(g, div(node, b))), b.shape)
+    ga = _unbroadcast(div(g, b), a.shape) if need[0] else None
+    gb = _unbroadcast(neg(mul(g, div(node, b))), b.shape) if need[1] else None
     return ga, gb
 
 
-def _vjp_matmul(node, g):
+def _vjp_matmul(node, g, need):
     a, b = node.parents
-    ga = _unbroadcast(matmul(g, transpose(b)), a.shape)
-    gb = _unbroadcast(matmul(transpose(a), g), b.shape)
+    ga = _unbroadcast(matmul(g, transpose(b)), a.shape) if need[0] else None
+    gb = _unbroadcast(matmul(transpose(a), g), b.shape) if need[1] else None
     return ga, gb
 
 
-def _vjp_solve(node, g):
+def _vjp_solve(node, g, need):
     a, b = node.parents
     gb = solve(transpose(a), g)
-    ga = neg(matmul(gb, transpose(node)))
-    return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+    ga = _unbroadcast(neg(matmul(gb, transpose(node))), a.shape) if need[0] else None
+    return ga, _unbroadcast(gb, b.shape) if need[1] else None
 
 
-def _vjp_sum(node, g):
+def _vjp_sum(node, g, need):
     axis, keepdims, shape = node.extra
     if axis is not None and not keepdims:
         kshape = list(shape)
@@ -246,40 +269,17 @@ def _vjp_sum(node, g):
     return (expand(g, shape),)
 
 
-_VJP = {
-    "add": _vjp_add,
-    "sub": _vjp_sub,
-    "mul": _vjp_mul,
-    "div": _vjp_div,
-    "neg": lambda node, g: (neg(g),),
-    "matmul": _vjp_matmul,
-    "transpose": lambda node, g: (transpose(g),),
-    "sum": _vjp_sum,
-    "tanh": lambda node, g: (mul(g, sub(_ones_like(node), mul(node, node))),),
-    "exp": lambda node, g: (mul(g, node),),
-    "sin": lambda node, g: (mul(g, cos(node.parents[0])),),
-    "cos": lambda node, g: (neg(mul(g, sin(node.parents[0]))),),
-    # sign treated as locally constant: exact a.e., zero curvature.
-    "abs": lambda node, g: (mul(g, node.tape.constant(np.sign(node.parents[0].value))),),
-    "concat": None,  # handled inline (variadic)
-    "narrow": None,
-    "reshape": lambda node, g: (reshape(g, node.extra),),
-    "expand": lambda node, g: (_unbroadcast(g, node.extra),),
-    "solve": _vjp_solve,
-}
-
-
-def _vjp_concat(node, g):
+def _vjp_concat(node, g, need):
     axis, sizes = node.extra
     out = []
     at = 0
-    for size in sizes:
-        out.append(narrow(g, axis, at, size))
+    for size, wanted in zip(sizes, need):
+        out.append(narrow(g, axis, at, size) if wanted else None)
         at += size
     return tuple(out)
 
 
-def _vjp_narrow(node, g):
+def _vjp_narrow(node, g, need):
     axis, start, length, total = node.extra
     parts = []
     pre, post = start, total - start - length
@@ -294,8 +294,27 @@ def _vjp_narrow(node, g):
     return (concat(parts, axis=axis),)
 
 
-_VJP["concat"] = _vjp_concat
-_VJP["narrow"] = _vjp_narrow
+_VJP = {
+    "add": _vjp_add,
+    "sub": _vjp_sub,
+    "mul": _vjp_mul,
+    "div": _vjp_div,
+    "neg": lambda node, g, need: (neg(g),),
+    "matmul": _vjp_matmul,
+    "transpose": lambda node, g, need: (transpose(g),),
+    "sum": _vjp_sum,
+    "tanh": lambda node, g, need: (mul(g, sub(_ones_like(node), mul(node, node))),),
+    "exp": lambda node, g, need: (mul(g, node),),
+    "sin": lambda node, g, need: (mul(g, cos(node.parents[0])),),
+    "cos": lambda node, g, need: (neg(mul(g, sin(node.parents[0]))),),
+    # sign treated as locally constant: exact a.e., zero curvature.
+    "abs": lambda node, g, need: (mul(g, node.tape.constant(np.sign(node.parents[0].value))),),
+    "concat": _vjp_concat,
+    "narrow": _vjp_narrow,
+    "reshape": lambda node, g, need: (reshape(g, node.extra),),
+    "expand": lambda node, g, need: (_unbroadcast(g, node.extra),),
+    "solve": _vjp_solve,
+}
 
 
 def grad(output: Node, wrt) -> list[Node]:
@@ -303,7 +322,8 @@ def grad(output: Node, wrt) -> list[Node]:
 
     The backward pass visits nodes in reverse creation order (a valid reverse
     topological order) exactly once, emitting adjoint math as new tape nodes,
-    so the returned gradients can be differentiated again.
+    so the returned gradients can be differentiated again.  Each rule is told
+    which parents lead to a requested input and builds only their adjoints.
     """
     if output.value.size != 1:
         raise ShapeError(f"grad needs a scalar output, got shape {output.value.shape}")
@@ -333,7 +353,7 @@ def grad(output: Node, wrt) -> list[Node]:
         g = adjoint.get(i) if i in wrt_ids else adjoint.pop(i, None)
         if g is None:
             continue
-        contribs = _VJP[node.op](node, g)
+        contribs = _VJP[node.op](node, g, [needs[p.idx] for p in node.parents])
         for parent, contrib in zip(node.parents, contribs):
             if contrib is None or not needs[parent.idx]:
                 continue
@@ -347,7 +367,8 @@ def grad(output: Node, wrt) -> list[Node]:
 
 
 def input_gradient(f, X: Node) -> Node:
-    """dV/dX for a scalar-per-row function f, as differentiable tape nodes.
+    """dV/dX for a scalar-per-row function f, as differentiable tape nodes
+    (differentiable once more where f goes through mlp_apply).
 
     Rows of a batched input are independent, so the gradient of the summed
     output recovers every per-row input gradient at once.
@@ -411,15 +432,127 @@ def mlp_init(rng: np.random.Generator, in_dim: int, hidden, out_dim: int,
     return params
 
 
+# -- the fused tanh MLP -------------------------------------------------------
+#
+# Layer k = 0..L-1 computes a_k = h_k W_k + b_k from h_0 = x, with
+# h_{k+1} = tanh(a_k) and output a_{L-1}.  With s_k = 1 - h_k^2, the backward
+# pass for an output cotangent g is delta_{L-1} = g, e_k = delta_k W_k^T (the
+# adjoint of h_k) and delta_{k-1} = e_k s_k; the adjoint of x is delta_0 W_0^T.
+
 def mlp_apply(params: dict[str, Node], x: Node, prefix: str = "mlp") -> Node:
-    """Forward pass of the tanh MLP on rows of x; linear final layer."""
+    """Forward pass of the tanh MLP on rows of x; linear final layer.
+
+    Records one `mlp` node for any depth, keeping the hidden activations.  Its
+    VJP gives the x-adjoint as one `mlp_vjp` node, differentiable once more in
+    closed form: a JVP in the cotangent and a Hessian-vector product in x and
+    in every parameter.  Those second-order outputs, and the parameter
+    adjoints of the first-order VJP, are plain numpy: differentiating them
+    again raises NotImplementedError.
+    """
     n_layers = sum(1 for name in params if name.startswith(f"{prefix}.w"))
-    h = x
+    if not n_layers:
+        raise ShapeError(f"no {prefix}.w0 parameter")
+    inputs = [x]
     for k in range(n_layers):
-        h = add(matmul(h, params[f"{prefix}.w{k}"]), params[f"{prefix}.b{k}"])
+        inputs += [params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]]
+    tape = next(n.tape for n in inputs if isinstance(n, Node))
+    inputs = tuple(n if isinstance(n, Node) else tape.constant(n) for n in inputs)
+    h = inputs[0].value
+    if h.ndim < 2:
+        raise ShapeError("mlp input must be at least 2-d; reshape vectors explicitly")
+    hidden = []
+    for k in range(n_layers):
+        a = np.matmul(h, inputs[1 + 2 * k].value) + inputs[2 + 2 * k].value
         if k < n_layers - 1:
-            h = tanh(h)
-    return h
+            h = np.tanh(a)
+            hidden.append(h)
+    return tape._append(a, "mlp", inputs, hidden)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+def _vjp_mlp(node, g, need):
+    """x-adjoint as an `mlp_vjp` node; parameter adjoints from the same pass."""
+    weights = [w.value for w in node.parents[1::2]]
+    hidden = node.extra
+    slopes = [1.0 - h * h for h in hidden]
+    deltas, errs = [g.value], []
+    for k in range(len(weights) - 1, 0, -1):
+        errs.insert(0, np.matmul(deltas[0], weights[k].T))
+        deltas.insert(0, errs[0] * slopes[k - 1])
+    parents = (g, *node.parents)
+    out = [None] * len(node.parents)
+    if need[0]:
+        out[0] = node.tape._append(np.matmul(deltas[0], weights[0].T), "mlp_vjp", parents,
+                                   (hidden, slopes, deltas, errs))
+    acts = [node.parents[0].value, *hidden]
+    for k, delta in enumerate(deltas):
+        if need[1 + 2 * k]:
+            out[1 + 2 * k] = node.tape._append(_rows(acts[k]).T @ _rows(delta),
+                                               "mlp_param_adjoint", parents)
+        if need[2 + 2 * k]:
+            out[2 + 2 * k] = node.tape._append(_rows(delta).sum(axis=0),
+                                               "mlp_param_adjoint", parents)
+    return out
+
+
+def _vjp_mlp_vjp(node, u, need):
+    """Closed-form second order: the VJP of (g, x, W, b) -> delta_0 W_0^T.
+
+    Forward over the backward pass, the tangent of delta_k along u is
+    t_k = (t_{k-1} s_k) W_k with t_0 = u W_0; t_{L-1} is the adjoint of g.
+    The adjoint of W_k gathers (t_{k-1} s_k)^T delta_k (u^T delta_0 for k = 0)
+    and, since delta_{k-1} = e_k s_k reads s_k = 1 - h_k^2, the adjoint
+    -2 h_k t_{k-1} e_k of h_k flows back through the forward pass to x and
+    the parameters below layer k.
+    """
+    hidden, slopes, deltas, errs = node.extra
+    weights = [w.value for w in node.parents[2::2]]
+    acts = [node.parents[1].value, *hidden]
+    n_layers = len(weights)
+    out = [None] * len(node.parents)
+    ebar = u.value
+    tangents = [np.matmul(ebar, weights[0])]
+    for k in range(n_layers):
+        if need[2 + 2 * k]:
+            out[2 + 2 * k] = _rows(ebar).T @ _rows(deltas[k])
+        if k + 1 < n_layers:
+            ebar = tangents[k] * slopes[k]
+            if k + 2 < n_layers or need[0]:
+                tangents.append(np.matmul(ebar, weights[k + 1]))
+    if need[0]:
+        out[0] = tangents[-1]
+    # the sweep runs down to the lowest layer that owes x or a parameter something
+    owed = [j for j in range(n_layers - 1) if need[2 + 2 * j] or need[3 + 2 * j]]
+    stop = 0 if need[1] else owed[0] if owed else n_layers - 1
+    abar = None
+    for k in range(n_layers - 1, stop, -1):
+        hbar = -2.0 * hidden[k - 1] * tangents[k - 1] * errs[k - 1]
+        if abar is not None:
+            hbar = hbar + np.matmul(abar, weights[k].T)
+        abar = hbar * slopes[k - 1]
+        if need[2 * k]:
+            out[2 * k] = out[2 * k] + _rows(acts[k - 1]).T @ _rows(abar)
+        if need[2 * k + 1]:
+            out[2 * k + 1] = _rows(abar).sum(axis=0)
+    if need[1] and abar is not None:
+        out[1] = np.matmul(abar, weights[0].T)
+    parents = (u, *node.parents)
+    return [None if value is None else node.tape._append(value, "mlp_second_order", parents)
+            for value in out]
+
+
+def _no_further_order(node, g, need):
+    raise NotImplementedError(f"op {node.op!r} cannot be differentiated again: "
+                              "mlp_apply supports second order at most")
+
+
+_VJP["mlp"] = _vjp_mlp
+_VJP["mlp_vjp"] = _vjp_mlp_vjp
+_VJP["mlp_param_adjoint"] = _no_further_order
+_VJP["mlp_second_order"] = _no_further_order
 
 
 def finite_difference_check(f, grad_fn, x: np.ndarray, h: float = 1e-5) -> float:

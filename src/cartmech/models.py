@@ -151,8 +151,10 @@ class _ConstrainedModel(DynamicsModel):
         return store
 
     def _mass(self, leaves: dict) -> tuple[ad.Node, ad.Node]:
-        tape = next(iter(leaves.values())).tape
-        return _mass_nodes(tape, leaves, self.system.topology.bodies)
+        """(M, M^-1), built once per tape and set of mass leaves."""
+        key = ("mass",) + tuple(node for name, node in leaves.items() if name.startswith("mass."))
+        tape = key[1].tape
+        return tape.memo(key, lambda: _mass_nodes(tape, leaves, self.system.topology.bodies))
 
     def _potential_node(self, leaves: dict, x: ad.Node) -> ad.Node:
         if self._potential is not None:

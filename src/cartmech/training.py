@@ -147,6 +147,7 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
                 grads = {name: node.value for name, node in zip(names, grad_nodes)}
                 if not all(np.isfinite(g).all() for g in grads.values()):
                     bad = "gradient"
+            tape.clear()  # frees the step's arrays now, not at the next full collection
             if bad is not None:
                 bad_total += 1
                 bad_streak += 1

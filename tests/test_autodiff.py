@@ -269,3 +269,113 @@ def test_input_gradient_of_sliced_batch():
     x = ad.narrow(z, 1, 0, 1)
     g = input_gradient(lambda xx: ad.mul(xx, xx), x)
     np.testing.assert_allclose(g.value, 2.0 * z.value[:, :1])
+
+
+# -- the fused MLP primitive against finite differences and a composed oracle --
+
+def _composed_mlp(params, x, prefix="mlp"):
+    """The tanh MLP as generic matmul/add/tanh nodes: the oracle for mlp_apply."""
+    n_layers = sum(1 for name in params if name.startswith(f"{prefix}.w"))
+    h = x
+    for k in range(n_layers):
+        h = ad.add(ad.matmul(h, params[f"{prefix}.w{k}"]), params[f"{prefix}.b{k}"])
+        if k < n_layers - 1:
+            h = ad.tanh(h)
+    return h
+
+
+MLP_DEPTHS = [(), (8,), (8, 8)]
+
+
+def _mlp_problem(hidden):
+    """Parameters with nonzero biases, inputs x, an output cotangent G and a
+    cotangent U for the input gradient; vector outputs, as HNN2D's Cholesky
+    network has."""
+    rng = np.random.default_rng(30 + len(hidden))
+    vals = mlp_init(rng, 3, hidden, 4)
+    for name in vals:
+        if ".b" in name:
+            vals[name] = 0.3 * rng.normal(size=vals[name].shape)
+    vals.update(x=rng.normal(size=(5, 3)), G=rng.normal(size=(5, 4)), U=rng.normal(size=(5, 3)))
+    return vals
+
+
+def _first_order_loss(vals, net=mlp_apply):
+    tape = Tape()
+    leaves = {name: tape.constant(value) for name, value in vals.items()}
+    return ad.reduce_sum(net(leaves, leaves["x"]) * leaves["G"]), leaves
+
+
+def _second_order_loss(vals, net=mlp_apply):
+    """sum(U * d/dx sum(G * mlp(x))): the cotangent G reaches the MLP as a node."""
+    out, leaves = _first_order_loss(vals, net)
+    (gx,) = grad(out, [leaves["x"]])
+    return ad.reduce_sum(gx * leaves["U"]), leaves
+
+
+def _check_adjoints(vals, loss_fn, names, tol):
+    for name in names:
+        def f(v, name=name):
+            return float(loss_fn(dict(vals, **{name: v.reshape(vals[name].shape)}))[0].value)
+
+        def g(v, name=name):
+            out, leaves = loss_fn(dict(vals, **{name: v.reshape(vals[name].shape)}))
+            return grad(out, [leaves[name]])[0].value
+
+        assert finite_difference_check(f, g, vals[name]) < tol, name
+
+
+@pytest.mark.parametrize("hidden", MLP_DEPTHS)
+def test_mlp_apply_is_one_node_equal_to_the_composed_network(hidden):
+    vals = _mlp_problem(hidden)
+    tape = Tape()
+    leaves = {name: tape.constant(value) for name, value in vals.items()}
+    start = len(tape)
+    y = mlp_apply(leaves, leaves["x"])
+    assert len(tape) == start + 1 and y.op == "mlp"
+    reference = _composed_mlp(leaves, leaves["x"]).value
+    assert np.max(np.abs(y.value - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("hidden", MLP_DEPTHS)
+def test_mlp_first_order_adjoints_match_finite_differences(hidden):
+    vals = _mlp_problem(hidden)
+    names = [name for name in vals if name.startswith("mlp.")]
+    _check_adjoints(vals, _first_order_loss, ["x", *names], 1e-6)
+    out, leaves = _first_order_loss(vals)
+    (gx,) = grad(out, [leaves["x"]])
+    assert gx.op == "mlp_vjp"
+
+
+@pytest.mark.parametrize("hidden", MLP_DEPTHS)
+def test_mlp_second_order_adjoints_match_finite_differences(hidden):
+    vals = _mlp_problem(hidden)
+    names = ["x", "G", *(name for name in vals if name.startswith("mlp."))]
+    _check_adjoints(vals, _second_order_loss, names, 1e-6)
+    # every adjoint, asked for together, agrees with the composed network's tape
+    fused, fused_leaves = _second_order_loss(vals)
+    composed, composed_leaves = _second_order_loss(vals, _composed_mlp)
+    for name, a, b in zip(names, grad(fused, [fused_leaves[n] for n in names]),
+                          grad(composed, [composed_leaves[n] for n in names])):
+        np.testing.assert_allclose(a.value, b.value, rtol=1e-12, atol=1e-14, err_msg=name)
+
+
+def test_mlp_third_order_raises_instead_of_returning_zeros():
+    rng = np.random.default_rng(27)
+    store = ParamStore(mlp_init(rng, 3, (8,), 1))
+    tape = Tape()
+    leaves = store.leaves(tape)
+    x = tape.constant(rng.normal(size=(4, 3)))
+
+    def dv(q):
+        return input_gradient(lambda r: mlp_apply(leaves, r), q)
+
+    def d2v(q):
+        return input_gradient(lambda r: dv(r) * dv(r), q)
+
+    assert np.all(np.isfinite(d2v(x).value))
+    with pytest.raises(NotImplementedError, match="mlp_second_order"):
+        input_gradient(lambda r: d2v(r) * d2v(r), x)
+    (gw,) = grad(ad.reduce_sum(mlp_apply(leaves, x)), [leaves["mlp.w0"]])
+    with pytest.raises(NotImplementedError, match="mlp_param_adjoint"):
+        grad(ad.reduce_sum(gw * gw), [leaves["mlp.w0"]])

@@ -204,3 +204,26 @@ def test_model_registry_rejects_bad_requests():
         build_model("hnn2d", build_system("rotor"))
     with pytest.raises(ValueError):
         build_model("node-angular", build_system("magnet"))
+
+
+@pytest.mark.parametrize("kind", ["chnn", "clnn"])
+def test_learned_mass_is_built_once_per_loss(kind, monkeypatch):
+    from cartmech import models
+    from cartmech.training import trajectory_loss_node
+
+    built = []
+
+    def counting(*args):
+        built.append(1)
+        return _mass_nodes(*args)
+
+    monkeypatch.setattr(models, "_mass_nodes", counting)
+    system = build_system("npendulum", n=2)
+    model = build_model(kind, system, hidden=(8,))
+    store = model.init_params(np.random.default_rng(0))
+    chunks = np.stack([system.sample(np.random.default_rng(1), 3)] * 4, axis=1)
+    tape = ad.Tape()
+    trajectory_loss_node(model, store.leaves(tape), chunks)
+    assert len(built) == 1
+    trajectory_loss_node(model, store.leaves(ad.Tape()), chunks)
+    assert len(built) == 2

@@ -199,6 +199,25 @@ def test_train_is_deterministic_per_seed(tmp_path):
     np.testing.assert_allclose(again, runs[0].history, rtol=0, atol=0)
 
 
+def test_train_frees_each_step_tape_without_the_garbage_collector():
+    # a node refers back to its tape, so a tape nobody empties lives until a
+    # full collection, and with it every array of its step
+    import gc
+
+    system = free_particle_system()
+    chunks = free_particle_chunks(np.random.default_rng(8), 16)
+    model = build_model("node", system, hidden=(8,))
+    gc.collect()
+    gc.disable()
+    try:
+        before = sum(isinstance(o, ad.Tape) for o in gc.get_objects())
+        train(model, chunks, TrainConfig(epochs=3, batch_size=8))
+        after = sum(isinstance(o, ad.Tape) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert after == before
+
+
 def test_train_aborts_after_consecutive_bad_steps():
     class Exploding:
         def __init__(self, system):
