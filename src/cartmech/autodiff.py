@@ -10,10 +10,13 @@ mlp_apply is one fused node whose derivatives are written in closed form; it
 supports exactly second order: differentiating its second-order outputs or
 its parameter adjoints again raises NotImplementedError.
 
-Scalars are 0-d arrays.  Broadcasting is supported where numpy allows it
-(bias-add, scalar scaling, batched matmul/solve); backward passes sum the
-broadcast axes away.  solve() backpropagates through the factorization
-without ever forming an explicit inverse.
+Every op also takes plain arrays: with no node among its operands it returns
+the numpy result and records nothing, so the same code runs on arrays
+(evaluation, ground truth) and on nodes (training); input_gradient of an
+array works on a private tape.  Scalars are 0-d arrays.  Broadcasting works
+where numpy allows it; backward passes sum the broadcast axes away.  The one
+linear solve, spd_solve, is for SPD systems and carries the package's one
+degeneracy test (check_pivots, a Cholesky pivot ratio).
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import DegenerateConfigurationError, FormatError, ShapeError
 
 CHECKPOINT_MAGIC = b"CMK1"
 CHECKPOINT_VERSION = 1
@@ -92,108 +95,125 @@ class Node:
     # + and * are all that rk4_step needs; other ops are module functions
 
 
-def _pair(a, b) -> tuple[Node, Node]:
-    """Both operands as nodes of one tape; a plain array becomes a constant."""
-    if isinstance(a, Node):
-        return a, b if isinstance(b, Node) else a.tape.constant(b)
-    if isinstance(b, Node):
-        return b.tape.constant(a), b
-    raise ShapeError("at least one operand must be a tape node")
+def _value(a):
+    return a.value if isinstance(a, Node) else a
+
+
+def _record(op, fn, operands, extra=None):
+    """fn of the operands' values as an `op` node of their tape (arrays among
+    them become constants), or the plain result when none is a node."""
+    for a in operands:
+        if isinstance(a, Node):
+            tape = a.tape
+            break
+    else:
+        return fn(*operands)
+    nodes = tuple([a if isinstance(a, Node) else tape.constant(a) for a in operands])
+    return tape._append(fn(*[n.value for n in nodes]), op, nodes, extra)
 
 
 # -- primitives ---------------------------------------------------------------
 
-def add(a, b) -> Node:
-    a, b = _pair(a, b)
-    return a.tape._append(a.value + b.value, "add", (a, b))
+def _primitive(op, fn):
+    def primitive(*operands):
+        return _record(op, fn, operands)
+    primitive.__name__ = primitive.__qualname__ = op
+    return primitive
 
 
-def sub(a, b) -> Node:
-    a, b = _pair(a, b)
-    return a.tape._append(a.value - b.value, "sub", (a, b))
+add = _primitive("add", np.add)
+sub = _primitive("sub", np.subtract)
+mul = _primitive("mul", np.multiply)
+div = _primitive("div", np.divide)
+neg = _primitive("neg", np.negative)
+tanh = _primitive("tanh", np.tanh)
+exp = _primitive("exp", np.exp)
+sin = _primitive("sin", np.sin)
+cos = _primitive("cos", np.cos)
+absolute = _primitive("abs", np.abs)
 
 
-def mul(a, b) -> Node:
-    a, b = _pair(a, b)
-    return a.tape._append(a.value * b.value, "mul", (a, b))
-
-
-def div(a, b) -> Node:
-    a, b = _pair(a, b)
-    return a.tape._append(a.value / b.value, "div", (a, b))
-
-
-def neg(a: Node) -> Node:
-    return a.tape._append(-a.value, "neg", (a,))
-
-
-def matmul(a, b) -> Node:
-    a, b = _pair(a, b)
-    if a.value.ndim < 2 or b.value.ndim < 2:
+def matmul(a, b):
+    if not (isinstance(a, Node) or isinstance(b, Node)):
+        return np.matmul(a, b)
+    if np.ndim(_value(a)) < 2 or np.ndim(_value(b)) < 2:
         raise ShapeError("matmul operands must be at least 2-d; reshape vectors explicitly")
-    return a.tape._append(np.matmul(a.value, b.value), "matmul", (a, b))
+    return _record("matmul", np.matmul, (a, b))
 
 
-def transpose(a: Node) -> Node:
-    return a.tape._append(np.swapaxes(a.value, -1, -2), "transpose", (a,))
+def transpose(a):
+    return _record("transpose", lambda v: v.swapaxes(-1, -2), (a,))
 
 
-def reduce_sum(a: Node, axis=None, keepdims: bool = False) -> Node:
-    if isinstance(axis, int):
-        axis = (axis,)
-    value = np.sum(a.value, axis=axis, keepdims=keepdims)
-    return a.tape._append(value, "sum", (a,), (axis, keepdims, a.value.shape))
+def reduce_sum(a, axis=None, keepdims: bool = False):
+    axis = (axis,) if isinstance(axis, int) else axis
+    return _record("sum", lambda v: np.sum(v, axis=axis, keepdims=keepdims), (a,),
+                   (axis, keepdims, np.shape(_value(a))))
 
 
-def tanh(a: Node) -> Node:
-    return a.tape._append(np.tanh(a.value), "tanh", (a,))
+def concat(parts, axis: int = 0):
+    parts = tuple(parts)
+    sizes = tuple(np.shape(_value(p))[axis] for p in parts)
+    return _record("concat", lambda *vs: np.concatenate(vs, axis=axis), parts, (axis, sizes))
 
 
-def exp(a: Node) -> Node:
-    return a.tape._append(np.exp(a.value), "exp", (a,))
+def narrow(a, axis: int, start: int, length: int):
+    shape = np.shape(_value(a))
+    index = tuple(slice(start, start + length) if i == axis % len(shape) else slice(None)
+                  for i in range(len(shape)))
+    return _record("narrow", lambda v: v[index], (a,), (axis, start, length, shape[axis]))
 
 
-def sin(a: Node) -> Node:
-    return a.tape._append(np.sin(a.value), "sin", (a,))
-
-
-def cos(a: Node) -> Node:
-    return a.tape._append(np.cos(a.value), "cos", (a,))
-
-
-def absolute(a: Node) -> Node:
-    return a.tape._append(np.abs(a.value), "abs", (a,))
-
-
-def concat(nodes, axis: int = 0) -> Node:
-    nodes = tuple(nodes)
-    tape = nodes[0].tape
-    value = np.concatenate([n.value for n in nodes], axis=axis)
-    sizes = tuple(n.value.shape[axis] for n in nodes)
-    return tape._append(value, "concat", nodes, (axis, sizes))
-
-
-def narrow(a: Node, axis: int, start: int, length: int) -> Node:
-    index = [slice(None)] * a.value.ndim
-    index[axis] = slice(start, start + length)
-    value = a.value[tuple(index)]
-    return a.tape._append(value, "narrow", (a,), (axis, start, length, a.value.shape[axis]))
-
-
-def reshape(a: Node, shape) -> Node:
+def reshape(a, shape):
+    if not isinstance(a, Node):  # the hot path of the ground truth
+        return np.asarray(a).reshape(shape)
     return a.tape._append(a.value.reshape(shape), "reshape", (a,), a.value.shape)
 
 
-def expand(a: Node, shape) -> Node:
-    return a.tape._append(np.broadcast_to(a.value, shape).copy(), "expand", (a,), a.value.shape)
+def expand(a, shape):
+    return _record("expand", lambda v: np.broadcast_to(v, shape).copy(), (a,), np.shape(_value(a)))
 
 
-def solve(a, b) -> Node:
-    """x with a x = b; a is (.., k, k), b at least 2-d.  LU under the hood."""
-    a, b = _pair(a, b)
-    if b.value.ndim < 2:
-        raise ShapeError("solve right-hand side must be at least 2-d")
-    return a.tape._append(np.linalg.solve(a.value, b.value), "solve", (a, b))
+# The squared pivots diag(L)^2 of an SPD K = L L^T lie between its extreme
+# eigenvalues, so their ratio is at least 1 / cond(K): the test fires only
+# where cond(K) > 1e10, and wherever cond(K) > 1e12 while the ratio
+# overestimates 1 / cond(K) less than 100-fold.
+PIVOT_RATIO_LIMIT = 1e-10
+
+
+def check_pivots(K: np.ndarray) -> None:
+    """The one degeneracy test, on a stack K (..., k, k) of symmetric matrices.
+
+    A failed Cholesky factorization (of the lower triangle) or a pivot ratio
+    (min diag L / max diag L)^2 below PIVOT_RATIO_LIMIT raises
+    DegenerateConfigurationError with the worst ratio (0 for a failed
+    factorization, nan where K holds a nan).
+    """
+    if not K.shape[-1]:
+        return
+    try:
+        pivots = np.linalg.cholesky(K).diagonal(axis1=-2, axis2=-1)
+        ratio = (pivots.min(axis=-1) / pivots.max(axis=-1)) ** 2
+    except np.linalg.LinAlgError:
+        ratio = np.zeros(K.shape[:-2])
+    if not (ratio >= PIVOT_RATIO_LIMIT).all():  # also catches nan
+        raise DegenerateConfigurationError("positive definite system is numerically singular",
+                                           ratio=float(np.min(ratio)))
+
+
+def spd_solve(K, B):
+    """x with K x = B for SPD K (..., k, k), after check_pivots(K) (once per
+    tape and matrix node).  numpy has no stacked triangular solve, so x comes
+    from a stacked LU solve, each matrix on its own.  The VJP is written with
+    spd_solve and matmul, so it is differentiable again.
+    """
+    if np.ndim(_value(B)) < 2:
+        raise ShapeError("spd_solve right-hand side must be at least 2-d")
+    if isinstance(K, Node):
+        K.tape.memo(("check_pivots", K), lambda: check_pivots(K.value))
+    else:
+        check_pivots(K)
+    return _record("spd_solve", np.linalg.solve, (K, B))
 
 
 # -- backward rules -----------------------------------------------------------
@@ -214,10 +234,6 @@ def _unbroadcast(g: Node, shape: tuple) -> Node:
     if g.value.shape != shape:
         g = reshape(g, shape)
     return g
-
-
-def _ones_like(node: Node) -> Node:
-    return node.tape.constant(np.ones(node.value.shape))
 
 
 def _vjp_add(node, g, need):
@@ -252,11 +268,12 @@ def _vjp_matmul(node, g, need):
     return ga, gb
 
 
-def _vjp_solve(node, g, need):
-    a, b = node.parents
-    gb = solve(transpose(a), g)
-    ga = _unbroadcast(neg(matmul(gb, transpose(node))), a.shape) if need[0] else None
-    return ga, _unbroadcast(gb, b.shape) if need[1] else None
+def _vjp_spd_solve(node, g, need):
+    # K is symmetric, so K^-T g = K^-1 g
+    K, B = node.parents
+    gb = spd_solve(K, g)
+    gk = _unbroadcast(neg(matmul(gb, transpose(node))), K.shape) if need[0] else None
+    return gk, _unbroadcast(gb, B.shape) if need[1] else None
 
 
 def _vjp_sum(node, g, need):
@@ -281,17 +298,10 @@ def _vjp_concat(node, g, need):
 
 def _vjp_narrow(node, g, need):
     axis, start, length, total = node.extra
-    parts = []
-    pre, post = start, total - start - length
-    shape = list(g.value.shape)
-    if pre:
-        shape[axis] = pre
-        parts.append(g.tape.constant(np.zeros(shape)))
-    parts.append(g)
-    if post:
-        shape[axis] = post
-        parts.append(g.tape.constant(np.zeros(shape)))
-    return (concat(parts, axis=axis),)
+    before, after = list(g.shape), list(g.shape)
+    before[axis], after[axis] = start, total - start - length
+    parts = [np.zeros(before), g, np.zeros(after)]
+    return (concat([p for p in parts if p.shape[axis]], axis=axis),)
 
 
 _VJP = {
@@ -303,17 +313,17 @@ _VJP = {
     "matmul": _vjp_matmul,
     "transpose": lambda node, g, need: (transpose(g),),
     "sum": _vjp_sum,
-    "tanh": lambda node, g, need: (mul(g, sub(_ones_like(node), mul(node, node))),),
+    "tanh": lambda node, g, need: (mul(g, sub(1.0, mul(node, node))),),
     "exp": lambda node, g, need: (mul(g, node),),
     "sin": lambda node, g, need: (mul(g, cos(node.parents[0])),),
     "cos": lambda node, g, need: (neg(mul(g, sin(node.parents[0]))),),
     # sign treated as locally constant: exact a.e., zero curvature.
-    "abs": lambda node, g, need: (mul(g, node.tape.constant(np.sign(node.parents[0].value))),),
+    "abs": lambda node, g, need: (mul(g, np.sign(node.parents[0].value)),),
     "concat": _vjp_concat,
     "narrow": _vjp_narrow,
     "reshape": lambda node, g, need: (reshape(g, node.extra),),
     "expand": lambda node, g, need: (_unbroadcast(g, node.extra),),
-    "solve": _vjp_solve,
+    "spd_solve": _vjp_spd_solve,
 }
 
 
@@ -340,6 +350,10 @@ def grad(output: Node, wrt) -> list[Node]:
     for i in range(floor, limit):
         node = nodes[i]
         if node.parents and not needs[i]:
+            parent = node.parents[0]
+            if node.op == "narrow" and parent.op == "concat" and parent.idx not in wrt_ids:
+                needs[i] = _narrowed_blocks_need(node, needs)
+                continue
             for p in node.parents:
                 if needs[p.idx]:
                     needs[i] = 1
@@ -366,16 +380,33 @@ def grad(output: Node, wrt) -> list[Node]:
     return out
 
 
-def input_gradient(f, X: Node) -> Node:
-    """dV/dX for a scalar-per-row function f, as differentiable tape nodes
-    (differentiable once more where f goes through mlp_apply).
+def _narrowed_blocks_need(node: Node, needs) -> int:
+    """Whether a narrow of a concat reads a block that needs an adjoint."""
+    axis, start, length, _ = node.extra
+    joined = node.parents[0]
+    concat_axis, sizes = joined.extra
+    if (axis - concat_axis) % joined.value.ndim:
+        return needs[joined.idx]
+    ends = np.cumsum(sizes)
+    return int(any(needs[block.idx] for block, end, size in zip(joined.parents, ends, sizes)
+                   if end - size < start + length and start < end))
 
-    Rows of a batched input are independent, so the gradient of the summed
-    output recovers every per-row input gradient at once.
-    """
-    out = f(X)
-    total = reduce_sum(out) if out.value.size != 1 else out
-    return grad(total, [X])[0]
+
+def input_gradient(f, X):
+    """dV/dX for a scalar-per-row function f, from the gradient of the summed
+    rows: differentiable nodes for a node X, an array (from a private tape
+    that records f alone) for an array X."""
+    private = not isinstance(X, Node)
+    tape = Tape() if private else X.tape
+    node = tape.constant(X) if private else X
+    try:
+        out = f(node)
+        total = reduce_sum(out) if out.value.size != 1 else out
+        g = grad(total, [node])[0]
+        return g.value if private else g
+    finally:
+        if private:
+            tape.clear()
 
 
 # -- parameters and networks --------------------------------------------------
@@ -439,7 +470,7 @@ def mlp_init(rng: np.random.Generator, in_dim: int, hidden, out_dim: int,
 # pass for an output cotangent g is delta_{L-1} = g, e_k = delta_k W_k^T (the
 # adjoint of h_k) and delta_{k-1} = e_k s_k; the adjoint of x is delta_0 W_0^T.
 
-def mlp_apply(params: dict[str, Node], x: Node, prefix: str = "mlp") -> Node:
+def mlp_apply(params: dict, x, prefix: str = "mlp"):
     """Forward pass of the tanh MLP on rows of x; linear final layer.
 
     Records one `mlp` node for any depth, keeping the hidden activations.  Its
@@ -447,7 +478,7 @@ def mlp_apply(params: dict[str, Node], x: Node, prefix: str = "mlp") -> Node:
     closed form: a JVP in the cotangent and a Hessian-vector product in x and
     in every parameter.  Those second-order outputs, and the parameter
     adjoints of the first-order VJP, are plain numpy: differentiating them
-    again raises NotImplementedError.
+    again raises NotImplementedError.  On plain arrays it returns an array.
     """
     n_layers = sum(1 for name in params if name.startswith(f"{prefix}.w"))
     if not n_layers:
@@ -455,18 +486,17 @@ def mlp_apply(params: dict[str, Node], x: Node, prefix: str = "mlp") -> Node:
     inputs = [x]
     for k in range(n_layers):
         inputs += [params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]]
-    tape = next(n.tape for n in inputs if isinstance(n, Node))
-    inputs = tuple(n if isinstance(n, Node) else tape.constant(n) for n in inputs)
-    h = inputs[0].value
+    values = [np.asarray(_value(n), dtype=float) for n in inputs]
+    h = values[0]
     if h.ndim < 2:
         raise ShapeError("mlp input must be at least 2-d; reshape vectors explicitly")
     hidden = []
     for k in range(n_layers):
-        a = np.matmul(h, inputs[1 + 2 * k].value) + inputs[2 + 2 * k].value
+        a = np.matmul(h, values[1 + 2 * k]) + values[2 + 2 * k]
         if k < n_layers - 1:
             h = np.tanh(a)
             hidden.append(h)
-    return tape._append(a, "mlp", inputs, hidden)
+    return _record("mlp", lambda *_: a, inputs, hidden)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ParameterDomainError, ShapeError
 
 
@@ -155,13 +156,16 @@ def momentum_to_velocity(P: np.ndarray, mass: MassModel) -> np.ndarray:
     return P @ mass.inverse
 
 
-def apply_inverse_mass(mass: MassModel, w: np.ndarray) -> np.ndarray:
-    """(M^-1 kron I_d) w for flat point-major vectors w of shape (..., n*d).
+def apply_on_points(matrix, w):
+    """(matrix kron I_d) w: an (n, n) matrix acting on the point index of flat
+    point-major rows w (..., n*d), arrays or tape nodes; one matmul for all
+    rows of a (C, dn) Jacobian."""
+    n = matrix.shape[-1]
+    shape = w.shape
+    pts = ad.matmul(matrix, ad.reshape(w, shape[:-1] + (n, shape[-1] // n)))
+    return ad.reshape(pts, shape)
 
-    M^-1 acts on the point index, so all rows of a (C, dn) Jacobian are
-    transformed by one matmul.
-    """
-    w = np.asarray(w)
-    n = mass.n_points
-    pts = w.reshape(w.shape[:-1] + (n, w.shape[-1] // n))
-    return (mass.inverse.T @ pts).reshape(w.shape)
+
+def apply_inverse_mass(mass: MassModel, w: np.ndarray) -> np.ndarray:
+    """(M^-1 kron I_d) w for flat point-major vectors w of shape (..., n*d)."""
+    return apply_on_points(mass.inverse.T, np.asarray(w))

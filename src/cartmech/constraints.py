@@ -15,7 +15,8 @@ vec(DPhi)(x) = A x + b.  ConstraintSet.affine_maps builds (A, b) once per
 topology, and that map is the one constraint Jacobian: DPhi(x) is
 (A x + b) reshaped to (C, dn), and because A stacks the symmetric Hessians of
 the rows, D_x phidot at velocity xdot is (A xdot) reshaped the same way.
-Both take positions or velocities with leading batch axes.  The
+ConstraintSet.dphi and dphidot_x compute both from flat positions or
+velocities with leading batch axes, as arrays or as tape nodes.  The
 velocity-level constraint is phidot = DPhi(X) vec(Xdot), and the first-order
 system Psi = (phi, phidot) has the block Jacobian
     DPsi = [[DPhi, 0], [D_x phidot, D_p phidot]],
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .bodies import apply_inverse_mass, body_point_coeffs, delta_matrix
 from .errors import ShapeError
 from .states import flatten_matrix, unflatten_matrix
@@ -204,6 +206,20 @@ class ConstraintSet:
             self._affine = (A, base.ravel())
         return self._affine
 
+    def dphidot_x(self, xdot):
+        """D_x phidot (..., C, dn) at flat velocities xdot (..., dn), arrays or
+        nodes: (A xdot) reshaped, one matrix-vector product per row, so a
+        row's rounding does not depend on the rows stacked with it."""
+        A, _ = self.affine_maps()
+        shape = xdot.shape
+        rows = ad.matmul(A, ad.reshape(xdot, shape + (1,)))
+        return ad.reshape(rows, shape[:-1] + (self.n_rows, shape[-1]))
+
+    def dphi(self, x):
+        """DPhi (..., C, dn) at flat positions x (..., dn): A x + b reshaped."""
+        _, b = self.affine_maps()
+        return ad.add(self.dphidot_x(x), b.reshape(self.n_rows, self.dim * self.n_points))
+
 
 def _resolve_ref(topology, ref: PointRef) -> tuple[int, np.ndarray]:
     if ref.is_anchor:
@@ -261,20 +277,9 @@ def _jacobian_phi_raw(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
     return J
 
 
-def _linear_part(cs: ConstraintSet, x: np.ndarray) -> np.ndarray:
-    """(A x) reshaped to (..., C, dn) for flat rows x of shape (..., dn).
-
-    A acts on each row through its own matrix-vector product, so a row's
-    rounding does not depend on how many rows are stacked with it.
-    """
-    A, _ = cs.affine_maps()
-    return (A @ x[..., None])[..., 0].reshape(x.shape[:-1] + (cs.n_rows, x.shape[-1]))
-
-
 def jacobian_phi(topology, X: np.ndarray) -> np.ndarray:
     """DPhi of shape (..., C, dn) for positions (..., d, n); anchors contribute zero columns."""
-    cs = topology.constraint_set
-    return _linear_part(cs, flatten_matrix(X)) + cs.affine_maps()[1].reshape(cs.n_rows, -1)
+    return topology.constraint_set.dphi(flatten_matrix(X))
 
 
 def phidot(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
@@ -296,7 +301,7 @@ def jacobian_phidot_x(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
     Exact for any X: DPhi is affine, so D_x phidot depends on Xdot alone and
     equals the linear part of the map applied to it (Hessian symmetry).
     """
-    return _linear_part(topology.constraint_set, flatten_matrix(Xdot))
+    return topology.constraint_set.dphidot_x(flatten_matrix(Xdot))
 
 
 def jacobian_psi(topology, z: np.ndarray, mass) -> np.ndarray:

@@ -19,11 +19,14 @@ and the field need only K:
 Lagrangian flavor works on (vec(X), vec(V)) with the acceleration
     xddot = M^-1 f - H^T K^-1 (H f + D v),   f = -grad_X V.
 
-Both flavors solve with K alone, through checked_solve: a pivoted LU
-factorization (numpy.linalg.solve) behind an SVD condition estimate, where a
-value above COND_LIMIT raises DegenerateConfigurationError.  The 2C x 2C
-matrix has determinant det(K)^2, so the guard on K fires exactly where the
-full system is singular.
+Each flavor is written once, as constrained_{hamiltonian,lagrangian}_field,
+from four inputs: how M^-1 is applied, grad V, G and D.  The ground truth
+below calls them with arrays (G and D from the constraint set's cached affine
+map, M^-1 from bodies.apply_inverse_mass); CHNN and CLNN call them with tape
+nodes.  Their one solve, autodiff.spd_solve, carries the one degeneracy test:
+a Cholesky pivot ratio of the SPD K (DegenerateConfigurationError below
+autodiff.PIVOT_RATIO_LIMIT).  The 2C x 2C matrix has determinant det(K)^2,
+so the test on K covers the full system.
 
 Every field takes flat states with leading batch axes, (..., 2dn) ->
 (..., 2dn); a single state (2dn,) is the case without them.  The batch is
@@ -34,16 +37,14 @@ as it would be alone, and the guard raises if any row is degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import autodiff as ad
 from .bodies import MassModel, apply_inverse_mass, hamiltonian_kinetic, kinetic_energy
-from .constraints import jacobian_phi, jacobian_phidot_x
-from .errors import DegenerateConfigurationError
 from .states import HAMILTONIAN, LAGRANGIAN, flatten_matrix, symplectic_apply, unflatten_matrix
 from .topology import SystemTopology
-
-COND_LIMIT = 1e12
 
 
 class ZeroPotential:
@@ -76,25 +77,55 @@ class DynamicsContext:
         return unflatten_matrix(z[..., :dn], self.dim), unflatten_matrix(z[..., dn:], self.dim)
 
 
-def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M x for stacks of matrices (..., r, c) and vectors (..., c).
+def _col(x):
+    """Rows (..., c) as column stacks (..., c, 1), one matrix product per row."""
+    return ad.reshape(x, x.shape + (1,))
 
-    Every row is its own matrix-vector product, so its rounding does not
-    depend on the size or content of the batch around it.
+
+def _flat(xdot, pdot):
+    """Two column stacks (..., dn, 1) as flat rows (..., 2dn)."""
+    both = ad.concat([xdot, pdot], axis=-2)
+    return ad.reshape(both, both.shape[:-2] + (both.shape[-2],))
+
+
+def constrained_hamiltonian_field(minv, grad_V, v, G, D):
+    """zdot = (xdot, pdot) of the projected Hamiltonian flow, in C x C form.
+
+    minv applies M^-1 on the point index of flat rows (..., dn) and of
+    Jacobians (..., C, dn); grad_V is grad_X V and v = M^-1 p, both (..., dn);
+    G = DPhi(x) and D = D_x phidot(v) are (..., C, dn).  Arrays or tape nodes.
     """
-    return (M @ x[..., None])[..., 0]
+    v, grad_V = _col(v), _col(grad_V)
+    if G.shape[-2] == 0:
+        return _flat(v, ad.neg(grad_V))
+    H = minv(G)
+    Ht = ad.transpose(H)
+    DHt = ad.matmul(D, Ht)
+    # one guarded solve: K^-1 [G v, D v - H grad V, S] with S = D H^T - H D^T
+    rhs = ad.concat([ad.matmul(G, v), ad.sub(ad.matmul(D, v), ad.matmul(H, grad_V)),
+                     ad.sub(DHt, ad.transpose(DHt))], axis=-1)
+    W = ad.spd_solve(ad.matmul(G, Ht), rhs)
+    lam2 = ad.neg(ad.narrow(W, -1, 0, 1))
+    lam1 = ad.add(ad.narrow(W, -1, 1, 1), ad.matmul(ad.narrow(W, -1, 2, G.shape[-2]), lam2))
+    xdot = ad.add(v, ad.matmul(Ht, lam2))
+    pdot = ad.sub(ad.sub(ad.neg(grad_V), ad.matmul(ad.transpose(G), lam1)),
+                  ad.matmul(ad.transpose(D), lam2))
+    return _flat(xdot, pdot)
 
 
-def checked_solve(A: np.ndarray, B: np.ndarray, what: str = "constraint system") -> np.ndarray:
-    """LU solves of (..., C, C) systems, each guarded by an SVD condition estimate."""
-    if A.shape[-1] == 0:
-        return np.zeros(B.shape)
-    cond = np.linalg.cond(A)
-    bad = ~(cond <= COND_LIMIT)  # also catches nan
-    if np.count_nonzero(bad):
-        raise DegenerateConfigurationError(f"{what} is numerically singular",
-                                           cond=float(np.asarray(cond)[bad].flat[0]))
-    return np.linalg.solve(A, B)
+def constrained_lagrangian_field(minv, grad_V, v, G, D):
+    """(xddot, lambda) with xddot = M^-1 f - H^T K^-1 (H f + D v), f = -grad V.
+
+    Same inputs as constrained_hamiltonian_field, with v the velocity.
+    """
+    minv_f = minv(ad.neg(grad_V))
+    if G.shape[-2] == 0:
+        return minv_f, np.zeros(G.shape[:-1])
+    Ht = ad.transpose(minv(G))
+    rhs = ad.add(ad.matmul(G, _col(minv_f)), ad.matmul(D, _col(v)))
+    lam = ad.spd_solve(ad.matmul(G, Ht), rhs)
+    xddot = ad.sub(minv_f, ad.reshape(ad.matmul(Ht, lam), minv_f.shape))
+    return xddot, ad.reshape(lam, rhs.shape[:-1])
 
 
 def grad_hamiltonian(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
@@ -116,56 +147,36 @@ def constrained_hamiltonian_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.
     g = grad_hamiltonian(ctx, z)
     dn = g.shape[-1] // 2
     grad_V, v = g[..., :dn], g[..., dn:]
-    X = unflatten_matrix(z[..., :dn], ctx.dim)
-    G = jacobian_phi(ctx.topology, X)
-    if G.shape[-2] == 0:
-        return symplectic_apply(g)
-    D = jacobian_phidot_x(ctx.topology, X, unflatten_matrix(v, ctx.dim))
-    H = apply_inverse_mass(ctx.mass, G)
-    Gt, Dt, Ht = G.mT, D.mT, H.mT
-    # one guarded solve: K^-1 [G v, D v - H grad V, S]
-    rhs = np.concatenate([_mv(G, v)[..., None], (_mv(D, v) - _mv(H, grad_V))[..., None],
-                          D @ Ht - H @ Dt], axis=-1)
-    W = checked_solve(G @ Ht, rhs)
-    lam2 = -W[..., 0]
-    lam1 = W[..., 1] + _mv(W[..., 2:], lam2)
-    return np.concatenate([v + _mv(Ht, lam2), -grad_V - _mv(Gt, lam1) - _mv(Dt, lam2)], axis=-1)
-
-
-def _apply_j_rows(DPsi: np.ndarray) -> np.ndarray:
-    """J DPsi^T as a (2dn, 2C) matrix: J applied to each row of DPsi."""
-    dn = DPsi.shape[1] // 2
-    out = np.empty_like(DPsi.T)
-    out[:dn] = DPsi[:, dn:].T
-    out[dn:] = -DPsi[:, :dn].T
-    return out
+    cs = ctx.topology.constraint_set
+    return constrained_hamiltonian_field(partial(apply_inverse_mass, ctx.mass), grad_V, v,
+                                         cs.dphi(z[..., :dn]), cs.dphidot_x(v))
 
 
 def projection_matrix(dpsi: np.ndarray) -> np.ndarray:
     """P = I - J DPsi^T [DPsi J DPsi^T]^-1 DPsi for a (2C, 2dn) constraint Jacobian.
 
-    The explicit 2C x 2C form of the field; tests compare against it.
+    The explicit 2C x 2C form of the field, for tests; its K block passes the
+    field's pivot test (det of the 2C x 2C matrix is det(K)^2).
     """
     two_dn = dpsi.shape[1]
-    if dpsi.shape[0] == 0:
+    C = dpsi.shape[0] // 2
+    if C == 0:
         return np.eye(two_dn)
-    JDPsiT = _apply_j_rows(dpsi)
+    JDPsiT = symplectic_apply(dpsi).T  # J applied to each row of DPsi
     A = dpsi @ JDPsiT
-    return np.eye(two_dn) - JDPsiT @ checked_solve(A, dpsi)
+    ad.check_pivots(A[:C, C:])
+    return np.eye(two_dn) - JDPsiT @ np.linalg.solve(A, dpsi)
 
 
 def constrained_lagrangian_dynamics(ctx: DynamicsContext, X: np.ndarray,
                                     V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Accelerations Xddot of shape (..., d, n) and multipliers lambda (..., C)."""
-    f = -flatten_matrix(ctx.potential.grad(X))
-    minv_f = apply_inverse_mass(ctx.mass, f)
-    G = jacobian_phi(ctx.topology, X)
-    if G.shape[-2] == 0:
-        return unflatten_matrix(minv_f, ctx.dim), np.zeros(G.shape[:-1])
-    Ht = apply_inverse_mass(ctx.mass, G).mT
-    rhs = _mv(G, minv_f) + _mv(jacobian_phidot_x(ctx.topology, X, V), flatten_matrix(V))
-    lam = checked_solve(G @ Ht, rhs[..., None])[..., 0]
-    return unflatten_matrix(minv_f - _mv(Ht, lam), ctx.dim), lam
+    v = flatten_matrix(V)
+    cs = ctx.topology.constraint_set
+    xddot, lam = constrained_lagrangian_field(
+        partial(apply_inverse_mass, ctx.mass), flatten_matrix(ctx.potential.grad(X)), v,
+        cs.dphi(flatten_matrix(X)), cs.dphidot_x(v))
+    return unflatten_matrix(xddot, ctx.dim), lam
 
 
 def constrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:

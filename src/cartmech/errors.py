@@ -14,14 +14,17 @@ class ShapeError(CartmechError, ValueError):
 
 
 class DegenerateConfigurationError(CartmechError):
-    """The constraint system is numerically singular at the current state.
+    """A symmetric positive definite system is numerically singular.
 
-    Carries the condition estimate of the offending matrix.
+    Raised by autodiff.spd_solve on the constraints' multiplier matrix
+    K = DPhi M^-1 DPhi^T (ground truth, CHNN, CLNN) or HNN2D's learned
+    inverse mass.  Carries the worst Cholesky pivot ratio
+    (min diag L / max diag L)^2: 0 if the factorization failed, nan for nan.
     """
 
-    def __init__(self, message: str, cond: float = float("inf")):
-        super().__init__(f"{message} (cond estimate {cond:.3e})")
-        self.cond = cond
+    def __init__(self, message: str, ratio: float = 0.0):
+        super().__init__(f"{message} (pivot ratio {ratio:.3e})")
+        self.ratio = ratio
 
 
 class IntegrationError(CartmechError):

@@ -1,24 +1,36 @@
 """Learnable dynamics models trained by backprop through fixed-step rollouts.
 
-Everything runs batched on the autodiff tape: a state batch is a (B, D) node
-and one tape hosts a whole loss evaluation.  CHNN and CLNN keep the system's
-constraints (known, not learned) and learn per-body mass parameters plus an
-MLP potential; NODE learns the flat vector field directly; HNN2D learns a
-generalized-coordinate Hamiltonian with a Cholesky-parametrized inverse mass
-matrix (pendulum chains only).  Training data is Cartesian (x, xdot) states,
-so each model converts into and out of its own state space on the tape.
+Every method takes `leaves` (parameter name -> tape node or array) and a
+(B, D) state batch and is written with the autodiff ops, so one code path
+runs on the tape (training: one tape per loss) and on plain arrays
+(evaluation: no tape but input_gradient's private one).  CHNN and CLNN keep
+the system's known constraints, learn per-body masses plus an MLP potential,
+and use the ground truth's own constrained fields; NODE learns the flat
+vector field; HNN2D learns a Hamiltonian in joint angles with a
+Cholesky-parametrized inverse mass (pendulum chains only).  Data is
+Cartesian (x, xdot), so each model converts into and out of its own state.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
+from .bodies import apply_on_points
+from .dynamics import constrained_hamiltonian_field, constrained_lagrangian_field
 from .oracles import pendulum_angles
 from .states import unflatten_matrix
 
 
+def _memo(build, leaves: dict, prefix: str, *nodes):
+    """build() once per tape for the nodes and leaves named prefix*; always on arrays."""
+    key = (prefix,) + nodes + tuple(v for k, v in leaves.items() if k.startswith(prefix))
+    if not all(isinstance(node, ad.Node) for node in key[1:]):
+        return build()
+    return key[1].tape.memo(key, build)
+
+
 class DynamicsModel:
-    """Shared plumbing: parameter init, tape conversions, numpy evaluation."""
+    """Shared plumbing: parameter init, state conversions, evaluation rollouts."""
 
     kind = "base"
 
@@ -28,43 +40,35 @@ class DynamicsModel:
         self.cartesian_dim = 2 * system.topology.dn
         self.state_dim = self.cartesian_dim
 
-    # -- implemented by subclasses (tape side) --
+    # -- implemented by subclasses; nodes or arrays --
     def init_params(self, rng: np.random.Generator) -> ad.ParamStore:
         raise NotImplementedError
 
-    def dynamics_node(self, leaves: dict, w: ad.Node) -> ad.Node:
+    def dynamics_node(self, leaves: dict, w):
         raise NotImplementedError
 
-    def to_state_node(self, leaves: dict, raw: ad.Node) -> ad.Node:
+    def to_state_node(self, leaves: dict, raw):
         return raw
 
-    def decode_node(self, leaves: dict, w: ad.Node) -> ad.Node:
+    def decode_node(self, leaves: dict, w):
         return w
 
-    # -- numpy side --
     def encode(self, xv: np.ndarray) -> np.ndarray:
         """Cartesian (B, 2dn) states to the raw input of to_state_node."""
         return xv
 
-    def dynamics_fn(self, store: ad.ParamStore):
-        """Plain-array batched dynamics for evaluation rollouts."""
-        return lambda w: self._apply_np(store, self.dynamics_node, w)
-
-    def _apply_np(self, store: ad.ParamStore, fn, array: np.ndarray) -> np.ndarray:
-        tape = ad.Tape()
-        leaves = store.leaves(tape)
-        return fn(leaves, tape.constant(np.asarray(array, dtype=float))).value
-
     def rollout(self, store: ad.ParamStore, xv0: np.ndarray, times,
                 substeps: int = 1) -> np.ndarray:
-        """Cartesian predictions (B, T, 2dn) from Cartesian initial states."""
+        """Cartesian predictions (B, T, 2dn) from Cartesian initial states, on
+        the store's arrays."""
         from .integrators import rollout_fixed
 
+        params = dict(store.items())
         xv0 = np.atleast_2d(np.asarray(xv0, dtype=float))
-        w0 = self._apply_np(store, self.to_state_node, self.encode(xv0))
-        states = rollout_fixed(self.dynamics_fn(store), w0, np.asarray(times, dtype=float),
-                               substeps=substeps)
-        return np.stack([self._apply_np(store, self.decode_node, w) for w in states], axis=1)
+        w0 = self.to_state_node(params, self.encode(xv0))
+        states = rollout_fixed(lambda w: self.dynamics_node(params, w), w0,
+                               np.asarray(times, dtype=float), substeps=substeps)
+        return np.stack([self.decode_node(params, w) for w in states], axis=1)
 
 
 # -- learned mass blocks (CHNN / CLNN) ------------------------------------------------
@@ -76,26 +80,19 @@ def _mass_param_init(store: ad.ParamStore, bodies) -> None:
             store.add(f"mass.log_lam{k}", np.zeros(body.ndim))
 
 
-def _block_diag(tape: ad.Tape, blocks: list[ad.Node]) -> ad.Node:
-    if len(blocks) == 1:
-        return blocks[0]
-    sizes = [b.value.shape[0] for b in blocks]
-    total = sum(sizes)
-    rows = []
-    at = 0
-    for block, s in zip(blocks, sizes):
-        parts = []
-        if at:
-            parts.append(tape.constant(np.zeros((s, at))))
-        parts.append(block)
-        if total - at - s:
-            parts.append(tape.constant(np.zeros((s, total - at - s))))
-        rows.append(ad.concat(parts, axis=1) if len(parts) > 1 else block)
-        at += s
-    return ad.concat(rows, axis=0)
+def _block_diag(blocks: list):
+    """Blocks B_k on one diagonal: sum of P_k^T B_k P_k, P_k rows of the identity."""
+    eye = np.eye(sum(block.shape[0] for block in blocks))
+    out, at = None, 0
+    for block in blocks:
+        place = eye[at:at + block.shape[0]]
+        term = ad.matmul(ad.matmul(place.T, block), place)
+        out = term if out is None else ad.add(out, term)
+        at += block.shape[0]
+    return out
 
 
-def _mass_nodes(tape: ad.Tape, leaves: dict, bodies) -> tuple[ad.Node, ad.Node]:
+def _mass_nodes(leaves: dict, bodies) -> tuple:
     """Learned (M, M^-1) from per-body log-mass and log-moment parameters.
 
     Extended bodies use the same closed forms as the ground-truth assembly,
@@ -115,17 +112,10 @@ def _mass_nodes(tape: ad.Tape, leaves: dict, bodies) -> tuple[ad.Node, ad.Node]:
         bottom = ad.concat([ad.reshape(ad.neg(lam), (d, 1)),
                             ad.mul(lam, np.eye(d))], axis=1)
         blocks.append(ad.mul(ad.concat([top, bottom], axis=0), m))
-        inv_diag = ad.concat([tape.constant(np.zeros(1)), ad.div(1.0, lam)], axis=0)
+        inv_diag = ad.concat([np.zeros(1), ad.div(1.0, lam)], axis=0)
         inv = ad.add(np.ones((d + 1, d + 1)), ad.mul(inv_diag, np.eye(d + 1)))
         inv_blocks.append(ad.div(inv, m))
-    return _block_diag(tape, blocks), _block_diag(tape, inv_blocks)
-
-
-def _point_transform(matrix: ad.Node, flat: ad.Node, n: int, d: int) -> ad.Node:
-    """Apply an (n, n) matrix on the point index of flat (..., n*d) vectors."""
-    shape = flat.value.shape
-    pts = ad.reshape(flat, shape[:-1] + (n, d))
-    return ad.reshape(ad.matmul(matrix, pts), shape)
+    return _block_diag(blocks), _block_diag(inv_blocks)
 
 
 class _ConstrainedModel(DynamicsModel):
@@ -134,89 +124,53 @@ class _ConstrainedModel(DynamicsModel):
     def __init__(self, system, hidden=(256, 256, 256), potential=None):
         super().__init__(system, hidden)
         topo = system.topology
-        self.n, self.d, self.dn = topo.n_points, topo.dim, topo.dn
-        A, b = topo.constraint_set.affine_maps()
-        self.n_phi = topo.constraint_set.n_rows
-        self._A_T = A.T.copy()
-        self._b = b
+        self.dn = topo.dn
+        self._constraints = topo.constraint_set
         self._potential = potential
 
     def init_params(self, rng: np.random.Generator) -> ad.ParamStore:
         store = ad.ParamStore()
         _mass_param_init(store, self.system.topology.bodies)
         if self._potential is None:
-            store_mlp = ad.mlp_init(rng, self.dn, self.hidden, 1, prefix="potential")
-            for name, value in store_mlp.items():
+            for name, value in ad.mlp_init(rng, self.dn, self.hidden, 1, prefix="potential").items():
                 store.add(name, value)
         return store
 
-    def _mass(self, leaves: dict) -> tuple[ad.Node, ad.Node]:
+    def _mass(self, leaves: dict) -> tuple:
         """(M, M^-1), built once per tape and set of mass leaves."""
-        key = ("mass",) + tuple(node for name, node in leaves.items() if name.startswith("mass."))
-        tape = key[1].tape
-        return tape.memo(key, lambda: _mass_nodes(tape, leaves, self.system.topology.bodies))
+        return _memo(lambda: _mass_nodes(leaves, self.system.topology.bodies), leaves, "mass.")
 
-    def _potential_node(self, leaves: dict, x: ad.Node) -> ad.Node:
-        if self._potential is not None:
-            return self._potential(leaves, x)
-        return ad.mlp_apply(leaves, x, prefix="potential")
+    def _minv(self, leaves: dict):
+        """M^-1 on the point index of flat rows, as the fields take it."""
+        _, Minv = self._mass(leaves)
+        return lambda w: apply_on_points(Minv, w)
 
-    def _grad_potential(self, leaves: dict, x: ad.Node) -> ad.Node:
-        return ad.input_gradient(lambda xx: self._potential_node(leaves, xx), x)
-
-    def _dphi(self, x: ad.Node) -> ad.Node:
-        """Known constraint Jacobian rows, affine in x: (B, C, dn)."""
-        B = x.value.shape[0]
-        flat = ad.add(ad.matmul(x, self._A_T), self._b)
-        return ad.reshape(flat, (B, self.n_phi, self.dn))
-
-    def _dphidot_x(self, xdot: ad.Node) -> ad.Node:
-        # d(Phidot)/dx reuses the same affine map by Hessian symmetry
-        B = xdot.value.shape[0]
-        return ad.reshape(ad.matmul(xdot, self._A_T), (B, self.n_phi, self.dn))
+    def _field(self, field, leaves: dict, minv, x, v):
+        """A constrained field at positions x and velocities v."""
+        potential = self._potential or (lambda lv, xx: ad.mlp_apply(lv, xx, prefix="potential"))
+        grad_V = ad.input_gradient(lambda xx: potential(leaves, xx), x)
+        cs = self._constraints
+        return field(minv, grad_V, v, cs.dphi(x), cs.dphidot_x(v))
 
 
 class CHNN(_ConstrainedModel):
-    """Constrained Hamiltonian model: zdot = J grad H plus multiplier correction."""
+    """Constrained Hamiltonian model in (x, p): the projected flow of H = T(p) + V(x)."""
 
     kind = "chnn"
 
-    def dynamics_node(self, leaves: dict, z: ad.Node) -> ad.Node:
-        B = z.value.shape[0]
-        n, d, dn = self.n, self.d, self.dn
-        x = ad.narrow(z, 1, 0, dn)
-        p = ad.narrow(z, 1, dn, dn)
-        _, Minv = self._mass(leaves)
-        xdot = _point_transform(Minv, p, n, d)
-        jgrad = ad.concat([xdot, ad.neg(self._grad_potential(leaves, x))], axis=1)
-        if self.n_phi == 0:
-            return jgrad
-        dphi = self._dphi(x)
-        zeros = z.tape.constant(np.zeros((B, self.n_phi, dn)))
-        dpsi = ad.concat([
-            ad.concat([dphi, zeros], axis=2),
-            ad.concat([self._dphidot_x(xdot),
-                       _point_transform(Minv, dphi, n, d)], axis=2),
-        ], axis=1)
-        dpsi_t = ad.transpose(dpsi)
-        j_dpsi_t = ad.concat([ad.narrow(dpsi_t, 1, dn, dn),
-                              ad.neg(ad.narrow(dpsi_t, 1, 0, dn))], axis=1)
-        amat = ad.matmul(dpsi, j_dpsi_t)
-        rhs = ad.matmul(dpsi, ad.reshape(jgrad, (B, 2 * dn, 1)))
-        lam = ad.solve(amat, rhs)
-        return ad.sub(jgrad, ad.reshape(ad.matmul(j_dpsi_t, lam), (B, 2 * dn)))
+    def dynamics_node(self, leaves: dict, z):
+        minv = self._minv(leaves)
+        x, p = ad.narrow(z, 1, 0, self.dn), ad.narrow(z, 1, self.dn, self.dn)
+        return self._field(constrained_hamiltonian_field, leaves, minv, x, minv(p))
 
-    def to_state_node(self, leaves: dict, raw: ad.Node) -> ad.Node:
-        x = ad.narrow(raw, 1, 0, self.dn)
-        v = ad.narrow(raw, 1, self.dn, self.dn)
+    def to_state_node(self, leaves: dict, raw):
         M, _ = self._mass(leaves)
-        return ad.concat([x, _point_transform(M, v, self.n, self.d)], axis=1)
+        v = ad.narrow(raw, 1, self.dn, self.dn)
+        return ad.concat([ad.narrow(raw, 1, 0, self.dn), apply_on_points(M, v)], axis=1)
 
-    def decode_node(self, leaves: dict, w: ad.Node) -> ad.Node:
-        x = ad.narrow(w, 1, 0, self.dn)
+    def decode_node(self, leaves: dict, w):
         p = ad.narrow(w, 1, self.dn, self.dn)
-        _, Minv = self._mass(leaves)
-        return ad.concat([x, _point_transform(Minv, p, self.n, self.d)], axis=1)
+        return ad.concat([ad.narrow(w, 1, 0, self.dn), self._minv(leaves)(p)], axis=1)
 
 
 class CLNN(_ConstrainedModel):
@@ -224,24 +178,9 @@ class CLNN(_ConstrainedModel):
 
     kind = "clnn"
 
-    def dynamics_node(self, leaves: dict, w: ad.Node) -> ad.Node:
-        B = w.value.shape[0]
-        n, d, dn = self.n, self.d, self.dn
-        x = ad.narrow(w, 1, 0, dn)
-        v = ad.narrow(w, 1, dn, dn)
-        _, Minv = self._mass(leaves)
-        f = ad.neg(self._grad_potential(leaves, x))
-        minv_f = _point_transform(Minv, f, n, d)
-        if self.n_phi == 0:
-            return ad.concat([v, minv_f], axis=1)
-        dphi = self._dphi(x)
-        g_minv = _point_transform(Minv, dphi, n, d)
-        amat = ad.matmul(g_minv, ad.transpose(dphi))
-        rhs = ad.add(ad.matmul(g_minv, ad.reshape(f, (B, dn, 1))),
-                     ad.matmul(self._dphidot_x(v), ad.reshape(v, (B, dn, 1))))
-        lam = ad.solve(amat, rhs)
-        force = ad.reshape(ad.matmul(ad.transpose(dphi), lam), (B, dn))
-        xddot = ad.sub(minv_f, _point_transform(Minv, force, n, d))
+    def dynamics_node(self, leaves: dict, w):
+        x, v = ad.narrow(w, 1, 0, self.dn), ad.narrow(w, 1, self.dn, self.dn)
+        xddot, _ = self._field(constrained_lagrangian_field, leaves, self._minv(leaves), x, v)
         return ad.concat([v, xddot], axis=1)
 
 
@@ -254,7 +193,7 @@ class NODE(DynamicsModel):
         return ad.ParamStore(ad.mlp_init(rng, self.cartesian_dim, self.hidden,
                                          self.cartesian_dim, prefix="field"))
 
-    def dynamics_node(self, leaves: dict, z: ad.Node) -> ad.Node:
+    def dynamics_node(self, leaves: dict, z):
         return ad.mlp_apply(leaves, z, prefix="field")
 
 
@@ -283,9 +222,9 @@ class _AngularModel(DynamicsModel):
             out[i, self.n_angles:] = qdot
         return out
 
-    def _embed_node(self, q: ad.Node, qdot: ad.Node) -> ad.Node:
+    def _embed_node(self, q, qdot):
         """Differentiable chain embedding (q, qdot) -> flat (x, xdot)."""
-        B = q.value.shape[0]
+        B = q.shape[0]
         N = self.n_angles
         l = self._lengths
         s, c = ad.sin(q), ad.cos(q)
@@ -310,14 +249,14 @@ class NODEAngular(_AngularModel):
         return ad.ParamStore(ad.mlp_init(rng, 3 * self.n_angles, self.hidden,
                                          2 * self.n_angles, prefix="field"))
 
-    def dynamics_node(self, leaves: dict, w: ad.Node) -> ad.Node:
+    def dynamics_node(self, leaves: dict, w):
         N = self.n_angles
         q = ad.narrow(w, 1, 0, N)
         qdot = ad.narrow(w, 1, N, N)
         inp = ad.concat([ad.sin(q), ad.cos(q), qdot], axis=1)
         return ad.mlp_apply(leaves, inp, prefix="field")
 
-    def decode_node(self, leaves: dict, w: ad.Node) -> ad.Node:
+    def decode_node(self, leaves: dict, w):
         N = self.n_angles
         return self._embed_node(ad.narrow(w, 1, 0, N), ad.narrow(w, 1, N, N))
 
@@ -347,46 +286,49 @@ class HNN2D(_AngularModel):
                                   prefix="cholesky"))
         return ad.ParamStore(params)
 
-    def _cholesky_node(self, leaves: dict, q: ad.Node) -> ad.Node:
-        B, N = q.value.shape[0], self.n_angles
-        inp = ad.concat([ad.sin(q), ad.cos(q)], axis=1)
-        packed = ad.mlp_apply(leaves, inp, prefix="cholesky")
-        L = ad.reshape(ad.matmul(packed, self._scatter_T), (B, N, N))
-        return ad.add(L, np.eye(N))
+    def _chart(self, leaves: dict, w) -> tuple:
+        """Network input (sin q, cos q) and factor L(q) at a state w = (q, .),
+        once per tape and state node: decode_node(states[t]) reuses the first
+        RK stage's.  Keyed on w, so L is always created after w, inside the
+        range input_gradient(H, w) differentiates."""
+        def build():
+            B, N = w.shape[0], self.n_angles
+            q = ad.narrow(w, 1, 0, N)
+            inp = ad.concat([ad.sin(q), ad.cos(q)], axis=1)
+            packed = ad.mlp_apply(leaves, inp, prefix="cholesky")
+            L = ad.reshape(ad.matmul(packed, self._scatter_T), (B, N, N))
+            return inp, ad.add(L, np.eye(N))
 
-    def _hamiltonian_node(self, leaves: dict, w: ad.Node) -> ad.Node:
-        B, N = w.value.shape[0], self.n_angles
-        q = ad.narrow(w, 1, 0, N)
+        return _memo(build, leaves, "cholesky.", w)
+
+    def _hamiltonian_node(self, leaves: dict, w):
+        B, N = w.shape[0], self.n_angles
+        inp, L = self._chart(leaves, w)
         p = ad.narrow(w, 1, N, N)
-        L = self._cholesky_node(leaves, q)
         u = ad.reshape(ad.matmul(ad.transpose(L), ad.reshape(p, (B, N, 1))), (B, N))
         kinetic = ad.mul(0.5, ad.reduce_sum(ad.mul(u, u), axis=1))
-        inp = ad.concat([ad.sin(q), ad.cos(q)], axis=1)
         potential = ad.reshape(ad.mlp_apply(leaves, inp, prefix="potential"), (B,))
         return ad.add(kinetic, potential)
 
-    def dynamics_node(self, leaves: dict, w: ad.Node) -> ad.Node:
+    def dynamics_node(self, leaves: dict, w):
         N = self.n_angles
         g = ad.input_gradient(lambda ww: self._hamiltonian_node(leaves, ww), w)
         return ad.concat([ad.narrow(g, 1, N, N), ad.neg(ad.narrow(g, 1, 0, N))], axis=1)
 
-    def to_state_node(self, leaves: dict, raw: ad.Node) -> ad.Node:
-        B, N = raw.value.shape[0], self.n_angles
-        q = ad.narrow(raw, 1, 0, N)
-        qdot = ad.narrow(raw, 1, N, N)
-        L = self._cholesky_node(leaves, q)
+    def to_state_node(self, leaves: dict, raw):
+        B, N = raw.shape[0], self.n_angles
+        _, L = self._chart(leaves, raw)
         minv = ad.matmul(L, ad.transpose(L))
-        p = ad.reshape(ad.solve(minv, ad.reshape(qdot, (B, N, 1))), (B, N))
-        return ad.concat([q, p], axis=1)
+        qdot = ad.reshape(ad.narrow(raw, 1, N, N), (B, N, 1))
+        p = ad.reshape(ad.spd_solve(minv, qdot), (B, N))
+        return ad.concat([ad.narrow(raw, 1, 0, N), p], axis=1)
 
-    def decode_node(self, leaves: dict, w: ad.Node) -> ad.Node:
-        B, N = w.value.shape[0], self.n_angles
-        q = ad.narrow(w, 1, 0, N)
-        p = ad.narrow(w, 1, N, N)
-        L = self._cholesky_node(leaves, q)
+    def decode_node(self, leaves: dict, w):
+        B, N = w.shape[0], self.n_angles
+        _, L = self._chart(leaves, w)
         minv = ad.matmul(L, ad.transpose(L))
-        qdot = ad.reshape(ad.matmul(minv, ad.reshape(p, (B, N, 1))), (B, N))
-        return self._embed_node(q, qdot)
+        qdot = ad.reshape(ad.matmul(minv, ad.reshape(ad.narrow(w, 1, N, N), (B, N, 1))), (B, N))
+        return self._embed_node(ad.narrow(w, 1, 0, N), qdot)
 
 
 MODEL_KINDS = ("chnn", "clnn", "node", "node-angular", "hnn2d")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ParameterDomainError, TrainingError
+from .errors import DegenerateConfigurationError, ParameterDomainError, TrainingError
 from .integrators import rollout_fixed
 
 
@@ -114,8 +114,10 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
     """Minibatch AdamW over shuffled chunk batches with cosine annealing.
 
     Init and shuffle randomness derive from config.seed only, so a fixed seed
-    reproduces the run bit for bit.  A non-finite loss or gradient skips the
-    optimizer step; max_bad_steps consecutive ones abort with TrainingError.
+    reproduces the run bit for bit.  A non-finite loss or gradient, or a
+    DegenerateConfigurationError from a guarded solve, skips the optimizer
+    step and logs the reason; max_bad_steps consecutive ones abort with
+    TrainingError.
     """
     chunks = np.asarray(chunks, dtype=float)
     if chunks.ndim != 3:
@@ -138,25 +140,23 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
             try:
                 loss = trajectory_loss_node(model, leaves, batch, config.substeps)
                 value = float(loss.value)
-            except np.linalg.LinAlgError:
-                # a singular multiplier solve counts as a bad step, same as nan
-                value = float("nan")
-            bad = None if np.isfinite(value) else "loss"
-            if bad is None:
-                grad_nodes = ad.grad(loss, [leaves[name] for name in names])
-                grads = {name: node.value for name, node in zip(names, grad_nodes)}
-                if not all(np.isfinite(g).all() for g in grads.values()):
-                    bad = "gradient"
+                bad = None if np.isfinite(value) else "non-finite loss"
+                if bad is None:
+                    grad_nodes = ad.grad(loss, [leaves[name] for name in names])
+                    grads = {name: node.value for name, node in zip(names, grad_nodes)}
+                    if not all(np.isfinite(g).all() for g in grads.values()):
+                        bad = "non-finite gradient"
+            except DegenerateConfigurationError as err:
+                bad = f"degenerate system (pivot ratio {err.ratio:.3g})"
             tape.clear()  # frees the step's arrays now, not at the next full collection
             if bad is not None:
                 bad_total += 1
                 bad_streak += 1
                 if log is not None:
-                    log(f"epoch {epoch}: non-finite {bad}, step skipped "
-                        f"({bad_streak} consecutive)")
+                    log(f"epoch {epoch}: {bad}, step skipped ({bad_streak} consecutive)")
                 if bad_streak >= config.max_bad_steps:
-                    raise TrainingError(f"aborting: {bad_streak} consecutive non-finite "
-                                        f"losses or gradients at epoch {epoch}")
+                    raise TrainingError(f"aborting: {bad_streak} consecutive bad steps "
+                                        f"(last: {bad}) at epoch {epoch}")
                 continue
             bad_streak = 0
             optimizer.step(store, grads, lr_t)

@@ -80,26 +80,56 @@ def test_bias_add_broadcast_backward():
     np.testing.assert_allclose(gW.value, np.tile(x.value.sum(0)[:, None], (1, 4)))
 
 
+def _spd_stack(rng, batch, k):
+    R = rng.normal(size=(batch, k, k))
+    return R @ R.swapaxes(-1, -2) + k * np.eye(k)
+
+
+def _spd_solve_loss(theta, A0, S, b_shape):
+    """sum(x * x) + sum(x) for A x = B, with A = A0 + theta[0] S and B = theta[1:]."""
+    tape = Tape()
+    th = tape.constant(theta)
+    t = ad.reshape(ad.narrow(th, 0, 0, 1), (1, 1, 1))
+    A = ad.add(A0, ad.mul(t, S))
+    B = ad.reshape(ad.narrow(th, 0, 1, theta.size - 1), b_shape)
+    x = ad.spd_solve(A, B)
+    return th, ad.add(ad.reduce_sum(x * x), ad.reduce_sum(x))
+
+
 def test_batched_matmul_and_solve_backward():
+    # first and second order through spd_solve of a stack of SPD matrices,
+    # against central differences in the matrix (a symmetric direction S)
+    # and in every right-hand side entry
     rng = np.random.default_rng(21)
-    A0 = rng.normal(size=(5, 3, 3)) + 3 * np.eye(3)
-    b0 = rng.normal(size=(5, 3, 1))
+    A0 = _spd_stack(rng, 5, 3)
+    S = _spd_stack(rng, 5, 3) / 10.0
+    b_shape = (5, 3, 2)
+    theta0 = np.concatenate([[0.3], rng.normal(size=30)])
+    w = rng.normal(size=theta0.size)
 
     def f(theta):
-        tape = Tape()
-        t = tape.constant(theta)
-        A = tape.constant(A0) + ad.reshape(t, (1, 1, 1)) * tape.constant(np.eye(3))
-        x = ad.solve(A, tape.constant(b0))
-        return float(ad.reduce_sum(x * x).value)
+        return float(_spd_solve_loss(theta, A0, S, b_shape)[1].value)
 
     def g(theta):
-        tape = Tape()
-        t = tape.constant(theta)
-        A = tape.constant(A0) + ad.reshape(t, (1, 1, 1)) * tape.constant(np.eye(3))
-        x = ad.solve(A, tape.constant(b0))
-        return grad(ad.reduce_sum(x * x), [t])[0].value
+        th, y = _spd_solve_loss(theta, A0, S, b_shape)
+        return grad(y, [th])[0].value
 
-    assert finite_difference_check(f, g, np.array(0.3)) < 1e-6
+    def gw(theta):
+        return float(g(theta) @ w)
+
+    def hw(theta):
+        th, y = _spd_solve_loss(theta, A0, S, b_shape)
+        (g1,) = grad(y, [th])
+        return grad(ad.reduce_sum(ad.mul(g1, w)), [th])[0].value
+
+    assert finite_difference_check(f, g, theta0) < 1e-6
+    assert finite_difference_check(gw, hw, theta0) < 1e-6
+    # the matrix broadcast over the stack: its adjoint sums the stack away
+    tape = Tape()
+    K = tape.constant(A0[0])
+    x = ad.spd_solve(K, tape.constant(rng.normal(size=b_shape)))
+    (gK,) = grad(ad.reduce_sum(x * x), [K])
+    assert gK.value.shape == (3, 3)
 
 
 def test_concat_narrow_backward():
@@ -379,3 +409,105 @@ def test_mlp_third_order_raises_instead_of_returning_zeros():
     (gw,) = grad(ad.reduce_sum(mlp_apply(leaves, x)), [leaves["mlp.w0"]])
     with pytest.raises(NotImplementedError, match="mlp_param_adjoint"):
         grad(ad.reduce_sum(gw * gw), [leaves["mlp.w0"]])
+
+
+def test_spd_solve_raises_on_degenerate_input_with_the_ratio():
+    from cartmech.errors import DegenerateConfigurationError
+
+    good = np.eye(2)
+    thin = np.diag([1.0, 1e-14])        # pivot ratio 1e-14
+    singular = np.ones((2, 2))           # positive semidefinite, rank 1
+    rhs = np.ones((2, 1))
+    for K, ratio in ((thin, 1e-14), (singular, None), (np.stack([good, thin]), 1e-14)):
+        for make in (lambda a: a, lambda a: Tape().constant(a)):
+            with pytest.raises(DegenerateConfigurationError) as info:
+                ad.spd_solve(make(K), np.broadcast_to(rhs, K.shape[:-1] + (1,)))
+            if ratio is None:
+                assert info.value.ratio < ad.PIVOT_RATIO_LIMIT
+            else:
+                assert info.value.ratio == pytest.approx(ratio)
+            assert "pivot ratio" in str(info.value)
+    with pytest.raises(DegenerateConfigurationError) as info:
+        ad.spd_solve(np.full((2, 2), np.nan), rhs)
+    assert np.isnan(info.value.ratio)
+    # above the limit (ratio 2.5e-10) the solve goes through
+    np.testing.assert_allclose(ad.spd_solve(np.diag([4.0, 1e-9]), rhs)[:, 0], [0.25, 1e9], rtol=1e-15)
+
+
+def test_ops_on_plain_arrays_return_numpy_results_and_record_nothing():
+    rng = np.random.default_rng(27)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    params = mlp_init(rng, 4, (5,), 1)
+    tape = Tape()
+    leaves = {k: tape.constant(v) for k, v in params.items()}
+    cases = [(ad.matmul, (a, b)), (ad.add, (a, 1.0)), (ad.transpose, (a,)),
+             (lambda x: ad.narrow(x, 1, 1, 2), (a,)), (lambda x: ad.reduce_sum(x, 1), (a,)),
+             (lambda x: ad.concat([x, x], axis=0), (a,)), (ad.tanh, (a,))]
+    for op, args in cases:
+        plain = op(*args)
+        assert isinstance(plain, np.ndarray)
+        assert np.array_equal(plain, op(*(tape.constant(x) for x in args)).value)
+    plain = mlp_apply(params, a)
+    assert isinstance(plain, np.ndarray)
+    assert np.array_equal(plain, mlp_apply(leaves, tape.constant(a)).value)
+    before = len(tape)
+    gx = input_gradient(lambda x: mlp_apply(params, x), a)
+    assert isinstance(gx, np.ndarray) and len(tape) == before
+    assert np.array_equal(gx, input_gradient(lambda x: mlp_apply(leaves, x), tape.constant(a)).value)
+
+
+def test_narrow_of_concat_needs_only_the_blocks_it_reads():
+    # a learned potential's input gradient at x = narrow(concat(x0, u)) with
+    # x0 constant: the loss needs no x-adjoint Hessian-vector product
+    rng = np.random.default_rng(28)
+    params = mlp_init(rng, 3, (6,), 1)
+    x0, u0, c = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+
+    def build(u, leaves_np, wrt_joined=False):
+        tape = Tape()
+        leaves = {k: tape.constant(v) for k, v in leaves_np.items()}
+        un = tape.constant(u)
+        joined = ad.concat([tape.constant(x0), un], axis=1)
+        x = ad.narrow(joined, 1, 0, 3)
+        gx = input_gradient(lambda xx: mlp_apply(leaves, xx), x)
+        loss = ad.reduce_sum(ad.mul(ad.mul(gx, ad.narrow(joined, 1, 3, 3)), c))
+        wrt = [joined] if wrt_joined else [un] + [leaves[k] for k in leaves_np]
+        return tape, loss, grad(loss, wrt)
+
+    tape, loss, grads = build(u0, params)
+    ops = [n.op for n in tape.nodes]
+    # one per parameter the input gradient reads (all but the output bias),
+    # and none of x's shape
+    second = [n for n in tape.nodes if n.op == "mlp_second_order"]
+    assert len(second) == len(params) - 1
+    assert all(n.shape != x0.shape for n in second)
+    assert ops.count("mlp_vjp") == 1
+
+    def f(u):
+        return float(build(u.reshape(4, 3), params)[1].value)
+
+    assert finite_difference_check(f, lambda u: build(u.reshape(4, 3), params)[2][0].value.ravel(),
+                                   u0.ravel()) < 1e-6
+    for i, name in enumerate(params):
+        def fp(w, name=name):
+            trial = dict(params)
+            trial[name] = w.reshape(params[name].shape)
+            return float(build(u0, trial)[1].value)
+
+        assert finite_difference_check(fp, lambda w, i=i: grads[1 + i].value.ravel(),
+                                       params[name].ravel()) < 1e-6
+
+    # requested itself, the concat gets the adjoint of both blocks
+    tape, loss, (gj,) = build(u0, params, wrt_joined=True)
+    assert "mlp_second_order" in [n.op for n in tape.nodes]
+
+    def fj(z):
+        z = z.reshape(4, 6)
+        t2 = Tape()
+        leaves = {k: t2.constant(v) for k, v in params.items()}
+        zn = t2.constant(z)
+        gx = input_gradient(lambda xx: mlp_apply(leaves, xx), ad.narrow(zn, 1, 0, 3))
+        return float(ad.reduce_sum(ad.mul(ad.mul(gx, ad.narrow(zn, 1, 3, 3)), c)).value)
+
+    assert finite_difference_check(fj, lambda z: gj.value.ravel(),
+                                   np.concatenate([x0, u0], axis=1).ravel()) < 1e-6

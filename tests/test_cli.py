@@ -280,3 +280,32 @@ def test_bad_arguments_exit_1_not_2():
     assert rc == 1
     rc, _, err = run_cli("frobnicate")
     assert rc == 1
+
+
+def _heavy_checkpoint(workdir, tmp_path):
+    """The trained chnn with body 0 made 1e34 times heavier: its multiplier
+    system K = DPhi M^-1 DPhi^T is degenerate on every state."""
+    from cartmech import autodiff as ad
+
+    store = ad.load_checkpoint(workdir / "run" / "final.cmk")
+    store["mass.log_m0"] = np.full(store["mass.log_m0"].shape, 80.0)
+    path = tmp_path / "heavy.cmk"
+    ad.save_checkpoint(store, path)
+    return path
+
+
+def test_evaluate_degenerate_model_exits_2_without_traceback(workdir, tmp_path):
+    rc, _, err = run_cli("evaluate", *TINY, "--checkpoint", str(_heavy_checkpoint(workdir, tmp_path)),
+                         "--dataset", str(workdir / "data" / "test"))
+    assert rc == 2
+    assert "numeric failure" in err and "pivot ratio" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_degenerate_model_exits_2_without_traceback(workdir, tmp_path):
+    rc, _, err = run_cli("simulate", "--system", "npendulum", "--n", "2", "--T", "0.3",
+                         "--checkpoint", str(_heavy_checkpoint(workdir, tmp_path)),
+                         "--model", "chnn", "--hidden", "8", "8")
+    assert rc == 2
+    assert "numeric failure" in err and "pivot ratio" in err
+    assert "Traceback" not in err

@@ -206,3 +206,74 @@ def test_grad_hamiltonian_matches_fd():
     for _ in range(5):
         z = rng.normal(size=8)
         np.testing.assert_allclose(grad_hamiltonian(ctx, z), fd_jacobian(H, z)[0], atol=1e-7)
+
+
+def _multiplier_matrix(topology, mass, X):
+    """K = DPhi M^-1 DPhi^T as the fields form it."""
+    G = jacobian_phi(topology, X)
+    return G @ apply_inverse_mass(mass, G).mT
+
+
+def test_pivot_guard_fires_wherever_the_condition_number_guard_did():
+    # The field's guard is the Cholesky pivot ratio r = (min diag L / max
+    # diag L)^2 of K against ad.PIVOT_RATIO_LIMIT = 1e-10.  The reference is
+    # the SVD condition number the ground truth used before, cond(K) > 1e12.
+    # The squared pivots lie between K's extreme eigenvalues, so r >= 1/cond:
+    # the pivot test can fire only where cond > 1e10, and it fires wherever
+    # cond > 1e12 while r * cond < 100 (at most 31 on the ground truth of
+    # every system; 1.0 to 5.7 in these sweeps).  The two disagree only for
+    # cond in (1e10, 1e12], where the pivot test is the stricter one.
+    from cartmech.topology import SystemTopology
+    import cartmech.autodiff as ad
+
+    cond_limit = 1e12
+    cases = []
+    # degenerate states the other tests use: the bob at the pivot, and a
+    # body made 1e34 times heavier than the rest (a row of K vanishes)
+    ctx = pendulum_ctx(1)
+    cases.append(("bob at pivot", _multiplier_matrix(ctx.topology, ctx.mass, np.zeros((2, 1)))))
+    heavy = pendulum_ctx(2, masses=[np.exp(80.0), 1.0])
+    X2 = np.array([[0.6, 1.4], [-0.8, -1.4]])
+    cases.append(("heavy body", _multiplier_matrix(heavy.topology, heavy.mass, X2)))
+    # the first bob of a two-pendulum sweeps towards its pivot
+    ctx2 = pendulum_ctx(2)
+    for k in range(10):
+        e = 10.0 ** -k
+        X = np.array([[0.6 * e, 0.6 * e + 0.8], [-0.8 * e, -0.8 * e - 0.6]])
+        cases.append((f"bob at {e:.0e}", _multiplier_matrix(ctx2.topology, ctx2.mass, X)))
+    # a point held by two anchors sweeps towards the line through them,
+    # so the two rows of DPhi turn parallel
+    topo = SystemTopology(dim=2, bodies=[BodySpec.point(1.0)],
+                          constraints=[Link(anchor(0), point(0)), Link(anchor(1), point(0))],
+                          anchors=[np.array([-1.0, 0.0]), np.array([1.0, 0.0])])
+    mass = assemble_mass_matrix(topo.bodies)
+    for k in range(10):
+        e = 10.0 ** -k
+        cases.append((f"rows at {e:.0e}", _multiplier_matrix(topo, mass, np.array([[0.3], [e]]))))
+    # ordinary states of every system: neither test fires
+    rng = np.random.default_rng(31)
+    for name in system_names():
+        system = build_system(name)
+        for z in system.sample(rng, 10):
+            X = system.context().split(z)[0]
+            cases.append((name, _multiplier_matrix(system.topology, system.mass, X)))
+
+    disagree = []
+    for label, K in cases:
+        with np.errstate(divide="ignore"):
+            cond = np.linalg.cond(K)
+        try:
+            ad.check_pivots(K)
+            fired = False
+        except DegenerateConfigurationError:
+            fired = True
+        if not cond <= cond_limit:
+            assert fired, (label, cond)
+        if fired != (not cond <= cond_limit):
+            assert 1e10 < cond <= cond_limit, (label, cond)
+            disagree.append(label)
+    # the single disagreement: cond 3.7e10, pivot ratio 9.3e-11
+    assert disagree == ["bob at 1e-05"]
+    # the explicit 2C x 2C reference applies the same test to its K block
+    with pytest.raises(DegenerateConfigurationError):
+        projection_matrix(jacobian_psi(ctx.topology, np.zeros(4), ctx.mass))

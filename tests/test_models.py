@@ -6,6 +6,7 @@ from cartmech.dynamics import constrained_dynamics, convert_flavor
 from cartmech.integrators import rollout_fixed
 from cartmech.metrics import constraint_rmse_curve
 from cartmech.models import MODEL_KINDS, _mass_nodes, build_model
+from cartmech.training import trajectory_loss_node
 from cartmech.oracles import pendulum_embed
 from cartmech.states import LAGRANGIAN
 from cartmech.systems import build_system
@@ -59,7 +60,7 @@ def test_learned_mass_blocks_match_assembled_matrices():
         store = true_mass_store(model, system)
         tape = ad.Tape()
         leaves = {k: tape.constant(v) for k, v in store.items()}
-        M, Minv = _mass_nodes(tape, leaves, system.topology.bodies)
+        M, Minv = _mass_nodes(leaves, system.topology.bodies)
         np.testing.assert_allclose(M.value, system.mass.matrix, atol=1e-12)
         np.testing.assert_allclose(Minv.value, system.mass.inverse, atol=1e-12)
 
@@ -227,3 +228,97 @@ def test_learned_mass_is_built_once_per_loss(kind, monkeypatch):
     assert len(built) == 1
     trajectory_loss_node(model, store.leaves(ad.Tape()), chunks)
     assert len(built) == 2
+
+
+def _counting_tapes(monkeypatch):
+    """Patch Tape and input_gradient to count tapes and input gradients."""
+    tapes, gradients = [], []
+
+    class CountingTape(ad.Tape):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            tapes.append(1)
+
+    original = ad.input_gradient
+
+    def counting_gradient(f, X):
+        gradients.append(1)
+        return original(f, X)
+
+    monkeypatch.setattr(ad, "Tape", CountingTape)
+    monkeypatch.setattr(ad, "input_gradient", counting_gradient)
+    return tapes, gradients
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_rollout_builds_no_tape_and_matches_the_tape(kind, monkeypatch):
+    # evaluation runs on the store's arrays; only input_gradient opens a
+    # (private) tape, and the result is the tape's to the bit
+    rng = np.random.default_rng(9)
+    system = build_system("npendulum", n=2)
+    _, W0 = lagrangian_batch(system, rng, 3)
+    model = build_model(kind, system, hidden=(8,))
+    store = model.init_params(np.random.default_rng(1))
+    times = system.dt * np.arange(4)
+    tape = ad.Tape()
+    leaves = store.leaves(tape)
+    w0 = model.to_state_node(leaves, tape.constant(model.encode(W0)))
+    states = rollout_fixed(lambda w: model.dynamics_node(leaves, w), w0, times)
+    on_tape = np.stack([model.decode_node(leaves, w).value for w in states], axis=1)
+
+    tapes, gradients = _counting_tapes(monkeypatch)
+    preds = model.rollout(store, W0, times)
+    assert np.array_equal(preds, on_tape)
+    assert len(tapes) == len(gradients)
+    assert len(gradients) == (0 if kind in ("node", "node-angular") else 4 * 3)
+
+
+def test_hnn2d_builds_its_cholesky_factor_once_per_state_node():
+    # 4 RK4 steps: 16 stage states, plus the raw initial state and the last
+    # state, which only to_state_node and decode_node see
+    system = build_system("npendulum", n=2)
+    model = build_model("hnn2d", system, hidden=(8,))
+    store = model.init_params(np.random.default_rng(0))
+    _, W = lagrangian_batch(system, np.random.default_rng(2), 3)
+    chunks = np.stack([W] * 5, axis=1)
+    tape = ad.Tape()
+    leaves = store.leaves(tape)
+    trajectory_loss_node(model, leaves, chunks)
+    cholesky = [n for n in tape.nodes if n.op == "mlp" and n.parents[1] is leaves["cholesky.w0"]]
+    assert len(cholesky) == 4 * 4 + 2
+
+
+def _heavy_first_body(kind, system):
+    """A model whose body 0 is 1e34 times heavier than body 1: the first row
+    of K = DPhi M^-1 DPhi^T vanishes, so the multiplier solve is degenerate."""
+    model = build_model(kind, system, hidden=(8,))
+    store = model.init_params(np.random.default_rng(0))
+    store["mass.log_m0"] = np.array(80.0)
+    return model, store
+
+
+@pytest.mark.parametrize("kind", ["chnn", "clnn"])
+def test_degenerate_learned_mass_raises_in_rollout(kind):
+    from cartmech.errors import DegenerateConfigurationError
+
+    system = build_system("npendulum", n=2)
+    _, W0 = lagrangian_batch(system, np.random.default_rng(4), 2)
+    model, store = _heavy_first_body(kind, system)
+    with pytest.raises(DegenerateConfigurationError) as info:
+        model.rollout(store, W0, system.dt * np.arange(3))
+    assert info.value.ratio < ad.PIVOT_RATIO_LIMIT
+
+
+@pytest.mark.parametrize("kind", ["chnn", "clnn"])
+def test_degenerate_learned_mass_raises_in_evaluate_model(kind):
+    from cartmech.dataset import generate_dataset
+    from cartmech.errors import DegenerateConfigurationError
+    from cartmech.metrics import evaluate_model
+
+    system = build_system("npendulum", n=2)
+    test_ds = generate_dataset(system, 2, steps=5, seed=3, split="test")
+    model, store = _heavy_first_body(kind, system)
+    with pytest.raises(DegenerateConfigurationError):
+        evaluate_model(model, store, test_ds)

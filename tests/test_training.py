@@ -304,3 +304,22 @@ def test_checkpoints_written_at_cadence(tmp_path):
     final = ad.load_checkpoint(tmp_path / "final.cmk")
     for name in result.store.names():
         np.testing.assert_array_equal(final[name], result.store[name])
+
+
+def test_degenerate_constraint_system_is_a_bad_step_with_its_reason():
+    from cartmech.systems import build_system
+    from test_models import _heavy_first_body, lagrangian_batch
+
+    system = build_system("npendulum", n=2)
+    model, heavy = _heavy_first_body("chnn", system)
+    model.init_params = lambda rng: ad.ParamStore(dict(heavy.items()))
+    _, W = lagrangian_batch(system, np.random.default_rng(5), 8)
+    chunks = np.stack([W] * 3, axis=1)
+    messages = []
+    with pytest.raises(TrainingError) as info:
+        train(model, chunks, TrainConfig(epochs=5, batch_size=4, max_bad_steps=3),
+              log=messages.append)
+    skipped = [m for m in messages if "step skipped" in m]
+    assert len(skipped) == 3
+    assert all("degenerate" in m and "pivot ratio" in m for m in skipped)
+    assert "degenerate" in str(info.value)
