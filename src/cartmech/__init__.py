@@ -40,7 +40,6 @@ from .models import CHNN, CLNN, HNN2D, MODEL_KINDS, NODE, NODEAngular, build_mod
 from .states import (
     HAMILTONIAN,
     LAGRANGIAN,
-    PhaseState,
     flatten_matrix,
     unflatten_matrix,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "NODE",
     "NODEAngular",
     "ParameterDomainError",
-    "PhaseState",
     "SchemaError",
     "ShapeError",
     "System",

@@ -617,7 +617,7 @@ def save_checkpoint(store: ParamStore, path) -> None:
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
         for name in names:
-            value = np.ascontiguousarray(store[name], dtype="<f8")
+            value = np.asarray(store[name], dtype="<f8")
             raw = name.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
@@ -662,7 +662,11 @@ def load_checkpoint(path) -> ParamStore:
         if found != expected:
             raise FormatError(f"{path}: name table mismatch ({found!r} != {expected!r})")
         shape = uints(uints(1)[0])
-        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            data = data.reshape(shape)
+        except ValueError:  # empty, but the other sizes are past numpy's limits
+            raise FormatError(f"{path}: parameter {found!r} has impossible shape {shape}") from None
         store.add(found, data)
     if at != len(raw):
         raise FormatError(f"{path}: trailing bytes")

@@ -136,24 +136,19 @@ def assemble_mass_matrix(bodies) -> MassModel:
     return MassModel(matrix=M, inverse=Minv)
 
 
-def kinetic_energy(V: np.ndarray, mass: MassModel) -> float:
-    """T = Tr(V M V^T)/2 for a velocity matrix V of shape (d, n_points)."""
-    return 0.5 * float(np.trace(V @ mass.matrix @ V.T))
+def kinetic_energy(V: np.ndarray, mass: MassModel):
+    """T = Tr(V M V^T)/2 for velocity matrices V of shape (..., d, n_points)."""
+    return 0.5 * np.trace(V @ mass.matrix @ V.mT, axis1=-2, axis2=-1)
 
 
-def hamiltonian_kinetic(P: np.ndarray, mass: MassModel) -> float:
-    """T = Tr(P M^-1 P^T)/2 for a momentum matrix P of shape (d, n_points)."""
-    return 0.5 * float(np.trace(P @ mass.inverse @ P.T))
+def hamiltonian_kinetic(P: np.ndarray, mass: MassModel):
+    """T = Tr(P M^-1 P^T)/2 for momentum matrices P of shape (..., d, n_points)."""
+    return 0.5 * np.trace(P @ mass.inverse @ P.mT, axis1=-2, axis2=-1)
 
 
 def velocity_to_momentum(V: np.ndarray, mass: MassModel) -> np.ndarray:
     """P = V M (points as columns, so M acts on the point index)."""
     return V @ mass.matrix
-
-
-def momentum_to_velocity(P: np.ndarray, mass: MassModel) -> np.ndarray:
-    """V = P M^-1."""
-    return P @ mass.inverse
 
 
 def apply_on_points(matrix, w):

@@ -176,15 +176,14 @@ class ConstraintSet:
         self._affine = None
 
     def endpoint_positions(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d, n_quads) world positions of both endpoints of every quad row."""
-        U = np.where(self._q_i >= 0, X[:, self._q_i], self._q_pi)
-        W = np.where(self._q_j >= 0, X[:, self._q_j], self._q_pj)
+        """(..., d, n_quads) world positions of both endpoints of every quad row."""
+        U = np.where(self._q_i >= 0, X[..., :, self._q_i], self._q_pi)
+        W = np.where(self._q_j >= 0, X[..., :, self._q_j], self._q_pj)
         return U, W
 
     def endpoint_velocities(self, Xdot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        zero = np.zeros_like(self._q_pi)
-        dU = np.where(self._q_i >= 0, Xdot[:, self._q_i], zero)
-        dW = np.where(self._q_j >= 0, Xdot[:, self._q_j], zero)
+        dU = np.where(self._q_i >= 0, Xdot[..., :, self._q_i], 0.0)
+        dW = np.where(self._q_j >= 0, Xdot[..., :, self._q_j], 0.0)
         return dU, dW
 
     def affine_maps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -247,14 +246,18 @@ def auto_rigidity(bodies) -> list[Rigidity]:
 
 
 def phi(topology, X: np.ndarray) -> np.ndarray:
-    """Constraint values, shape (C,)."""
+    """Constraint values (..., C) at positions (..., d, n).
+
+    Evaluated from the geometry (|u - w|^2 - s and X g - const), not from the
+    affine Jacobian map, so that map can be checked against it.
+    """
     cs = topology.constraint_set
-    out = np.zeros(cs.n_rows)
+    out = np.zeros(X.shape[:-2] + (cs.n_rows,))
     if cs.quads:
         U, W = cs.endpoint_positions(X)
-        out[cs._q_rows] = ((U - W) ** 2).sum(axis=0) - cs._q_target
+        out[..., cs._q_rows] = ((U - W) ** 2).sum(axis=-2) - cs._q_target
     for blk in cs.blocks:
-        out[blk.row:blk.row + cs.dim] = X @ blk.coeff - blk.const
+        out[..., blk.row:blk.row + cs.dim] = X @ blk.coeff - blk.const
     return out
 
 
@@ -283,15 +286,16 @@ def jacobian_phi(topology, X: np.ndarray) -> np.ndarray:
 
 
 def phidot(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
-    """Velocity-level constraint DPhi(X) vec(Xdot), shape (C,)."""
+    """Velocity-level constraint DPhi(X) vec(Xdot), shape (..., C), written
+    out from the geometry like phi."""
     cs = topology.constraint_set
-    out = np.zeros(cs.n_rows)
+    out = np.zeros(X.shape[:-2] + (cs.n_rows,))
     if cs.quads:
         U, W = cs.endpoint_positions(X)
         dU, dW = cs.endpoint_velocities(Xdot)
-        out[cs._q_rows] = 2.0 * ((U - W) * (dU - dW)).sum(axis=0)
+        out[..., cs._q_rows] = 2.0 * ((U - W) * (dU - dW)).sum(axis=-2)
     for blk in cs.blocks:
-        out[blk.row:blk.row + cs.dim] = Xdot @ blk.coeff
+        out[..., blk.row:blk.row + cs.dim] = Xdot @ blk.coeff
     return out
 
 

@@ -48,8 +48,8 @@ from .topology import SystemTopology
 
 
 class ZeroPotential:
-    def value(self, X: np.ndarray) -> float:
-        return 0.0
+    def value(self, X: np.ndarray):
+        return np.zeros(X.shape[:-2])[()]
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         return np.zeros_like(X)
@@ -204,11 +204,12 @@ def convert_flavor(ctx: DynamicsContext, z: np.ndarray, to: str) -> np.ndarray:
     return np.concatenate([flatten_matrix(X), flatten_matrix(Z @ M)], axis=-1)
 
 
-def energy(ctx: DynamicsContext, z: np.ndarray) -> float:
-    """Total energy H = T + V of a flat state in the context's flavor."""
-    X, Z = ctx.split(z)
+def energy(ctx: DynamicsContext, z: np.ndarray):
+    """Total energy H = T + V of flat states (..., 2dn) in the context's
+    flavor, shape (...); a scalar for one state."""
+    X, Z = ctx.split(np.asarray(z, dtype=float))
     if ctx.flavor == HAMILTONIAN:
         T = hamiltonian_kinetic(Z, ctx.mass)
     else:
         T = kinetic_energy(Z, ctx.mass)
-    return T + float(ctx.potential.value(X))
+    return T + ctx.potential.value(X)

@@ -3,6 +3,10 @@
 All curves are per-time-sample vectors over a trajectory; the headline number
 is the geometric mean over time, which weights every decade of compounding
 error equally instead of letting the final blow-up dominate.
+
+The per-state metrics take flat states with leading batch axes, (..., 2dn) ->
+(...), for one trajectory (T, 2dn) or a test set (N, T, 2dn) alike; each row
+is computed exactly as it would be alone.
 """
 from __future__ import annotations
 
@@ -55,8 +59,8 @@ def energy_error(system, pred: np.ndarray, truth: np.ndarray,
                  flavor: str = LAGRANGIAN) -> np.ndarray:
     """Bounded relative energy error |H(pred) - H(truth)| / (|H(pred)| + |H(truth)|)."""
     ctx = system.context(flavor)
-    e_pred = np.array([energy(ctx, s) for s in np.atleast_2d(pred)])
-    e_true = np.array([energy(ctx, s) for s in np.atleast_2d(truth)])
+    e_pred = energy(ctx, np.atleast_2d(pred))
+    e_true = energy(ctx, np.atleast_2d(truth))
     num = np.abs(e_pred - e_true)
     den = np.abs(e_pred) + np.abs(e_true)
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
@@ -67,14 +71,9 @@ def constraint_rmse_curve(system, states: np.ndarray) -> np.ndarray:
     states = np.atleast_2d(np.asarray(states, dtype=float))
     topo = system.topology
     if topo.constraint_set.n_rows == 0:
-        return np.zeros(states.shape[0])
-    d = topo.dim
-    dn = states.shape[1] // 2
-    out = np.empty(states.shape[0])
-    for i, row in enumerate(states):
-        vals = phi(topo, unflatten_matrix(row[:dn], d))
-        out[i] = np.sqrt(np.mean(vals ** 2))
-    return out
+        return np.zeros(states.shape[:-1])
+    vals = phi(topo, unflatten_matrix(states[..., :states.shape[-1] // 2], topo.dim))
+    return np.sqrt(np.mean(vals ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,9 @@ def evaluate_rollout(system, preds: np.ndarray, truth: np.ndarray,
     times = np.asarray(times, dtype=float)
     if preds.shape != truth.shape:
         raise ShapeError(f"prediction/truth shapes differ: {preds.shape} vs {truth.shape}")
-    rel = np.mean([relative_error(p, s) for p, s in zip(preds, truth)], axis=0)
-    en = np.mean([energy_error(system, p, s) for p, s in zip(preds, truth)], axis=0)
-    ph = np.mean([constraint_rmse_curve(system, p) for p in preds], axis=0)
+    rel = np.mean(relative_error(preds, truth), axis=0)
+    en = np.mean(energy_error(system, preds, truth), axis=0)
+    ph = np.mean(constraint_rmse_curve(system, preds), axis=0)
     return EvalResult(times, rel, en, ph,
                       geometric_mean(rel, times), geometric_mean(en, times),
                       geometric_mean(ph, times))

@@ -38,7 +38,6 @@ class DynamicsModel:
         self.system = system
         self.hidden = tuple(int(h) for h in hidden)
         self.cartesian_dim = 2 * system.topology.dn
-        self.state_dim = self.cartesian_dim
 
     # -- implemented by subclasses; nodes or arrays --
     def init_params(self, rng: np.random.Generator) -> ad.ParamStore:
@@ -205,22 +204,16 @@ class _AngularModel(DynamicsModel):
             raise ValueError(f"{self.kind} requires a pendulum chain, got {system.name!r}")
         super().__init__(system, hidden)
         self.n_angles = system.config.n
-        self.state_dim = 2 * self.n_angles
         self._lengths = np.asarray(system.config.lengths)
         # prefix-sum matrix: chain position j sums contributions of joints <= j
         self._cumsum_T = np.tril(np.ones((self.n_angles, self.n_angles))).T.copy()
 
     def encode(self, xv: np.ndarray) -> np.ndarray:
         xv = np.atleast_2d(xv)
-        dn = xv.shape[1] // 2
-        out = np.empty((xv.shape[0], self.state_dim))
-        for i, row in enumerate(xv):
-            X = unflatten_matrix(row[:dn], 2)
-            V = unflatten_matrix(row[dn:], 2)
-            q, qdot = pendulum_angles(X, V, self._lengths)
-            out[i, :self.n_angles] = q
-            out[i, self.n_angles:] = qdot
-        return out
+        dn = xv.shape[-1] // 2
+        q, qdot = pendulum_angles(unflatten_matrix(xv[..., :dn], 2),
+                                  unflatten_matrix(xv[..., dn:], 2), self._lengths)
+        return np.concatenate([q, qdot], axis=-1)
 
     def _embed_node(self, q, qdot):
         """Differentiable chain embedding (q, qdot) -> flat (x, xdot)."""

@@ -99,18 +99,14 @@ def pendulum_embed(q, qdot, lengths) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pendulum_angles(X: np.ndarray, V: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of pendulum_embed: (q, qdot) from Cartesian matrices."""
+    """Inverse of pendulum_embed: (q, qdot) of shape (..., n) from Cartesian
+    matrices (..., 2, n)."""
     l = np.asarray(lengths, dtype=float)
-    rel = np.diff(np.concatenate([np.zeros((2, 1)), X], axis=1), axis=1)
-    rel_v = np.diff(np.concatenate([np.zeros((2, 1)), V], axis=1), axis=1)
-    q = np.arctan2(rel[0], -rel[1])
-    qdot = (rel[0] * rel_v[1] - rel[1] * rel_v[0]) / l ** 2
+    rel = np.diff(X, axis=-1, prepend=0.0)
+    rel_v = np.diff(V, axis=-1, prepend=0.0)
+    q = np.arctan2(rel[..., 0, :], -rel[..., 1, :])
+    qdot = (rel[..., 0, :] * rel_v[..., 1, :] - rel[..., 1, :] * rel_v[..., 0, :]) / l ** 2
     return q, qdot
-
-
-def unwrap_angles(q_series: np.ndarray) -> np.ndarray:
-    """Make an angle time series continuous (time along axis 0)."""
-    return np.unwrap(np.asarray(q_series, dtype=float), axis=0)
 
 
 # -- heavy symmetric top in ZXZ Euler angles ------------------------------------

@@ -3,11 +3,10 @@
 A state is a pair of (d, n) matrices: positions X and either momenta P
 (Hamiltonian flavor) or velocities V (Lagrangian flavor).  The flat layout is
 z = (vec(X), vec(P or V)) with column-major vec, i.e. grouped point by point,
-and the symplectic form acts on it as J = [[0, I_dn], [-I_dn, 0]].
+and the symplectic form acts on it as J = [[0, I_dn], [-I_dn, 0]].  Many
+states stack on leading batch axes, (..., d, n) and (..., 2dn).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,36 +14,6 @@ from .errors import ShapeError
 
 HAMILTONIAN = "hamiltonian"
 LAGRANGIAN = "lagrangian"
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Immutable (X, P-or-V) pair with a flavor tag."""
-
-    X: np.ndarray
-    Z: np.ndarray
-    flavor: str = HAMILTONIAN
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Z = np.asarray(self.Z, dtype=float)
-        if X.shape != Z.shape or X.ndim != 2:
-            raise ShapeError(f"state matrices must share a (d, n) shape, got {X.shape} and {Z.shape}")
-        if self.flavor not in (HAMILTONIAN, LAGRANGIAN):
-            raise ShapeError(f"unknown flavor {self.flavor!r}")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Z", Z)
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_points(self) -> int:
-        return self.X.shape[1]
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([flatten_matrix(self.X), flatten_matrix(self.Z)])
 
 
 def flatten_matrix(A: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Benchmark systems: configs, potentials, builders, and on-manifold samplers.
 
 Five ground-truth systems share one recipe: a topology of point masses or
-extended bodies, a block-diagonal mass model, a potential with value (of one
-(d, n) position matrix) and grad (of positions (..., d, n) with any leading
-batch axes), and a seeded sampler that embeds generalized coordinates so
-every sampled state satisfies Phi = 0 and Phid = 0 by construction.
+extended bodies, a block-diagonal mass model, a potential with value and grad
+of positions (..., d, n) with any leading batch axes (value has shape (...),
+a scalar for one (d, n) matrix), and a seeded sampler that embeds
+generalized coordinates so every sampled state satisfies Phi = 0 and
+Phid = 0 by construction.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .oracles import (
     rotation_zxz,
     skew,
 )
-from .states import HAMILTONIAN, PhaseState
+from .states import HAMILTONIAN, flatten_matrix
 from .topology import SystemTopology
 
 EPS_SPRING = 1e-9
@@ -48,7 +49,7 @@ EPS_FIELD = 1e-6
 
 
 def _flat_state(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    return PhaseState(X, P, HAMILTONIAN).flat()
+    return np.concatenate([flatten_matrix(X), flatten_matrix(P)], axis=-1)
 
 
 # -- potentials ------------------------------------------------------------------
@@ -61,8 +62,8 @@ class LinearGravity:
         self.axis = int(axis)
         self.g = float(g)
 
-    def value(self, X: np.ndarray) -> float:
-        return float(self.g * self.weights @ X[self.axis])
+    def value(self, X: np.ndarray):
+        return np.vecdot(X[..., self.axis, :], self.g * self.weights)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros_like(X)
@@ -78,12 +79,12 @@ class SpringChain:
         self.k = float(k)
         self.rest = float(rest)
 
-    def value(self, X: np.ndarray) -> float:
-        total = 0.0
+    def value(self, X: np.ndarray):
+        total = np.zeros(X.shape[:-2])
         for i, j in self.pairs:
-            r = float(np.linalg.norm(X[:, i] - X[:, j]))
-            total += 0.5 * self.k * (r - self.rest) ** 2
-        return total
+            d = X[..., :, i] - X[..., :, j]
+            total += 0.5 * self.k * np.square(np.sqrt(np.vecdot(d, d)) - self.rest)
+        return total[()]
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros_like(X)
@@ -156,10 +157,10 @@ class DipolePotential:
         field, along = _dipole(r, self.moments, (x / norm)[..., None, :])
         return norm, field.sum(axis=-2), along.sum(axis=-2)
 
-    def value(self, X: np.ndarray) -> float:
-        x = X[:, 0]
+    def value(self, X: np.ndarray):
+        x = X[..., :, 0]
         norm, field, _ = self._field(x)
-        return float(self.strength * (x @ field) / norm[0])
+        return self.strength * np.vecdot(x, field) / norm[..., 0]
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         x = X[..., :, 0]
@@ -176,7 +177,7 @@ class SumPotential:
     def __init__(self, *parts):
         self.parts = tuple(parts)
 
-    def value(self, X: np.ndarray) -> float:
+    def value(self, X: np.ndarray):
         return sum(p.value(X) for p in self.parts)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
@@ -342,16 +343,11 @@ class System:
             return self.sampler(rng)
         return np.stack([self.sampler(rng) for _ in range(count)])
 
-    def energy(self, z: np.ndarray) -> float:
+    def energy(self, z: np.ndarray):
         return energy(self.context(), z)
 
     def dynamics(self, z: np.ndarray) -> np.ndarray:
         return constrained_dynamics(self.context(), z)
-
-
-def sample_initial_conditions(system: System, rng: np.random.Generator,
-                              count: int | None = None) -> np.ndarray:
-    return system.sample(rng, count)
 
 
 def disable_system_constraints(system: System, indices) -> System:

@@ -178,7 +178,3 @@ def write_history(history: np.ndarray, path) -> None:
         fh.write("epoch,loss,lr\n")
         for epoch, loss, lr in np.asarray(history):
             fh.write(f"{int(epoch)},{loss:.17g},{lr:.17g}\n")
-
-
-def read_history(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

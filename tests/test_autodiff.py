@@ -249,6 +249,7 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.names() == store.names()
     for name in store.names():
+        assert loaded[name].shape == store[name].shape  # a 0-d value stays 0-d
         np.testing.assert_array_equal(loaded[name], store[name])
     # Byte-identical on re-save.
     path2 = tmp_path / "model2.ckpt"

@@ -10,7 +10,6 @@ from cartmech.bodies import (
     kinetic_energy,
     mass_block,
     mass_block_inverse,
-    momentum_to_velocity,
     velocity_to_momentum,
 )
 from cartmech.errors import ParameterDomainError
@@ -84,7 +83,7 @@ def test_momentum_velocity_roundtrip():
     mass = assemble_mass_matrix([BodySpec.rigid(1.3, (0.2, 0.7, 1.1)), BodySpec.point(0.8)])
     V = rng.normal(size=(3, 5))
     P = velocity_to_momentum(V, mass)
-    np.testing.assert_allclose(momentum_to_velocity(P, mass), V, atol=1e-12)
+    np.testing.assert_allclose(P @ mass.inverse, V, atol=1e-12)
     np.testing.assert_allclose(hamiltonian_kinetic(P, mass), kinetic_energy(V, mass), rtol=1e-12)
 
 

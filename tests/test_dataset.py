@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cartmech.autodiff import load_checkpoint, save_checkpoint
 from cartmech.dataset import (
     CHUNK_STATES,
     Dataset,
@@ -18,6 +19,7 @@ from cartmech.dataset import (
 from cartmech.errors import FormatError, IntegrationError
 from cartmech.integrators import Tolerances
 from cartmech.metrics import constraint_rmse_curve
+from cartmech.models import build_model
 from cartmech.systems import build_system
 
 TOL = Tolerances(1e-7, 1e-9)
@@ -135,6 +137,31 @@ def poisoned(system, bad_draws):
         return np.full_like(z, np.inf) if draws[index] <= bad_draws.get(index, 0) else z
 
     return replace(system, sampler=sampler), draws
+
+
+def test_byte_mutations_load_or_raise_format_error(tmp_path):
+    # seeded single-byte mutations of a small checkpoint, a dataset manifest
+    # and its payload: each file either loads or raises FormatError
+    rng = np.random.default_rng(31)
+    system = build_system("npendulum", n=2)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model("chnn", system, hidden=(3,)).init_params(rng), ckpt)
+    directory = tmp_path / "ds"
+    save_dataset(small_train(1, seed=4), directory)
+    cases = ((ckpt, lambda: load_checkpoint(ckpt), 3000),
+             (directory / "manifest.json", lambda: load_dataset(directory), 1000),
+             (directory / "payload.bin", lambda: load_dataset(directory), 200))
+    for path, load, count in cases:
+        raw = path.read_bytes()
+        for _ in range(count):
+            mutated = bytearray(raw)
+            mutated[rng.integers(len(raw))] = rng.integers(256)
+            path.write_bytes(mutated)
+            try:
+                load()
+            except FormatError:
+                pass
+        path.write_bytes(raw)
 
 
 def test_integration_failures_resample_up_to_three_retries():

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from conftest import fd_jacobian
@@ -17,6 +19,7 @@ from cartmech.dynamics import (
 )
 from cartmech.errors import DegenerateConfigurationError
 from cartmech.integrators import Tolerances, integrate_adaptive
+from cartmech.metrics import constraint_rmse_curve
 from cartmech.states import HAMILTONIAN, LAGRANGIAN, flatten_matrix, symplectic_apply
 from cartmech.systems import build_system, system_names
 
@@ -125,20 +128,47 @@ def test_field_matches_projection_oracle_on_every_system(name):
         assert np.linalg.norm(flatten_matrix(xddot) - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+def _assert_rows_equal_single_calls(fn, *args, scalar=True):
+    """fn over (64,) and (8, 8) leading axes equals fn on each row, bitwise."""
+    single = [fn(*row) for row in zip(*args)]
+    if scalar:
+        assert all(np.isscalar(value) for value in single)
+    single = np.stack(single)
+    for lead in ((64,), (8, 8)):
+        batch = fn(*(a.reshape(lead + a.shape[1:]) for a in args))
+        assert batch.shape == lead + single.shape[1:]
+        assert np.array_equal(batch, single.reshape(batch.shape))
+
+
 @pytest.mark.parametrize("name", system_names())
 def test_batched_field_rows_equal_single_calls_bitwise(name):
-    # a row's value must not depend on the size or content of its batch
-    system = build_system(name)
-    rng = np.random.default_rng(23)
-    Z = np.stack([system.sample(rng) for _ in range(64)])
-    for flavor in (HAMILTONIAN, LAGRANGIAN):
-        ctx = system.context(flavor)
-        W = convert_flavor(system.context(), Z, flavor)
-        single = np.stack([constrained_dynamics(ctx, w) for w in W])
-        for B in (1, 7, 64):
-            batch = constrained_dynamics(ctx, W[:B])
-            assert batch.shape == (B, W.shape[1])
-            assert np.array_equal(batch, single[:B])
+    # a row's value must not depend on the size or content of its batch, for
+    # the field and for every per-state function the metrics call
+    systems = [build_system(name)]
+    if name == "npendulum":
+        systems.append(build_system(name, n=5))
+    for system in systems:
+        rng = np.random.default_rng(23)
+        Z = np.stack([system.sample(rng) for _ in range(64)])
+        for flavor in (HAMILTONIAN, LAGRANGIAN):
+            ctx = system.context(flavor)
+            W = convert_flavor(system.context(), Z, flavor)
+            single = np.stack([constrained_dynamics(ctx, w) for w in W])
+            for B in (1, 7, 64):
+                batch = constrained_dynamics(ctx, W[:B])
+                assert batch.shape == (B, W.shape[1])
+                assert np.array_equal(batch, single[:B])
+            # off the manifold, so the constraint values are not all zero
+            W = W + 1e-2 * rng.normal(size=W.shape)
+            _assert_rows_equal_single_calls(partial(energy, ctx), W)
+        X, V = ctx.split(W)  # the Lagrangian flavor's, so V is a velocity
+        _assert_rows_equal_single_calls(system.potential.value, X)
+        _assert_rows_equal_single_calls(partial(phi, system.topology), X, scalar=False)
+        _assert_rows_equal_single_calls(partial(phidot, system.topology), X, V, scalar=False)
+        curve = constraint_rmse_curve(system, W.reshape(8, 8, -1))
+        assert curve.shape == (8, 8)
+        assert np.array_equal(curve.ravel(),
+                              np.concatenate([constraint_rmse_curve(system, w) for w in W]))
 
 
 def test_unconstrained_is_free_fall():

@@ -19,7 +19,6 @@ from cartmech.oracles import (
     rotation_zxz,
     skew,
     two_pendulum_closed_form,
-    unwrap_angles,
 )
 
 from conftest import fd_jacobian
@@ -96,14 +95,19 @@ def test_pendulum_embed_angle_roundtrip():
     q2, qd2 = pendulum_angles(X, V, lengths)
     assert np.abs(q - q2).max() < 1e-12
     assert np.abs(qdot - qd2).max() < 1e-12
-
-
-def test_unwrap_angles_removes_jumps():
-    t = np.linspace(0.0, 4.0 * np.pi, 200)
-    wrapped = np.angle(np.exp(1j * t))[:, None]
-    cont = unwrap_angles(wrapped)
-    assert np.abs(np.diff(cont, axis=0)).max() < 0.1
-    assert abs(cont[-1, 0] - t[-1]) < 1e-9
+    # a (B, 2, n) stack: each row as if alone
+    Q = rng.uniform(-np.pi, np.pi, (6, 3))
+    Qdot = rng.normal(size=(6, 3))
+    embedded = [pendulum_embed(qi, qdi, lengths) for qi, qdi in zip(Q, Qdot)]
+    Xs = np.stack([e[0] for e in embedded])
+    Vs = np.stack([e[1] for e in embedded])
+    q3, qd3 = pendulum_angles(Xs, Vs, lengths)
+    assert q3.shape == qd3.shape == (6, 3)
+    for k in range(6):
+        qk, qdk = pendulum_angles(Xs[k], Vs[k], lengths)
+        assert np.array_equal(q3[k], qk) and np.array_equal(qd3[k], qdk)
+    assert np.abs(Q - q3).max() < 1e-12
+    assert np.abs(Qdot - qd3).max() < 1e-12
 
 
 def test_gyroscope_inertia_frozen():

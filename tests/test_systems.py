@@ -22,7 +22,6 @@ from cartmech.systems import (
     embed_generalized,
     generalized_coordinates,
     generalized_oracle,
-    sample_initial_conditions,
     system_from_dict,
     system_names,
     system_to_dict,
@@ -89,8 +88,8 @@ def test_samplers_stay_on_manifold(name):
 
 def test_sampler_deterministic_per_seed():
     system = build_system("magnet")
-    a = sample_initial_conditions(system, np.random.default_rng(42), 3)
-    b = sample_initial_conditions(system, np.random.default_rng(42), 3)
+    a = system.sample(np.random.default_rng(42), 3)
+    b = system.sample(np.random.default_rng(42), 3)
     assert np.array_equal(a, b)
 
 
