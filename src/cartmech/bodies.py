@@ -6,6 +6,10 @@ mass followed by the tips of its principal axes.  With X = [x_cm, x_1, .., x_d]
 R = X Delta, the kinetic energy is Tr(Xdot M Xdot^T)/2 for a constant per-body
 mass block M built from the total mass m and the principal second moments
 lambda_i.  Point masses are the 0-dimensional special case with M = [m].
+
+mass_blocks and block_diag are written once in autodiff ops: the ground truth
+assembles its M and M^-1 from them with each BodySpec's arrays, and CHNN and
+CLNN build their learned M and M^-1 from them with tape nodes.
 """
 from __future__ import annotations
 
@@ -78,35 +82,38 @@ def body_point_coeffs(body: BodySpec, c) -> np.ndarray:
     return e0 + delta_matrix(body.ndim) @ c
 
 
-def mass_block(body: BodySpec) -> np.ndarray:
-    """Per-body mass block M of shape (n_points, n_points).
+def mass_blocks(m, lam=None) -> tuple:
+    """Per-body mass block M and its closed-form inverse, as arrays or tape nodes.
 
-    For an extended body
+    m is the total mass and lam the principal second moments (d,) of an
+    extended body, None for a point mass, where M = [m].  Otherwise
         M = m [[1 + sum(lam), -lam^T], [-lam, diag(lam)]]
+        M^-1 = (ones + diag(0, 1/lam)) / m
     which reproduces Tr(Xdot M Xdot^T)/2 = m|xdot_cm|^2/2 + m Tr(Rdot S Rdot^T)/2
-    with S = diag(lam).
+    with S = diag(lam); both are SPD for any positive m and lam.
     """
-    m = body.mass
-    if body.ndim == 0:
-        return np.array([[m]])
-    lam = np.asarray(body.moments)
-    top = np.concatenate([[1.0 + lam.sum()], -lam])
-    block = np.zeros((body.ndim + 1, body.ndim + 1))
-    block[0] = top
-    block[1:, 0] = -lam
-    block[1:, 1:] = np.diag(lam)
-    return m * block
+    if lam is None:
+        return ad.reshape(m, (1, 1)), ad.reshape(ad.div(1.0, m), (1, 1))
+    d = lam.shape[0]
+    top = ad.concat([ad.reshape(ad.add(1.0, ad.reduce_sum(lam)), (1, 1)),
+                     ad.reshape(ad.neg(lam), (1, d))], axis=1)
+    bottom = ad.concat([ad.reshape(ad.neg(lam), (d, 1)), ad.mul(lam, np.eye(d))], axis=1)
+    inv_diag = ad.concat([np.zeros(1), ad.div(1.0, lam)], axis=0)
+    inv = ad.add(np.ones((d + 1, d + 1)), ad.mul(inv_diag, np.eye(d + 1)))
+    return ad.mul(ad.concat([top, bottom], axis=0), m), ad.div(inv, m)
 
 
-def mass_block_inverse(body: BodySpec) -> np.ndarray:
-    """Closed-form inverse of mass_block: (1/m) (ones + diag(0, 1/lam))."""
-    m = body.mass
-    if body.ndim == 0:
-        return np.array([[1.0 / m]])
-    lam = np.asarray(body.moments)
-    inv = np.ones((body.ndim + 1, body.ndim + 1))
-    inv[1:, 1:] += np.diag(1.0 / lam)
-    return inv / m
+def block_diag(blocks):
+    """Blocks B_k on one diagonal, arrays or tape nodes: sum of P_k^T B_k P_k,
+    P_k rows of the identity."""
+    eye = np.eye(sum(block.shape[0] for block in blocks))
+    out, at = None, 0
+    for block in blocks:
+        place = eye[at:at + block.shape[0]]
+        term = ad.matmul(ad.matmul(place.T, block), place)
+        out = term if out is None else ad.add(out, term)
+        at += block.shape[0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,17 +130,8 @@ class MassModel:
 
 def assemble_mass_matrix(bodies) -> MassModel:
     """Block-diagonal M and its closed-form inverse for a list of BodySpec."""
-    n = sum(b.n_points for b in bodies)
-    M = np.zeros((n, n))
-    Minv = np.zeros((n, n))
-    at = 0
-    for body in bodies:
-        k = body.n_points
-        sl = slice(at, at + k)
-        M[sl, sl] = mass_block(body)
-        Minv[sl, sl] = mass_block_inverse(body)
-        at += k
-    return MassModel(matrix=M, inverse=Minv)
+    blocks = [mass_blocks(b.mass, np.asarray(b.moments) if b.ndim else None) for b in bodies]
+    return MassModel(*(block_diag(side) for side in zip(*blocks)))
 
 
 def kinetic_energy(V: np.ndarray, mass: MassModel):

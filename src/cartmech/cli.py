@@ -13,7 +13,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -40,12 +40,7 @@ from .integrators import Tolerances, integrate_adaptive
 from .metrics import constraint_rmse_curve, energy_error, evaluate_model
 from .models import MODEL_KINDS, build_model
 from .states import LAGRANGIAN
-from .systems import (
-    SYSTEM_BUILDERS,
-    build_system,
-    disable_system_constraints,
-    system_names,
-)
+from .systems import build_system, disable_system_constraints, system_names, system_to_dict
 from .training import TrainConfig, train, write_history
 
 DEFAULT_CONFIG = {
@@ -53,12 +48,9 @@ DEFAULT_CONFIG = {
     "data": {"n_traj": 200, "steps": 100, "dt": 0.03, "rtol": 1e-7, "atol": 1e-9,
              "seed": 0},
     "model": {"kind": "chnn", "hidden": [256, 256, 256]},
-    "train": {"epochs": 2000, "batch_size": 200, "lr": 3e-3, "weight_decay": 1e-4,
-              "substeps": 1, "seed": 0, "checkpoint_every": 0, "max_bad_steps": 10},
+    "train": asdict(TrainConfig()),
     "eval": {"horizon": 3.0, "n_test": 20, "seed": 1000000},
 }
-
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 # -- config handling ------------------------------------------------------------------
@@ -78,32 +70,20 @@ def _check_value(path: str, value, default) -> None:
 
 
 def _resolve_system(doc: dict) -> dict:
+    """The system section with every default made explicit, from the system
+    built once (so parameter names and domains are enforced), without dt."""
     if not isinstance(doc, dict):
         raise SchemaError("system: expected an object")
     doc = dict(doc)
     kind = doc.pop("kind", DEFAULT_CONFIG["system"]["kind"])
-    if kind not in SYSTEM_BUILDERS:
-        raise SchemaError(f"system.kind: unknown system {kind!r}; choose from {system_names()}")
-    cfg_cls = SYSTEM_BUILDERS[kind][0]
-    known = {f.name for f in fields(cfg_cls)} - {"dt"}
-    for key in doc:
-        if key == "dt":
-            raise SchemaError("system.dt: the time step belongs under data.dt")
-        if key not in known:
-            raise SchemaError(f"system.{key}: unknown parameter for {kind!r}")
-    # build once so parameter domains are enforced, then re-serialize with
-    # every default made explicit
-    resolved = asdict(cfg_cls(**doc))
+    if "dt" in doc:
+        raise SchemaError("system.dt: the time step belongs under data.dt")
+    try:
+        resolved = system_to_dict(build_system(kind, **doc))
+    except (TypeError, ValueError) as err:
+        raise SchemaError(f"system: {err}") from None
     resolved.pop("dt")
-    out = {"kind": kind}
-    out.update({k: _jsonable(v) for k, v in sorted(resolved.items())})
-    return out
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
+    return resolved
 
 
 def resolve_config(doc: dict | None) -> dict:
@@ -182,7 +162,7 @@ def _model_from_config(cfg: dict, system):
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(**{k: v for k, v in cfg["train"].items() if k in _TRAIN_KEYS})
+    return TrainConfig(**cfg["train"])
 
 
 # -- subcommands ----------------------------------------------------------------------

@@ -174,6 +174,9 @@ def load_dataset(directory) -> Dataset:
         raise FormatError(f"{path}: unsupported payload layout {layout}")
     t_shape = _shape(manifest, "times_shape", path)
     s_shape = _shape(manifest, "states_shape", path)
+    if len(t_shape) != 2 or len(s_shape) != 3 or s_shape[:2] != t_shape:
+        raise FormatError(f"{path}: times_shape {list(t_shape)} and states_shape "
+                          f"{list(s_shape)} are not (N, T) and (N, T, D)")
     tolerances = _entry(manifest, "tolerances", dict, path)
     tol = Tolerances(float(_entry(tolerances, "rtol", (int, float), path)),
                      float(_entry(tolerances, "atol", (int, float), path)))

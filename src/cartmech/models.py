@@ -5,19 +5,20 @@ Every method takes `leaves` (parameter name -> tape node or array) and a
 runs on the tape (training: one tape per loss) and on plain arrays
 (evaluation: no tape but input_gradient's private one).  CHNN and CLNN keep
 the system's known constraints, learn per-body masses plus an MLP potential,
-and use the ground truth's own constrained fields; NODE learns the flat
-vector field; HNN2D learns a Hamiltonian in joint angles with a
-Cholesky-parametrized inverse mass (pendulum chains only).  Data is
-Cartesian (x, xdot), so each model converts into and out of its own state.
+and use the ground truth's own mass blocks and constrained fields; NODE
+learns the flat vector field; HNN2D learns a Hamiltonian in joint angles with
+a Cholesky-parametrized inverse mass (pendulum chains only).  Data is
+Cartesian (x, xdot), so each model converts into and out of its own state;
+the angle models decode through the ground truth's chain embedding.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .bodies import apply_on_points
+from .bodies import apply_on_points, block_diag, mass_blocks
 from .dynamics import constrained_hamiltonian_field, constrained_lagrangian_field
-from .oracles import pendulum_angles
+from .oracles import pendulum_angles, pendulum_embed
 from .states import unflatten_matrix
 
 
@@ -79,42 +80,13 @@ def _mass_param_init(store: ad.ParamStore, bodies) -> None:
             store.add(f"mass.log_lam{k}", np.zeros(body.ndim))
 
 
-def _block_diag(blocks: list):
-    """Blocks B_k on one diagonal: sum of P_k^T B_k P_k, P_k rows of the identity."""
-    eye = np.eye(sum(block.shape[0] for block in blocks))
-    out, at = None, 0
-    for block in blocks:
-        place = eye[at:at + block.shape[0]]
-        term = ad.matmul(ad.matmul(place.T, block), place)
-        out = term if out is None else ad.add(out, term)
-        at += block.shape[0]
-    return out
-
-
 def _mass_nodes(leaves: dict, bodies) -> tuple:
-    """Learned (M, M^-1) from per-body log-mass and log-moment parameters.
-
-    Extended bodies use the same closed forms as the ground-truth assembly,
-    so both matrices are SPD for any parameter values.
-    """
-    blocks, inv_blocks = [], []
-    for k, body in enumerate(bodies):
-        m = ad.exp(leaves[f"mass.log_m{k}"])
-        if body.ndim == 0:
-            blocks.append(ad.reshape(m, (1, 1)))
-            inv_blocks.append(ad.reshape(ad.div(1.0, m), (1, 1)))
-            continue
-        d = body.ndim
-        lam = ad.exp(leaves[f"mass.log_lam{k}"])
-        top = ad.concat([ad.reshape(ad.add(1.0, ad.reduce_sum(lam)), (1, 1)),
-                         ad.reshape(ad.neg(lam), (1, d))], axis=1)
-        bottom = ad.concat([ad.reshape(ad.neg(lam), (d, 1)),
-                            ad.mul(lam, np.eye(d))], axis=1)
-        blocks.append(ad.mul(ad.concat([top, bottom], axis=0), m))
-        inv_diag = ad.concat([np.zeros(1), ad.div(1.0, lam)], axis=0)
-        inv = ad.add(np.ones((d + 1, d + 1)), ad.mul(inv_diag, np.eye(d + 1)))
-        inv_blocks.append(ad.div(inv, m))
-    return _block_diag(blocks), _block_diag(inv_blocks)
+    """Learned (M, M^-1): bodies.mass_blocks of exp of each body's log-mass and
+    log-moment parameters, so both matrices are SPD for any parameter values."""
+    blocks = [mass_blocks(ad.exp(leaves[f"mass.log_m{k}"]),
+                          ad.exp(leaves[f"mass.log_lam{k}"]) if body.ndim else None)
+              for k, body in enumerate(bodies)]
+    return tuple(block_diag(side) for side in zip(*blocks))
 
 
 class _ConstrainedModel(DynamicsModel):
@@ -205,8 +177,6 @@ class _AngularModel(DynamicsModel):
         super().__init__(system, hidden)
         self.n_angles = system.config.n
         self._lengths = np.asarray(system.config.lengths)
-        # prefix-sum matrix: chain position j sums contributions of joints <= j
-        self._cumsum_T = np.tril(np.ones((self.n_angles, self.n_angles))).T.copy()
 
     def encode(self, xv: np.ndarray) -> np.ndarray:
         xv = np.atleast_2d(xv)
@@ -216,21 +186,10 @@ class _AngularModel(DynamicsModel):
         return np.concatenate([q, qdot], axis=-1)
 
     def _embed_node(self, q, qdot):
-        """Differentiable chain embedding (q, qdot) -> flat (x, xdot)."""
-        B = q.shape[0]
-        N = self.n_angles
-        l = self._lengths
-        s, c = ad.sin(q), ad.cos(q)
-        xs = ad.matmul(ad.mul(s, l), self._cumsum_T)
-        ys = ad.neg(ad.matmul(ad.mul(c, l), self._cumsum_T))
-        vxs = ad.matmul(ad.mul(ad.mul(c, l), qdot), self._cumsum_T)
-        vys = ad.matmul(ad.mul(ad.mul(s, l), qdot), self._cumsum_T)
-
-        def interleave(a, b):
-            stacked = ad.concat([ad.reshape(a, (B, N, 1)), ad.reshape(b, (B, N, 1))], axis=2)
-            return ad.reshape(stacked, (B, 2 * N))
-
-        return ad.concat([interleave(xs, ys), interleave(vxs, vys)], axis=1)
+        """Differentiable chain embedding (q, qdot) (B, N) -> flat (x, xdot) (B, 4N)."""
+        flat = (q.shape[0], 2 * self.n_angles)
+        return ad.concat([ad.reshape(ad.transpose(A), flat)
+                          for A in pendulum_embed(q, qdot, self._lengths)], axis=1)
 
 
 class NODEAngular(_AngularModel):

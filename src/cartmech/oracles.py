@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import GimbalLockError
 
 
@@ -88,13 +89,21 @@ def two_pendulum_closed_form(q, p, m1: float, m2: float, l1: float, l2: float,
     return np.array([q1dot, q2dot, p1dot, p2dot])
 
 
-def pendulum_embed(q, qdot, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Joint angles to Cartesian (X, Xdot), angle measured from hanging."""
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
+def pendulum_embed(q, qdot, lengths) -> tuple:
+    """Joint angles to Cartesian (X, Xdot), angle measured from hanging.
+
+    q and qdot (..., n) with any leading batch axes give X and Xdot of shape
+    (..., 2, n); arrays or tape nodes (the angle baselines decode through
+    this).  Each sum down the chain is one product with triu(ones), and the
+    rates enter as (l qdot) cos q.
+    """
+    q = q if isinstance(q, ad.Node) else np.asarray(q, dtype=float)
     l = np.asarray(lengths, dtype=float)
-    X = np.stack([np.cumsum(l * np.sin(q)), -np.cumsum(l * np.cos(q))])
-    V = np.stack([np.cumsum(l * qdot * np.cos(q)), np.cumsum(l * qdot * np.sin(q))])
+    down = np.triu(np.ones((l.size, l.size)))  # column j sums the links i <= j
+    row = q.shape[:-1] + (1, l.size)
+    s, c = ad.reshape(ad.sin(q), row), ad.reshape(ad.cos(q), row)
+    X = ad.matmul(ad.mul(ad.concat([s, ad.neg(c)], axis=-2), l), down)
+    V = ad.matmul(ad.mul(ad.concat([c, s], axis=-2), ad.reshape(ad.mul(l, qdot), row)), down)
     return X, V
 
 

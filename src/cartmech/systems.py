@@ -196,6 +196,17 @@ def _positive(name: str, values) -> tuple[float, ...]:
     return values
 
 
+def _chain_masses_and_lengths(cfg) -> None:
+    """Check a chain config's n and fill in unit masses and lengths (n each)."""
+    if cfg.n < 1:
+        raise ParameterDomainError(f"need at least one pendulum, got n={cfg.n}")
+    for name in ("masses", "lengths"):
+        values = _positive(name, getattr(cfg, name) or (1.0,) * cfg.n)
+        if len(values) != cfg.n:
+            raise ParameterDomainError("masses and lengths must have n entries")
+        object.__setattr__(cfg, name, values)
+
+
 @dataclass(frozen=True)
 class NPendulumConfig:
     """Planar chain of point masses linked anchor -> x1 -> ... -> xN."""
@@ -209,14 +220,7 @@ class NPendulumConfig:
     rate_std: float = 0.5
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterDomainError(f"need at least one pendulum, got n={self.n}")
-        object.__setattr__(self, "masses",
-                           _positive("masses", self.masses or (1.0,) * self.n))
-        object.__setattr__(self, "lengths",
-                           _positive("lengths", self.lengths or (1.0,) * self.n))
-        if len(self.masses) != self.n or len(self.lengths) != self.n:
-            raise ParameterDomainError("masses and lengths must have n entries")
+        _chain_masses_and_lengths(self)
         _positive("dt", (self.dt,))
 
 
@@ -236,14 +240,7 @@ class CoupledConfig:
     rate_std: float = 0.5
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterDomainError(f"need at least one pendulum, got n={self.n}")
-        object.__setattr__(self, "masses",
-                           _positive("masses", self.masses or (1.0,) * self.n))
-        object.__setattr__(self, "lengths",
-                           _positive("lengths", self.lengths or (1.0,) * self.n))
-        if len(self.masses) != self.n or len(self.lengths) != self.n:
-            raise ParameterDomainError("masses and lengths must have n entries")
+        _chain_masses_and_lengths(self)
         object.__setattr__(self, "pivot", tuple(float(v) for v in self.pivot))
         if len(self.pivot) != 3:
             raise ParameterDomainError("pivot must be a 3-vector")
@@ -329,7 +326,6 @@ class System:
     mass: MassModel
     potential: object
     sampler: Callable = field(repr=False, default=None)
-    n_coords: int = 0
 
     @property
     def dt(self) -> float:
@@ -376,7 +372,7 @@ def build_n_pendulum(config: NPendulumConfig | None = None, **overrides) -> Syst
         qdot = rng.normal(0.0, cfg.rate_std, cfg.n)
         return _pendulum_state(cfg, mass, q, qdot)
 
-    return System("npendulum", cfg, topology, mass, potential, sampler, n_coords=cfg.n)
+    return System("npendulum", cfg, topology, mass, potential, sampler)
 
 
 def build_coupled_pendulums(config: CoupledConfig | None = None, **overrides) -> System:
@@ -455,7 +451,7 @@ def build_gyroscope(config: GyroscopeConfig | None = None, **overrides) -> Syste
         v_cm = -R @ skew(omega_body) @ np.asarray(cfg.pivot_offset)
         return _rigid_body_state(mass, R, x_cm, v_cm, omega_body)
 
-    return System("gyroscope", cfg, topology, mass, potential, sampler, n_coords=3)
+    return System("gyroscope", cfg, topology, mass, potential, sampler)
 
 
 def build_rotor(config: RotorConfig | None = None, **overrides) -> System:
@@ -488,7 +484,6 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
 class GeneralizedOracle:
     """Reference dynamics in generalized coordinates w = (q, p)."""
 
-    n_coords: int
     dynamics: Callable = field(repr=False, default=None)
     energy: Callable = field(repr=False, default=None)
     mass_matrix: Callable = field(repr=False, default=None)
@@ -507,7 +502,6 @@ def generalized_oracle(system: System) -> GeneralizedOracle:
             return _pendulum_state(cfg, system.mass, q, qdot)
 
         return GeneralizedOracle(
-            cfg.n,
             dynamics=lambda w: pendulum_oracle_dynamics(w[:cfg.n], w[cfg.n:], m, l, g),
             energy=lambda w: pendulum_oracle_energy(w[:cfg.n], w[cfg.n:], m, l, g),
             mass_matrix=lambda q: pendulum_mass_matrix(q, m, l),
@@ -524,7 +518,6 @@ def generalized_oracle(system: System) -> GeneralizedOracle:
             return _flat_state(X, velocity_to_momentum(Xdot, system.mass))
 
         return GeneralizedOracle(
-            3,
             dynamics=lambda w: gyroscope_oracle_dynamics(
                 w[:3], w[3:], cfg.mass, cfg.moments, cfg.gravity),
             energy=lambda w: gyroscope_oracle_energy(

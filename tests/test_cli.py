@@ -77,6 +77,10 @@ def test_wrong_value_type_is_rejected():
     assert rc == 1
     assert "data.n_traj" in err
 
+    rc, _, err = run_cli("print-config", "--set", 'system.n="two"')
+    assert rc == 1
+    assert "system" in err
+
 
 def test_generate_writes_both_splits(workdir):
     for split in ("train", "test"):
@@ -195,6 +199,18 @@ def test_export_single_trajectory(workdir, tmp_path):
                          "--index", "5", "--out", str(out_csv))
     assert rc == 1
     assert "--index" in err
+
+    # times_shape edited from [2, 11] to [1, 22]: same payload size, but the
+    # shapes disagree, which is a format error rather than an IndexError
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    manifest = json.loads((workdir / "data" / "test" / "manifest.json").read_text())
+    manifest["times_shape"] = [1, 22]
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    (bad / "payload.bin").write_bytes((workdir / "data" / "test" / "payload.bin").read_bytes())
+    rc, _, err = run_cli("export", "--dataset", str(bad), "--index", "1", "--out", str(out_csv))
+    assert rc == 1
+    assert "times_shape" in err
 
 
 def test_ablation_breaks_constraint(workdir, tmp_path):

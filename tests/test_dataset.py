@@ -111,7 +111,10 @@ def test_load_rejects_missing_or_ill_typed_manifest_entries(tmp_path):
     broken += [dict(good, **{key: value}) for key, value in (
         ("times_shape", "2x5"), ("states_shape", [2, 5.0, 8]), ("dt", "0.03"),
         ("seed", 1.5), ("split", None), ("system", [1]), ("dtype", "<f4"),
-        ("order", "F"), ("tolerances", {"rtol": 1e-7}))]
+        ("order", "F"), ("tolerances", {"rtol": 1e-7}),
+        # the payload size still matches, but the shapes disagree
+        ("times_shape", [1, 10]), ("times_shape", [10]), ("states_shape", [2, 40]),
+        ("states_shape", [5, 2, 8]))]
     for manifest in broken:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError):

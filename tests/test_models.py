@@ -144,7 +144,7 @@ def test_angular_encode_inverts_embedding():
     np.testing.assert_allclose(enc[0], np.concatenate([q, qdot]), atol=1e-12)
     tape = ad.Tape()
     emb = model._embed_node(tape.constant(q[None]), tape.constant(qdot[None]))
-    np.testing.assert_allclose(emb.value, flat, atol=1e-12)
+    assert np.array_equal(emb.value, flat)
 
 
 def test_hnn2d_identity_networks_give_free_angle_flow():

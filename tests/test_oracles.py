@@ -99,8 +99,10 @@ def test_pendulum_embed_angle_roundtrip():
     Q = rng.uniform(-np.pi, np.pi, (6, 3))
     Qdot = rng.normal(size=(6, 3))
     embedded = [pendulum_embed(qi, qdi, lengths) for qi, qdi in zip(Q, Qdot)]
-    Xs = np.stack([e[0] for e in embedded])
-    Vs = np.stack([e[1] for e in embedded])
+    Xs, Vs = pendulum_embed(Q, Qdot, lengths)
+    assert Xs.shape == Vs.shape == (6, 2, 3)
+    assert np.array_equal(Xs, np.stack([e[0] for e in embedded]))
+    assert np.array_equal(Vs, np.stack([e[1] for e in embedded]))
     q3, qd3 = pendulum_angles(Xs, Vs, lengths)
     assert q3.shape == qd3.shape == (6, 3)
     for k in range(6):
