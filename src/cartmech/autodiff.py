@@ -13,10 +13,17 @@ its parameter adjoints again raises NotImplementedError.
 Every op also takes plain arrays: with no node among its operands it returns
 the numpy result and records nothing, so the same code runs on arrays
 (evaluation, ground truth) and on nodes (training); input_gradient of an
-array works on a private tape.  Scalars are 0-d arrays.  Broadcasting works
-where numpy allows it; backward passes sum the broadcast axes away.  The one
-linear solve, spd_solve, is for SPD systems and carries the package's one
-degeneracy test (check_pivots, a Cholesky pivot ratio).
+array works on a private tape.  Node has the operators +, -, *, unary - and
+@, the attribute .mT and the methods .reshape(shape) and [..., a:b] (a slice
+of the last axis), each recording the op its function form records.  numpy
+arrays have the same operators, dispatched in C without a Python call per
+op, so code written with them costs no more on arrays than plain numpy does;
+that is why the shared formulations use them.  Node sets
+__array_ufunc__ = None, so numpy hands `array @ node` to the node.  Scalars
+are 0-d arrays.  Broadcasting works where numpy allows it; backward passes
+sum the broadcast axes away.  The one linear solve, spd_solve, is for SPD
+systems and carries the package's one degeneracy test (check_pivots, a
+Cholesky pivot ratio).
 """
 from __future__ import annotations
 
@@ -66,7 +73,10 @@ class Tape:
 
 
 class Node:
+    """One recorded value; its operators record ops (see the module docstring)."""
+
     __slots__ = ("tape", "value", "op", "parents", "extra", "idx")
+    __array_ufunc__ = None
 
     def __init__(self, tape, value, op, parents, extra, idx):
         self.tape = tape
@@ -86,13 +96,46 @@ class Node:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return add(other, self)
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __rsub__(self, other):
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-    # + and * are all that rk4_step needs; other ops are module functions
+    def __rmul__(self, other):
+        return mul(other, self)
+
+    def __neg__(self):
+        return neg(self)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
+
+    @property
+    def mT(self):
+        return transpose(self)
+
+    def reshape(self, shape):
+        return reshape(self, shape)
+
+    def __getitem__(self, key):
+        """x[..., a:b], a slice of the last axis with step 1; nothing else."""
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] is Ellipsis
+                and isinstance(key[1], slice)):
+            raise ShapeError(f"nodes take last-axis slices [..., a:b] only, got {key!r}")
+        start, stop, step = key[1].indices(self.value.shape[-1])
+        if step != 1:
+            raise ShapeError(f"nodes take slices with step 1 only, got {key!r}")
+        return narrow(self, -1, start, max(stop - start, 0))
 
 
 def _value(a):
@@ -153,6 +196,11 @@ def reduce_sum(a, axis=None, keepdims: bool = False):
 
 def concat(parts, axis: int = 0):
     parts = tuple(parts)
+    for part in parts:
+        if isinstance(part, Node):
+            break
+    else:
+        return np.concatenate(parts, axis=axis)
     sizes = tuple(np.shape(_value(p))[axis] for p in parts)
     return _record("concat", lambda *vs: np.concatenate(vs, axis=axis), parts, (axis, sizes))
 
@@ -165,7 +213,7 @@ def narrow(a, axis: int, start: int, length: int):
 
 
 def reshape(a, shape):
-    if not isinstance(a, Node):  # the hot path of the ground truth
+    if not isinstance(a, Node):
         return np.asarray(a).reshape(shape)
     return a.tape._append(a.value.reshape(shape), "reshape", (a,), a.value.shape)
 
@@ -193,7 +241,7 @@ def check_pivots(K: np.ndarray) -> None:
         return
     try:
         pivots = np.linalg.cholesky(K).diagonal(axis1=-2, axis2=-1)
-        ratio = (pivots.min(axis=-1) / pivots.max(axis=-1)) ** 2
+        ratio = (np.minimum.reduce(pivots, axis=-1) / np.maximum.reduce(pivots, axis=-1)) ** 2
     except np.linalg.LinAlgError:
         ratio = np.zeros(K.shape[:-2])
     if not (ratio >= PIVOT_RATIO_LIMIT).all():  # also catches nan
@@ -213,6 +261,8 @@ def spd_solve(K, B):
         K.tape.memo(("check_pivots", K), lambda: check_pivots(K.value))
     else:
         check_pivots(K)
+        if not isinstance(B, Node):
+            return np.linalg.solve(K, B)
     return _record("spd_solve", np.linalg.solve, (K, B))
 
 

@@ -155,8 +155,7 @@ def apply_on_points(matrix, w):
     rows of a (C, dn) Jacobian."""
     n = matrix.shape[-1]
     shape = w.shape
-    pts = ad.matmul(matrix, ad.reshape(w, shape[:-1] + (n, shape[-1] // n)))
-    return ad.reshape(pts, shape)
+    return (matrix @ w.reshape(shape[:-1] + (n, shape[-1] // n))).reshape(shape)
 
 
 def apply_inverse_mass(mass: MassModel, w: np.ndarray) -> np.ndarray:

@@ -65,21 +65,31 @@ def _check_value(path: str, value, default) -> None:
     if isinstance(default, str) and not isinstance(value, str):
         raise SchemaError(f"{path}: expected a string, got {value!r}")
     if isinstance(default, list):
-        if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+        if not isinstance(value, list):
+            raise SchemaError(f"{path}: expected a list, got {value!r}")
+        if all(isinstance(v, int) for v in default) and not all(isinstance(v, int) for v in value):
             raise SchemaError(f"{path}: expected a list of integers, got {value!r}")
 
 
 def _resolve_system(doc: dict) -> dict:
     """The system section with every default made explicit, from the system
-    built once (so parameter names and domains are enforced), without dt."""
+    built once (so parameter names, types and domains are enforced), without dt."""
     if not isinstance(doc, dict):
         raise SchemaError("system: expected an object")
     doc = dict(doc)
     kind = doc.pop("kind", DEFAULT_CONFIG["system"]["kind"])
+    if not isinstance(kind, str):
+        raise SchemaError(f"system.kind: expected a string, got {kind!r}")
     if "dt" in doc:
         raise SchemaError("system.dt: the time step belongs under data.dt")
     try:
+        defaults = system_to_dict(build_system(kind))
+        for key, value in doc.items():
+            if key in defaults:
+                _check_value(f"system.{key}", value, defaults[key])
         resolved = system_to_dict(build_system(kind, **doc))
+    except SchemaError:
+        raise
     except (TypeError, ValueError) as err:
         raise SchemaError(f"system: {err}") from None
     resolved.pop("dt")

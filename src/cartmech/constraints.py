@@ -11,10 +11,10 @@ Four declarable forms, all reducing to two compiled row kinds:
 Anchors are virtual fixed points and contribute zero Jacobian columns.
 
 Every row is at most quadratic in x, so DPhi is affine in x:
-vec(DPhi)(x) = A x + b.  ConstraintSet.affine_maps builds (A, b) once per
-topology, and that map is the one constraint Jacobian: DPhi(x) is
-(A x + b) reshaped to (C, dn), and because A stacks the symmetric Hessians of
-the rows, D_x phidot at velocity xdot is (A xdot) reshaped the same way.
+vec(DPhi)(x) = A x + b.  ConstraintSet builds (A, b) once, on construction,
+and that map is the one constraint Jacobian: DPhi(x) is (A x + b) reshaped to
+(C, dn), and because A stacks the symmetric Hessians of the rows, D_x phidot
+at velocity xdot is (A xdot) reshaped the same way.
 ConstraintSet.dphi and dphidot_x compute both from flat positions or
 velocities with leading batch axes, as arrays or as tape nodes.  The
 velocity-level constraint is phidot = DPhi(X) vec(Xdot), and the first-order
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .bodies import apply_inverse_mass, body_point_coeffs, delta_matrix
 from .errors import ShapeError
 from .states import flatten_matrix, unflatten_matrix
@@ -173,7 +172,9 @@ class ConstraintSet:
         self._q_pi = np.array([q.pi for q in quads]).reshape(len(quads), d).T
         self._q_pj = np.array([q.pj for q in quads]).reshape(len(quads), d).T
         self._q_target = np.array([q.target for q in quads])
-        self._affine = None
+        self._A, self._b = self._build_affine_maps()
+        self._jacobian_shape = (row, d * topology.n_points)
+        self._offset = self._b.reshape(self._jacobian_shape)
 
     def endpoint_positions(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(..., d, n_quads) world positions of both endpoints of every quad row."""
@@ -187,37 +188,34 @@ class ConstraintSet:
         return dU, dW
 
     def affine_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with vec(DPhi)(x) = A x + b, row-major vec over (row, column).
+        """(A, b) with vec(DPhi)(x) = A x + b, row-major vec over (row, column),
+        built once with the constraint set."""
+        return self._A, self._b
 
-        DPhi is affine in x (quadratic phi rows are linear, joint/axis rows are
-        constant), so extracting it from the analytic Jacobian on basis states
-        is exact.  Built once per constraint set and cached.
-        """
-        if self._affine is None:
-            d, n = self.dim, self.n_points
-            dn = d * n
-            base = _jacobian_phi_raw(self, np.zeros((d, n)))
-            A = np.empty((self.n_rows * dn, dn))
-            for m in range(dn):
-                e = np.zeros(dn)
-                e[m] = 1.0
-                A[:, m] = (_jacobian_phi_raw(self, unflatten_matrix(e, d)) - base).ravel()
-            self._affine = (A, base.ravel())
-        return self._affine
+    def _build_affine_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """DPhi is affine in x (quadratic phi rows are linear, joint/axis rows
+        are constant), so extracting it from the analytic Jacobian on basis
+        states is exact."""
+        d, n = self.dim, self.n_points
+        dn = d * n
+        base = _jacobian_phi_raw(self, np.zeros((d, n)))
+        A = np.empty((self.n_rows * dn, dn))
+        for m in range(dn):
+            e = np.zeros(dn)
+            e[m] = 1.0
+            A[:, m] = (_jacobian_phi_raw(self, unflatten_matrix(e, d)) - base).ravel()
+        return A, base.ravel()
 
     def dphidot_x(self, xdot):
         """D_x phidot (..., C, dn) at flat velocities xdot (..., dn), arrays or
         nodes: (A xdot) reshaped, one matrix-vector product per row, so a
         row's rounding does not depend on the rows stacked with it."""
-        A, _ = self.affine_maps()
         shape = xdot.shape
-        rows = ad.matmul(A, ad.reshape(xdot, shape + (1,)))
-        return ad.reshape(rows, shape[:-1] + (self.n_rows, shape[-1]))
+        return (self._A @ xdot.reshape(shape + (1,))).reshape(shape[:-1] + self._jacobian_shape)
 
     def dphi(self, x):
         """DPhi (..., C, dn) at flat positions x (..., dn): A x + b reshaped."""
-        _, b = self.affine_maps()
-        return ad.add(self.dphidot_x(x), b.reshape(self.n_rows, self.dim * self.n_points))
+        return self.dphidot_x(x) + self._offset
 
 
 def _resolve_ref(topology, ref: PointRef) -> tuple[int, np.ndarray]:
@@ -262,7 +260,7 @@ def phi(topology, X: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_phi_raw(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
-    """Row-by-row DPhi; only affine_maps calls it, to build (A, b)."""
+    """Row-by-row DPhi; only _build_affine_maps calls it, to build (A, b)."""
     d = cs.dim
     J = np.zeros((cs.n_rows, d * cs.n_points))
     if cs.quads:

@@ -21,10 +21,14 @@ Lagrangian flavor works on (vec(X), vec(V)) with the acceleration
 
 Each flavor is written once, as constrained_{hamiltonian,lagrangian}_field,
 from four inputs: how M^-1 is applied, grad V, G and D.  The ground truth
-below calls them with arrays (G and D from the constraint set's cached affine
-map, M^-1 from bodies.apply_inverse_mass); CHNN and CLNN call them with tape
-nodes.  Their one solve, autodiff.spd_solve, carries the one degeneracy test:
-a Cholesky pivot ratio of the SPD K (DegenerateConfigurationError below
+below calls them with arrays (G and D from the constraint set's affine map,
+M^-1 from the context's minv, both built once); CHNN and CLNN call them with
+tape nodes.  The fields are written with operators (@, +, -, unary -, .mT,
+.reshape and [..., a:b]), which numpy runs in C on arrays and which record
+the same ops as the autodiff functions on nodes, so a field evaluation on
+arrays costs its numpy work and no Python call per op.  Their one solve,
+autodiff.spd_solve, carries the one degeneracy test: a Cholesky pivot ratio
+of the SPD K (DegenerateConfigurationError below
 autodiff.PIVOT_RATIO_LIMIT).  The 2C x 2C matrix has determinant det(K)^2,
 so the test on K covers the full system.
 
@@ -37,12 +41,12 @@ as it would be alone, and the guard raises if any row is degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import autodiff as ad
-from .bodies import MassModel, apply_inverse_mass, hamiltonian_kinetic, kinetic_energy
+from .bodies import MassModel, apply_on_points, hamiltonian_kinetic, kinetic_energy
 from .states import HAMILTONIAN, LAGRANGIAN, flatten_matrix, symplectic_apply, unflatten_matrix
 from .topology import SystemTopology
 
@@ -68,6 +72,12 @@ class DynamicsContext:
     def dim(self) -> int:
         return self.topology.dim
 
+    @cached_property
+    def minv(self):
+        """(M^-1 kron I_d) on flat point-major rows (..., dn) and Jacobians
+        (..., C, dn), as the constrained fields take it; built once."""
+        return partial(apply_on_points, self.mass.inverse.T)
+
     def with_flavor(self, flavor: str) -> "DynamicsContext":
         return replace(self, flavor=flavor)
 
@@ -79,13 +89,13 @@ class DynamicsContext:
 
 def _col(x):
     """Rows (..., c) as column stacks (..., c, 1), one matrix product per row."""
-    return ad.reshape(x, x.shape + (1,))
+    return x.reshape(x.shape + (1,))
 
 
 def _flat(xdot, pdot):
     """Two column stacks (..., dn, 1) as flat rows (..., 2dn)."""
     both = ad.concat([xdot, pdot], axis=-2)
-    return ad.reshape(both, both.shape[:-2] + (both.shape[-2],))
+    return both.reshape(both.shape[:-1])
 
 
 def constrained_hamiltonian_field(minv, grad_V, v, G, D):
@@ -97,19 +107,17 @@ def constrained_hamiltonian_field(minv, grad_V, v, G, D):
     """
     v, grad_V = _col(v), _col(grad_V)
     if G.shape[-2] == 0:
-        return _flat(v, ad.neg(grad_V))
+        return _flat(v, -grad_V)
     H = minv(G)
-    Ht = ad.transpose(H)
-    DHt = ad.matmul(D, Ht)
+    Ht = H.mT
+    DHt = D @ Ht
     # one guarded solve: K^-1 [G v, D v - H grad V, S] with S = D H^T - H D^T
-    rhs = ad.concat([ad.matmul(G, v), ad.sub(ad.matmul(D, v), ad.matmul(H, grad_V)),
-                     ad.sub(DHt, ad.transpose(DHt))], axis=-1)
-    W = ad.spd_solve(ad.matmul(G, Ht), rhs)
-    lam2 = ad.neg(ad.narrow(W, -1, 0, 1))
-    lam1 = ad.add(ad.narrow(W, -1, 1, 1), ad.matmul(ad.narrow(W, -1, 2, G.shape[-2]), lam2))
-    xdot = ad.add(v, ad.matmul(Ht, lam2))
-    pdot = ad.sub(ad.sub(ad.neg(grad_V), ad.matmul(ad.transpose(G), lam1)),
-                  ad.matmul(ad.transpose(D), lam2))
+    rhs = ad.concat([G @ v, D @ v - H @ grad_V, DHt - DHt.mT], axis=-1)
+    W = ad.spd_solve(G @ Ht, rhs)
+    lam2 = -W[..., :1]
+    lam1 = W[..., 1:2] + W[..., 2:] @ lam2
+    xdot = v + Ht @ lam2
+    pdot = -grad_V - G.mT @ lam1 - D.mT @ lam2
     return _flat(xdot, pdot)
 
 
@@ -118,14 +126,14 @@ def constrained_lagrangian_field(minv, grad_V, v, G, D):
 
     Same inputs as constrained_hamiltonian_field, with v the velocity.
     """
-    minv_f = minv(ad.neg(grad_V))
+    minv_f = minv(-grad_V)
     if G.shape[-2] == 0:
         return minv_f, np.zeros(G.shape[:-1])
-    Ht = ad.transpose(minv(G))
-    rhs = ad.add(ad.matmul(G, _col(minv_f)), ad.matmul(D, _col(v)))
-    lam = ad.spd_solve(ad.matmul(G, Ht), rhs)
-    xddot = ad.sub(minv_f, ad.reshape(ad.matmul(Ht, lam), minv_f.shape))
-    return xddot, ad.reshape(lam, rhs.shape[:-1])
+    Ht = minv(G).mT
+    rhs = G @ _col(minv_f) + D @ _col(v)
+    lam = ad.spd_solve(G @ Ht, rhs)
+    xddot = minv_f - (Ht @ lam).reshape(minv_f.shape)
+    return xddot, lam.reshape(rhs.shape[:-1])
 
 
 def grad_hamiltonian(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
@@ -144,12 +152,11 @@ def unconstrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
 def constrained_hamiltonian_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
     """zdot = J (grad H + DPsi^T lambda); identical to P J grad H."""
     z = np.asarray(z, dtype=float)
-    g = grad_hamiltonian(ctx, z)
-    dn = g.shape[-1] // 2
-    grad_V, v = g[..., :dn], g[..., dn:]
+    X, P = ctx.split(z)
+    v = flatten_matrix(P @ ctx.mass.inverse)
     cs = ctx.topology.constraint_set
-    return constrained_hamiltonian_field(partial(apply_inverse_mass, ctx.mass), grad_V, v,
-                                         cs.dphi(z[..., :dn]), cs.dphidot_x(v))
+    return constrained_hamiltonian_field(ctx.minv, flatten_matrix(ctx.potential.grad(X)), v,
+                                         cs.dphi(z[..., :v.shape[-1]]), cs.dphidot_x(v))
 
 
 def projection_matrix(dpsi: np.ndarray) -> np.ndarray:
@@ -174,7 +181,7 @@ def constrained_lagrangian_dynamics(ctx: DynamicsContext, X: np.ndarray,
     v = flatten_matrix(V)
     cs = ctx.topology.constraint_set
     xddot, lam = constrained_lagrangian_field(
-        partial(apply_inverse_mass, ctx.mass), flatten_matrix(ctx.potential.grad(X)), v,
+        ctx.minv, flatten_matrix(ctx.potential.grad(X)), v,
         cs.dphi(flatten_matrix(X)), cs.dphidot_x(v))
     return unflatten_matrix(xddot, ctx.dim), lam
 

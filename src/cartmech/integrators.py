@@ -8,10 +8,12 @@ a PI step-size controller and quartic (4th-order) dense output.  It runs a
 whole batch of initial states in one loop: each row keeps its own time, step
 size and controller state, and rows leave the loop as they finish or fail.
 Stage sums and dense output are element-wise, so a row's result is the same
-bits whether it runs alone or in any batch.
+bits whether it runs alone or in any batch.  One loop serves every batch
+size, so at one row an attempt costs its fixed number of small numpy calls.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,8 +205,10 @@ def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tole
 
     a = _Active(rows=np.arange(n_rows), t=np.zeros(n_rows), h=np.zeros(n_rows),
                 err_prev=np.ones(n_rows), z=z0.copy(), f_now=np.zeros_like(z0),
-                n_acc=n_accepted.copy(), n_rej=n_rejected.copy(),
-                eval_idx=np.full(n_rows, n_start))
+                n_acc=n_accepted.copy(), eval_idx=np.full(n_rows, n_start))
+    # every active row makes one attempt per pass, so a row's attempt count is
+    # the number of finished passes and only its accepted steps are per row
+    attempts = 0
 
     def leave(mask, reason=None):
         """Drop the rows under mask, recording their counts and failure."""
@@ -212,7 +216,8 @@ def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tole
             return
         for i in np.flatnonzero(mask):
             r = a.rows[i]
-            n_accepted[r], n_rejected[r], n_emitted[r] = a.n_acc[i], a.n_rej[i], a.eval_idx[i]
+            n_accepted[r], n_emitted[r] = a.n_acc[i], a.eval_idx[i]
+            n_rejected[r] = attempts - a.n_acc[i]
             if reason is not None:
                 failures[r] = IntegrationError(f"{reason} at t={a.t[i]:.6g}", t=float(a.t[i]),
                                                step=int(a.n_acc[i]))
@@ -224,19 +229,25 @@ def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tole
         a.h = _initial_step(field, a.z, a.f_now, t_span, tol)
 
     while a.rows.size:
-        leave(a.t >= t_span)
-        leave(a.n_acc + a.n_rej >= max_steps, f"exceeded {max_steps} steps")
         a.h = np.minimum(a.h, t_span - a.t)
-        leave(a.h < 1e-14 * np.maximum(1.0, np.abs(a.t)), "step size underflow")
-        if not a.rows.size:
-            break
+        # a finished row has h <= 0, so one test finds every row that stops
+        stop = a.h < 1e-14 * np.maximum(1.0, np.abs(a.t))
+        if attempts >= max_steps or stop.any():
+            leave(a.t >= t_span)
+            if attempts >= max_steps:
+                leave(np.ones(a.rows.size, dtype=bool), f"exceeded {max_steps} steps")
+            leave(a.h < 1e-14 * np.maximum(1.0, np.abs(a.t)), "step size underflow")
+            if not a.rows.size:
+                break
 
         k = np.empty((7,) + a.z.shape)
         k[0] = a.f_now  # first-same-as-last
         h = a.h[:, None]
         for s in range(1, 7):
             zs = _combine(a.z, h, _A_ROWS[s], k[:s])
-            if not np.isfinite(zs).all():
+            # a finite sum has no nan or inf term; one that overflowed goes
+            # through the exact test, which then finds no row to drop
+            if not math.isfinite(np.add.reduce(zs, axis=None)):
                 bad = ~np.all(np.isfinite(zs), axis=1)
                 leave(bad, "non-finite state")
                 k, h, zs = k[:, ~bad], h[~bad], zs[~bad]
@@ -247,12 +258,12 @@ def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tole
             break
         z_new = zs  # the last stage sits at the new state: DP_A[6] is DP_B without its 0
         scale = tol.atol + tol.rtol * np.maximum(np.abs(a.z), np.abs(z_new))
-        err_norm = _rms(_combine(0.0, h, _E_ROW, k) / scale)
+        err_norm = _rms(h * np.add.reduce(_E_ROW * k, axis=0) / scale)
         accept = err_norm <= 1.0
 
         if n_eval:
             # quartic dense output at every t_eval point inside each accepted step
-            reach = np.searchsorted(t_eval, a.t + a.h * (1 + 1e-12), side="right")
+            reach = t_eval.searchsorted(a.t + a.h * (1 + 1e-12), side="right")
             end = np.where(accept, np.maximum(reach, a.eval_idx), a.eval_idx)
             count = end - a.eval_idx
             if np.count_nonzero(count):
@@ -267,13 +278,14 @@ def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tole
         e = np.maximum(err_norm, 1e-300)
         grow = np.fmin(MAX_FACTOR, np.fmax(MIN_FACTOR, SAFETY * e ** -K_I * a.err_prev ** K_P))
         shrink = np.fmax(MIN_FACTOR, SAFETY * e ** -0.2)
+        kept = accept[:, None]
         a.t = np.where(accept, a.t + a.h, a.t)
-        a.z = np.where(accept[:, None], z_new, a.z)
-        a.f_now = np.where(accept[:, None], k[6], a.f_now)
+        a.z = np.where(kept, z_new, a.z)
+        a.f_now = np.where(kept, k[6], a.f_now)
         a.err_prev = np.where(accept, np.maximum(err_norm, 1e-10), a.err_prev)
         a.h = a.h * np.where(accept, grow, shrink)
         a.n_acc = a.n_acc + accept
-        a.n_rej = a.n_rej + ~accept
+        attempts += 1
         if steps is not None and accept[0]:
             steps.append((float(a.t[0]), a.z[0]))
 

@@ -22,12 +22,26 @@ from .oracles import pendulum_angles, pendulum_embed
 from .states import unflatten_matrix
 
 
+class _RolloutLeaves(dict):
+    """The parameter arrays of one rollout.  They stay fixed while it runs, so
+    what is built from them alone (the learned mass) is built once, in memo."""
+
+    def __init__(self, store: ad.ParamStore):
+        super().__init__(store.items())
+        self.memo = {}
+
+
 def _memo(build, leaves: dict, prefix: str, *nodes):
-    """build() once per tape for the nodes and leaves named prefix*; always on arrays."""
+    """build() once per tape for the nodes and leaves named prefix*.  On
+    arrays: once per rollout when it reads leaves alone, else on every call."""
     key = (prefix,) + nodes + tuple(v for k, v in leaves.items() if k.startswith(prefix))
-    if not all(isinstance(node, ad.Node) for node in key[1:]):
+    if all(isinstance(node, ad.Node) for node in key[1:]):
+        return key[1].tape.memo(key, build)
+    if nodes or not isinstance(leaves, _RolloutLeaves):
         return build()
-    return key[1].tape.memo(key, build)
+    if prefix not in leaves.memo:
+        leaves.memo[prefix] = build()
+    return leaves.memo[prefix]
 
 
 class DynamicsModel:
@@ -63,7 +77,7 @@ class DynamicsModel:
         the store's arrays."""
         from .integrators import rollout_fixed
 
-        params = dict(store.items())
+        params = _RolloutLeaves(store)
         xv0 = np.atleast_2d(np.asarray(xv0, dtype=float))
         w0 = self.to_state_node(params, self.encode(xv0))
         states = rollout_fixed(lambda w: self.dynamics_node(params, w), w0,

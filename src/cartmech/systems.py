@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, asdict, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,7 +23,7 @@ from .bodies import (
     velocity_to_momentum,
 )
 from .constraints import Joint, Link, anchor, point
-from .dynamics import DynamicsContext, ZeroPotential, constrained_dynamics, energy
+from .dynamics import DynamicsContext, ZeroPotential, constrained_hamiltonian_dynamics, energy
 from .errors import (
     FieldSingularityError,
     GradientSingularityError,
@@ -61,13 +62,14 @@ class LinearGravity:
         self.weights = np.asarray(weights, dtype=float)
         self.axis = int(axis)
         self.g = float(g)
+        self._row = self.g * self.weights
 
     def value(self, X: np.ndarray):
-        return np.vecdot(X[..., self.axis, :], self.g * self.weights)
+        return np.vecdot(X[..., self.axis, :], self._row)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros_like(X)
-        out[..., self.axis, :] = self.g * self.weights
+        out[..., self.axis, :] = self._row
         return out
 
 
@@ -91,7 +93,7 @@ class SpringChain:
         for i, j in self.pairs:
             d = X[..., :, i] - X[..., :, j]
             r = np.sqrt(np.vecdot(d, d))[..., None]
-            if np.any(r < EPS_SPRING):
+            if (r < EPS_SPRING).any():
                 raise GradientSingularityError(
                     f"spring endpoints {i}, {j} coincide (separation {r.min():.2e})")
             f = self.k * (r - self.rest) * d / r
@@ -100,15 +102,14 @@ class SpringChain:
         return out
 
 
-def _dipole(r, moment, u) -> tuple[np.ndarray, np.ndarray]:
+def _dipole(r, rr, moment, u) -> tuple[np.ndarray, np.ndarray]:
     """Field B(r) = (3 r (r.m) - |r|^2 m) / |r|^5 of one dipole, and (dB/dr) u.
 
     Units with mu0/4pi = 1; r, the moment and the direction u broadcast over
-    leading axes (..., 3).  The Jacobian
+    leading axes (..., 3), and rr = |r|^2 is (..., 1).  The Jacobian
     dB/dr = (3 ((r.m) I + r m^T + m r^T) - 15 (r.m) r r^T / |r|^2) / |r|^5
     is symmetric.  Callers keep r away from 0.
     """
-    rr = np.vecdot(r, r)[..., None]
     s = np.vecdot(r, moment)[..., None]
     ru = np.vecdot(r, u)[..., None]
     scale = rr ** -2.5
@@ -124,7 +125,7 @@ def dipole_field(r, moment) -> np.ndarray:
     distance = math.sqrt(float(r @ r))
     if distance < EPS_FIELD:
         raise FieldSingularityError(f"field evaluated {distance:.2e} from a dipole")
-    return _dipole(r, np.asarray(moment, dtype=float), r)[0]
+    return _dipole(r, np.vecdot(r, r)[..., None], np.asarray(moment, dtype=float), r)[0]
 
 
 class DipolePotential:
@@ -146,16 +147,17 @@ class DipolePotential:
     def _field(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """|x|, the summed field B(x) and (dB/dx) x/|x| at positions x (..., 3)."""
         xx = np.vecdot(x, x)[..., None]
-        if np.any(xx < EPS_FIELD ** 2):
+        if (xx < EPS_FIELD ** 2).any():
             raise FieldSingularityError("pendulum charge at the origin")
         r = x[..., None, :] - self.positions  # (..., magnets, 3)
-        near = np.vecdot(r, r) < EPS_FIELD ** 2
-        if np.any(near):
+        rr = np.vecdot(r, r)[..., None]
+        near = rr[..., 0] < EPS_FIELD ** 2
+        if near.any():
             magnet = self.positions[np.nonzero(near)[-1][0]]
             raise FieldSingularityError(f"pendulum within {EPS_FIELD:g} of the magnet at {magnet}")
         norm = np.sqrt(xx)
-        field, along = _dipole(r, self.moments, (x / norm)[..., None, :])
-        return norm, field.sum(axis=-2), along.sum(axis=-2)
+        field, along = _dipole(r, rr, self.moments, (x / norm)[..., None, :])
+        return norm, np.add.reduce(field, axis=-2), np.add.reduce(along, axis=-2)
 
     def value(self, X: np.ndarray):
         x = X[..., :, 0]
@@ -339,11 +341,15 @@ class System:
             return self.sampler(rng)
         return np.stack([self.sampler(rng) for _ in range(count)])
 
+    @cached_property
+    def _hamiltonian(self) -> DynamicsContext:
+        return self.context()
+
     def energy(self, z: np.ndarray):
-        return energy(self.context(), z)
+        return energy(self._hamiltonian, z)
 
     def dynamics(self, z: np.ndarray) -> np.ndarray:
-        return constrained_dynamics(self.context(), z)
+        return constrained_hamiltonian_dynamics(self._hamiltonian, z)
 
 
 def disable_system_constraints(system: System, indices) -> System:

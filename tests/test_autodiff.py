@@ -435,19 +435,76 @@ def test_spd_solve_raises_on_degenerate_input_with_the_ratio():
     np.testing.assert_allclose(ad.spd_solve(np.diag([4.0, 1e-9]), rhs)[:, 0], [0.25, 1e9], rtol=1e-15)
 
 
-def test_ops_on_plain_arrays_return_numpy_results_and_record_nothing():
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_ops_on_plain_arrays_return_numpy_results_and_record_nothing(monkeypatch):
     rng = np.random.default_rng(27)
-    a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    a, c, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    L = rng.normal(size=(2, 3, 3))
+    K, B = L @ L.mT + 3.0 * np.eye(3), rng.normal(size=(2, 3, 2))
+    # (function form, operator form or None, numpy expression, operands)
+    binary = [
+        (ad.matmul, lambda x, y: x @ y, np.matmul, (a, b)),
+        (ad.add, lambda x, y: x + y, np.add, (a, c)),
+        (ad.sub, lambda x, y: x - y, np.subtract, (a, c)),
+        (ad.mul, lambda x, y: x * y, np.multiply, (a, c)),
+        (ad.div, None, np.divide, (a, c)),
+        (lambda x, y: ad.concat([x, y], axis=-1), None,
+         lambda x, y: np.concatenate([x, y], axis=-1), (a, c)),
+        (ad.spd_solve, None, np.linalg.solve, (K, B)),
+    ]
+    unary = [
+        (ad.neg, lambda x: -x, np.negative),
+        (ad.transpose, lambda x: x.mT, lambda x: x.swapaxes(-1, -2)),
+        (lambda x: ad.reshape(x, (4, 3)), lambda x: x.reshape((4, 3)), lambda x: x.reshape(4, 3)),
+        (lambda x: ad.narrow(x, -1, 1, 2), lambda x: x[..., 1:3], lambda x: x[..., 1:3]),
+        (lambda x: ad.reduce_sum(x, 1), None, lambda x: x.sum(axis=1)),
+        (ad.tanh, None, np.tanh),
+        (ad.sin, None, np.sin),
+        (ad.cos, None, np.cos),
+    ]
+    cases = binary + [(f, op, expected, (a,)) for f, op, expected in unary]
+
+    tapes = []
+
+    class CountingTape(Tape):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            tapes.append(1)
+
+    monkeypatch.setattr(ad, "Tape", CountingTape)
+    for f, op, expected, args in cases:
+        want = expected(*args)
+        for form in (f, op) if op is not None else (f,):
+            plain = form(*args)
+            assert isinstance(plain, np.ndarray)
+            assert _same_bits(plain, want)
+    assert not tapes
+    monkeypatch.undo()
+
+    # a node with an array, in both orders: the operator records what the
+    # function form records (array @ node reaches the node, not numpy)
+    for f, op, expected, args in cases:
+        for at in range(len(args)):
+            tape = Tape()
+            mixed = list(args)
+            mixed[at] = tape.constant(args[at])
+            for form in (f, op) if op is not None else (f,):
+                before = len(tape)
+                out = form(*mixed)
+                assert len(tape) - before == len(args)  # the op and the arrays' constants
+                assert isinstance(out, ad.Node)
+                assert out.op == f(*mixed).op
+                assert out.parents[at] is mixed[at]
+                assert _same_bits(out.value, expected(*args))
+
     params = mlp_init(rng, 4, (5,), 1)
     tape = Tape()
     leaves = {k: tape.constant(v) for k, v in params.items()}
-    cases = [(ad.matmul, (a, b)), (ad.add, (a, 1.0)), (ad.transpose, (a,)),
-             (lambda x: ad.narrow(x, 1, 1, 2), (a,)), (lambda x: ad.reduce_sum(x, 1), (a,)),
-             (lambda x: ad.concat([x, x], axis=0), (a,)), (ad.tanh, (a,))]
-    for op, args in cases:
-        plain = op(*args)
-        assert isinstance(plain, np.ndarray)
-        assert np.array_equal(plain, op(*(tape.constant(x) for x in args)).value)
     plain = mlp_apply(params, a)
     assert isinstance(plain, np.ndarray)
     assert np.array_equal(plain, mlp_apply(leaves, tape.constant(a)).value)
@@ -455,6 +512,14 @@ def test_ops_on_plain_arrays_return_numpy_results_and_record_nothing():
     gx = input_gradient(lambda x: mlp_apply(params, x), a)
     assert isinstance(gx, np.ndarray) and len(tape) == before
     assert np.array_equal(gx, input_gradient(lambda x: mlp_apply(leaves, x), tape.constant(a)).value)
+
+
+def test_nodes_take_last_axis_slices_only():
+    x = Tape().constant(np.ones((2, 5)))
+    assert x[..., 3:].shape == (2, 2) and x[..., -2:].value.shape == (2, 2)
+    for key in (slice(0, 1), (slice(None), slice(0, 1)), (Ellipsis, slice(0, 4, 2)), (Ellipsis, 0)):
+        with pytest.raises(ShapeError):
+            x[key]
 
 
 def test_narrow_of_concat_needs_only_the_blocks_it_reads():

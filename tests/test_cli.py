@@ -81,6 +81,15 @@ def test_wrong_value_type_is_rejected():
     assert rc == 1
     assert "system" in err
 
+    # the system section names the key, not the Python error it caused
+    rc, _, err = run_cli("print-config", "--set", 'system.n="x"')
+    assert rc == 1
+    assert "system.n" in err and "not supported" not in err
+
+    rc, _, err = run_cli("print-config", "--set", "system.kind=[1]")
+    assert rc == 1
+    assert "system.kind" in err and "unhashable" not in err
+
 
 def test_generate_writes_both_splits(workdir):
     for split in ("train", "test"):
@@ -325,3 +334,74 @@ def test_simulate_degenerate_model_exits_2_without_traceback(workdir, tmp_path):
     assert rc == 2
     assert "numeric failure" in err and "pivot ratio" in err
     assert "Traceback" not in err
+
+
+def _corrupt_dataset(workdir, tmp_path):
+    """The test split with its payload cut in half."""
+    bad = tmp_path / "cut_data"
+    bad.mkdir()
+    source = workdir / "data" / "test"
+    (bad / "manifest.json").write_text((source / "manifest.json").read_text())
+    payload = (source / "payload.bin").read_bytes()
+    (bad / "payload.bin").write_bytes(payload[:len(payload) // 2])
+    return bad
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
+    """0 on good input, 1 on a missing or corrupt file, 2 on a numeric
+    failure where the subcommand can hit one, and never a traceback."""
+    data = workdir / "data"
+    good_ckpt = workdir / "run" / "final.cmk"
+    raw = good_ckpt.read_bytes()
+    cut_ckpt = tmp_path / "cut.cmk"
+    cut_ckpt.write_bytes(raw[:len(raw) // 2])
+    heavy = _heavy_checkpoint(workdir, tmp_path)
+    cut_data = _corrupt_dataset(workdir, tmp_path)
+    missing = tmp_path / "missing"
+    diverge = ("--set", "train.lr=1e12", "--set", "train.epochs=30")
+    out = str(tmp_path / "out")
+
+    def train(d, *extra):
+        return ("train", *TINY, *extra, "--data", str(d), "--out", out)
+
+    def evaluate(ckpt, d):
+        return ("evaluate", *TINY, "--checkpoint", str(ckpt), "--dataset", str(d))
+
+    def simulate(ckpt):
+        return ("simulate", "--system", "npendulum", "--n", "2", "--T", "0.3",
+                "--checkpoint", str(ckpt), "--model", "chnn", "--hidden", "8", "8")
+
+    def export(d):
+        return ("export", "--dataset", str(d), "--index", "0", "--out", out + ".csv")
+
+    def ablate(train_dir, test_dir, *extra):
+        return ("ablate-constraints", *TINY, *extra, "--data", str(train_dir),
+                "--test", str(test_dir), "--disable", "1")
+
+    table = [
+        (train(data / "train"), 0),
+        (train(missing), 1),
+        (train(cut_data), 1),
+        (train(data / "train", *diverge), 2),
+        (evaluate(good_ckpt, data / "test"), 0),
+        (evaluate(missing, data / "test"), 1),
+        (evaluate(cut_ckpt, data / "test"), 1),
+        (evaluate(good_ckpt, cut_data), 1),
+        (evaluate(heavy, data / "test"), 2),
+        (simulate(good_ckpt), 0),
+        (simulate(missing), 1),
+        (simulate(cut_ckpt), 1),
+        (simulate(heavy), 2),
+        (export(data / "test"), 0),
+        (export(missing), 1),
+        (export(cut_data), 1),
+        (ablate(data / "train", data / "test"), 0),
+        (ablate(missing, data / "test"), 1),
+        (ablate(data / "train", cut_data), 1),
+        (ablate(data / "train", data / "test", *diverge), 2),
+    ]
+    for args, expected in table:
+        rc, _, err = run_cli(*args)
+        assert rc == expected, (args, err)
+        assert "Traceback" not in err, args

@@ -230,6 +230,31 @@ def test_learned_mass_is_built_once_per_loss(kind, monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("kind", ["chnn", "clnn"])
+def test_learned_mass_is_built_once_per_rollout(kind, monkeypatch):
+    # on arrays the parameters stay fixed for a rollout, so every field and
+    # decode call of one rollout shares one build; the next rollout rebuilds
+    from cartmech import models
+
+    built = []
+
+    def counting(*args):
+        built.append(1)
+        return _mass_nodes(*args)
+
+    monkeypatch.setattr(models, "_mass_nodes", counting)
+    system = build_system("npendulum", n=2)
+    model = build_model(kind, system, hidden=(8,))
+    store = model.init_params(np.random.default_rng(0))
+    _, W0 = lagrangian_batch(system, np.random.default_rng(1), 3)
+    times = system.dt * np.arange(4)
+    first = model.rollout(store, W0, times)
+    assert len(built) == 1
+    store["mass.log_m0"] = np.array(0.5)
+    assert not np.array_equal(model.rollout(store, W0, times), first)
+    assert len(built) == 2
+
+
 def _counting_tapes(monkeypatch):
     """Patch Tape and input_gradient to count tapes and input gradients."""
     tapes, gradients = [], []
