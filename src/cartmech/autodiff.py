@@ -8,22 +8,23 @@ grad on a graph that already contains a gradient, e.g. through
 input_gradient of a learned potential).  The generic ops support any order.
 mlp_apply is one fused node whose derivatives are written in closed form; it
 supports exactly second order: differentiating its second-order outputs or
-its parameter adjoints again raises NotImplementedError.
+its parameter adjoints again raises NotImplementedError.  fused() and
+define_vjp() let other modules record a composite function as one node with
+a closed-form first-order VJP (the constrained fields of dynamics); its
+adjoints cannot be differentiated again either.
 
 Every op also takes plain arrays: with no node among its operands it returns
 the numpy result and records nothing, so the same code runs on arrays
 (evaluation, ground truth) and on nodes (training); input_gradient of an
-array works on a private tape.  Node has the operators +, -, *, unary - and
-@, the attribute .mT and the methods .reshape(shape) and [..., a:b] (a slice
-of the last axis), each recording the op its function form records.  numpy
-arrays have the same operators, dispatched in C without a Python call per
-op, so code written with them costs no more on arrays than plain numpy does;
-that is why the shared formulations use them.  Node sets
-__array_ufunc__ = None, so numpy hands `array @ node` to the node.  Scalars
-are 0-d arrays.  Broadcasting works where numpy allows it; backward passes
-sum the broadcast axes away.  The one linear solve, spd_solve, is for SPD
-systems and carries the package's one degeneracy test (check_pivots, a
-Cholesky pivot ratio).
+array works on a private tape.  Node has the operators +, * and @ and the
+method .reshape(shape), each recording the op its function form records:
+the constraint Jacobians, bodies.apply_on_points and RK4 are written with
+them, and numpy runs the same expressions in C on arrays, without a Python
+call per op.  Node sets __array_ufunc__ = None, so numpy hands
+`array @ node` to the node.  Scalars are 0-d arrays.  Broadcasting works
+where numpy allows it; backward passes sum the broadcast axes away.  The one
+linear solve, spd_solve, is for SPD systems and carries the package's one
+degeneracy test (check_pivots, a Cholesky pivot ratio).
 """
 from __future__ import annotations
 
@@ -99,20 +100,11 @@ class Node:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -120,22 +112,8 @@ class Node:
     def __rmatmul__(self, other):
         return matmul(other, self)
 
-    @property
-    def mT(self):
-        return transpose(self)
-
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def __getitem__(self, key):
-        """x[..., a:b], a slice of the last axis with step 1; nothing else."""
-        if not (isinstance(key, tuple) and len(key) == 2 and key[0] is Ellipsis
-                and isinstance(key[1], slice)):
-            raise ShapeError(f"nodes take last-axis slices [..., a:b] only, got {key!r}")
-        start, stop, step = key[1].indices(self.value.shape[-1])
-        if step != 1:
-            raise ShapeError(f"nodes take slices with step 1 only, got {key!r}")
-        return narrow(self, -1, start, max(stop - start, 0))
 
 
 def _value(a):
@@ -153,6 +131,21 @@ def _record(op, fn, operands, extra=None):
         return fn(*operands)
     nodes = tuple([a if isinstance(a, Node) else tape.constant(a) for a in operands])
     return tape._append(fn(*[n.value for n in nodes]), op, nodes, extra)
+
+
+def fused(op, forward, operands):
+    """A composite function as one node: forward(*values) -> (value, saved).
+    With a node among the operands, value becomes one `op` node of their tape
+    (arrays among them become constants) that keeps saved for op's rule (see
+    define_vjp); otherwise it stays the plain value.  Returns (value, saved).
+    """
+    for a in operands:
+        if isinstance(a, Node):
+            break
+    else:
+        return forward(*operands)
+    value, saved = forward(*[_value(a) for a in operands])
+    return _record(op, lambda *_: value, operands, saved), saved
 
 
 # -- primitives ---------------------------------------------------------------
@@ -252,8 +245,10 @@ def check_pivots(K: np.ndarray) -> None:
 def spd_solve(K, B):
     """x with K x = B for SPD K (..., k, k), after check_pivots(K) (once per
     tape and matrix node).  numpy has no stacked triangular solve, so x comes
-    from a stacked LU solve, each matrix on its own.  The VJP is written with
-    spd_solve and matmul, so it is differentiable again.
+    from a stacked LU solve, each matrix on its own.  The constrained fields
+    call it on arrays, in their forward pass; on nodes it serves HNN2D's
+    momentum solve.  The VJP is written with spd_solve and matmul, so it is
+    differentiable again.
     """
     if np.ndim(_value(B)) < 2:
         raise ShapeError("spd_solve right-hand side must be at least 2-d")
@@ -272,16 +267,17 @@ def spd_solve(K, B):
 # says whether parent i leads to a requested input; a rule may return None
 # for a parent that does not.
 
-def _unbroadcast(g: Node, shape: tuple) -> Node:
-    """Sum g's broadcast axes away so it matches the parent's shape."""
-    if g.value.shape == shape:
+def _unbroadcast(g, shape: tuple):
+    """Sum g's broadcast axes away so it matches the parent's shape; g is a
+    node or an array."""
+    if g.shape == shape:
         return g
-    while g.value.ndim > len(shape):
+    while len(g.shape) > len(shape):
         g = reduce_sum(g, axis=0)
-    axes = tuple(i for i, (have, want) in enumerate(zip(g.value.shape, shape)) if want == 1 and have != 1)
+    axes = tuple(i for i, (have, want) in enumerate(zip(g.shape, shape)) if want == 1 and have != 1)
     if axes:
         g = reduce_sum(g, axis=axes, keepdims=True)
-    if g.value.shape != shape:
+    if g.shape != shape:
         g = reshape(g, shape)
     return g
 
@@ -624,15 +620,35 @@ def _vjp_mlp_vjp(node, u, need):
             for value in out]
 
 
-def _no_further_order(node, g, need):
-    raise NotImplementedError(f"op {node.op!r} cannot be differentiated again: "
-                              "mlp_apply supports second order at most")
+def _final(reason: str):
+    """The rule of an op that cannot be differentiated again."""
+    def rule(node, g, need):
+        raise NotImplementedError(f"op {node.op!r} cannot be differentiated again: {reason}")
+    return rule
 
 
 _VJP["mlp"] = _vjp_mlp
 _VJP["mlp_vjp"] = _vjp_mlp_vjp
-_VJP["mlp_param_adjoint"] = _no_further_order
-_VJP["mlp_second_order"] = _no_further_order
+_VJP["mlp_param_adjoint"] = _VJP["mlp_second_order"] = _final(
+    "mlp_apply supports second order at most")
+
+
+def define_vjp(op: str, rule) -> None:
+    """Register the closed-form VJP of a fused op.  rule(node, g, need) takes
+    the output adjoint g as an array and returns one array per parent (None
+    where need says no), in the broadcast shape.  Each is summed to its
+    parent's shape and recorded as an `{op}_adjoint` node, which cannot be
+    differentiated again."""
+    adjoint_op = f"{op}_adjoint"
+
+    def vjp(node, g, need):
+        parents = (g, *node.parents)
+        return [None if a is None else
+                node.tape._append(_unbroadcast(a, parent.shape), adjoint_op, parents)
+                for a, parent in zip(rule(node, g.value, need), node.parents)]
+
+    _VJP[op] = vjp
+    _VJP[adjoint_op] = _final(f"{op} has a first-order VJP only")
 
 
 def finite_difference_check(f, grad_fn, x: np.ndarray, h: float = 1e-5) -> float:

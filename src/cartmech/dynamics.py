@@ -20,15 +20,18 @@ Lagrangian flavor works on (vec(X), vec(V)) with the acceleration
     xddot = M^-1 f - H^T K^-1 (H f + D v),   f = -grad_X V.
 
 Each flavor is written once, as constrained_{hamiltonian,lagrangian}_field,
-from four inputs: how M^-1 is applied, grad V, G and D.  The ground truth
-below calls them with arrays (G and D from the constraint set's affine map,
-M^-1 from the context's minv, both built once); CHNN and CLNN call them with
-tape nodes.  The fields are written with operators (@, +, -, unary -, .mT,
-.reshape and [..., a:b]), which numpy runs in C on arrays and which record
-the same ops as the autodiff functions on nodes, so a field evaluation on
-arrays costs its numpy work and no Python call per op.  Their one solve,
-autodiff.spd_solve, carries the one degeneracy test: a Cholesky pivot ratio
-of the SPD K (DegenerateConfigurationError below
+from five inputs: the (n, n) matrix M^-1 (applied on the point index with
+bodies.apply_on_points), grad V, v, G and D.  The ground truth below calls
+them with arrays (G and D from the constraint set's affine map, M^-1 the
+mass model's); CHNN and CLNN call them with tape nodes (their learned M^-1).
+Either way one numpy forward function per flavor does the work, so a field
+evaluation on arrays costs its numpy work alone.  On the tape the field is
+one fused node that keeps the forward's intermediates, and its VJP is
+written in closed form below: one more solve with the stored K and a few
+stacked products, recorded as one adjoint op (first order only; the second
+order of training lives in the learned potential's mlp_vjp).  The forward's
+solve, autodiff.spd_solve, carries the one degeneracy test: a Cholesky
+pivot ratio of the SPD K (DegenerateConfigurationError below
 autodiff.PIVOT_RATIO_LIMIT).  The 2C x 2C matrix has determinant det(K)^2,
 so the test on K covers the full system.
 
@@ -41,7 +44,6 @@ as it would be alone, and the guard raises if any row is degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
 
 import numpy as np
 
@@ -72,12 +74,6 @@ class DynamicsContext:
     def dim(self) -> int:
         return self.topology.dim
 
-    @cached_property
-    def minv(self):
-        """(M^-1 kron I_d) on flat point-major rows (..., dn) and Jacobians
-        (..., C, dn), as the constrained fields take it; built once."""
-        return partial(apply_on_points, self.mass.inverse.T)
-
     def with_flavor(self, flavor: str) -> "DynamicsContext":
         return replace(self, flavor=flavor)
 
@@ -98,42 +94,130 @@ def _flat(xdot, pdot):
     return both.reshape(both.shape[:-1])
 
 
-def constrained_hamiltonian_field(minv, grad_V, v, G, D):
-    """zdot = (xdot, pdot) of the projected Hamiltonian flow, in C x C form.
-
-    minv applies M^-1 on the point index of flat rows (..., dn) and of
-    Jacobians (..., C, dn); grad_V is grad_X V and v = M^-1 p, both (..., dn);
-    G = DPhi(x) and D = D_x phidot(v) are (..., C, dn).  Arrays or tape nodes.
-    """
+def _hamiltonian_forward(Minv, grad_V, v, G, D):
+    """The Hamiltonian field on arrays and its intermediates (H, K, W, lam1, lam2)."""
     v, grad_V = _col(v), _col(grad_V)
-    if G.shape[-2] == 0:
-        return _flat(v, -grad_V)
-    H = minv(G)
+    H = apply_on_points(Minv, G)
     Ht = H.mT
     DHt = D @ Ht
+    K = G @ Ht
     # one guarded solve: K^-1 [G v, D v - H grad V, S] with S = D H^T - H D^T
-    rhs = ad.concat([G @ v, D @ v - H @ grad_V, DHt - DHt.mT], axis=-1)
-    W = ad.spd_solve(G @ Ht, rhs)
+    W = ad.spd_solve(K, np.concatenate([G @ v, D @ v - H @ grad_V, DHt - DHt.mT], axis=-1))
     lam2 = -W[..., :1]
     lam1 = W[..., 1:2] + W[..., 2:] @ lam2
     xdot = v + Ht @ lam2
     pdot = -grad_V - G.mT @ lam1 - D.mT @ lam2
-    return _flat(xdot, pdot)
+    return _flat(xdot, pdot), (H, K, W, lam1, lam2)
 
 
-def constrained_lagrangian_field(minv, grad_V, v, G, D):
+def _hamiltonian_vjp(node, g, need):
+    """Reverse of _hamiltonian_forward for the adjoint g = (a, b) of (xdot, pdot).
+
+    Back through xdot = v + H^T lam2 and pdot = -grad V - G^T lam1 - D^T lam2,
+    lam1 = W1 + W2 lam2 and lam2 = -W0, then W = K^-1 rhs (adjoint
+    R = K^-1 Wbar, as K is symmetric, and Kbar = -R W^T), the three rhs
+    blocks, S = E - E^T with E = D H^T, K = G H^T and H = G M^-T (rows
+    M^-1 G_r).
+    """
+    Minv, grad_V, v, G, D = (parent.value for parent in node.parents)
+    H, K, W, lam1, lam2 = node.extra
+    dn = v.shape[-1]
+    a, b, v, grad_V = _col(g[..., :dn]), _col(g[..., dn:]), _col(v), _col(grad_V)
+    lam1_bar = -(G @ b)
+    lam2_bar = H @ a - D @ b + W[..., 2:].mT @ lam1_bar
+    R = np.linalg.solve(K, np.concatenate([-lam2_bar, lam1_bar, lam1_bar @ lam2.mT], axis=-1))
+    K_bar = -(R @ W.mT)
+    r0, r1 = R[..., :1], R[..., 1:2]
+    E_bar = R[..., 2:] - R[..., 2:].mT
+    out = [None] * 5
+    if need[0] or need[3]:
+        H_bar = lam2 @ a.mT - r1 @ grad_V.mT + E_bar.mT @ D + K_bar.mT @ G
+        out[0] = _points_adjoint(H_bar, G, len(Minv))
+    if need[1]:
+        out[1] = (-b - H.mT @ r1)[..., 0]
+    if need[2]:
+        out[2] = (a + G.mT @ r0 + D.mT @ r1)[..., 0]
+    if need[3]:
+        out[3] = r0 @ v.mT - lam1 @ b.mT + K_bar @ H + apply_on_points(Minv.mT, H_bar)
+    if need[4]:
+        out[4] = r1 @ v.mT - lam2 @ b.mT + E_bar @ H
+    return out
+
+
+def _lagrangian_forward(Minv, grad_V, v, G, D):
+    """The Lagrangian acceleration on arrays and its intermediates
+    (lam, H, K, M^-1 f), lam as columns (..., C, 1)."""
+    minv_f = apply_on_points(Minv, -grad_V)
+    H = apply_on_points(Minv, G)
+    Ht = H.mT
+    K = G @ Ht
+    lam = ad.spd_solve(K, G @ _col(minv_f) + D @ _col(v))
+    return minv_f - (Ht @ lam).reshape(minv_f.shape), (lam, H, K, minv_f)
+
+
+def _lagrangian_vjp(node, g, need):
+    """Reverse of _lagrangian_forward for the adjoint g of xddot: back through
+    xddot = M^-1 f - H^T lam, lam = K^-1 (G M^-1 f + D v) (adjoint
+    r = K^-1 lambar, Kbar = -r lam^T), K = G H^T, H = G M^-T and
+    M^-1 f = -M^-1 grad V."""
+    Minv, grad_V, v, G, D = (parent.value for parent in node.parents)
+    lam, H, K, minv_f = node.extra
+    a = _col(g)
+    r = np.linalg.solve(K, -(H @ a))
+    K_bar = -(r @ lam.mT)
+    f_bar = g + (G.mT @ r)[..., 0]
+    out = [None] * 5
+    if need[0] or need[3]:
+        H_bar = K_bar.mT @ G - lam @ a.mT
+    if need[0]:
+        out[0] = _points_adjoint(H_bar, G, len(Minv)) - _points_adjoint(f_bar, grad_V, len(Minv))
+    if need[1]:
+        out[1] = -apply_on_points(Minv.mT, f_bar)
+    if need[2]:
+        out[2] = (D.mT @ r)[..., 0]
+    if need[3]:
+        out[3] = r @ _col(minv_f).mT + K_bar @ H + apply_on_points(Minv.mT, H_bar)
+    if need[4]:
+        out[4] = r @ _col(v).mT
+    return out
+
+
+def _points_adjoint(out_bar, w, n: int):
+    """Adjoint of the (n, n) matrix in apply_on_points(matrix, w) for the
+    output adjoint out_bar (..., n*d): the sum over rows of out_bar_r w_r^T,
+    both as (n, d) point matrices."""
+    rows = out_bar.reshape(-1, n, out_bar.shape[-1] // n)
+    return np.tensordot(rows, np.broadcast_to(w, out_bar.shape).reshape(rows.shape),
+                        axes=([0, 2], [0, 2]))
+
+
+ad.define_vjp("hamiltonian_field", _hamiltonian_vjp)
+ad.define_vjp("lagrangian_field", _lagrangian_vjp)
+
+
+def constrained_hamiltonian_field(Minv, grad_V, v, G, D):
+    """zdot = (xdot, pdot) of the projected Hamiltonian flow, in C x C form.
+
+    Minv is the (n, n) inverse mass on the point index; grad_V is grad_X V
+    and v = M^-1 p, both (..., dn); G = DPhi(x) and D = D_x phidot(v) are
+    (..., C, dn).  Arrays, or tape nodes: then one `hamiltonian_field` node.
+    """
+    if G.shape[-2] == 0:
+        return _flat(_col(v), ad.neg(_col(grad_V)))
+    return ad.fused("hamiltonian_field", _hamiltonian_forward, (Minv, grad_V, v, G, D))[0]
+
+
+def constrained_lagrangian_field(Minv, grad_V, v, G, D):
     """(xddot, lambda) with xddot = M^-1 f - H^T K^-1 (H f + D v), f = -grad V.
 
-    Same inputs as constrained_hamiltonian_field, with v the velocity.
+    Same inputs as constrained_hamiltonian_field, with v the velocity.  On
+    the tape xddot is one `lagrangian_field` node and lambda its array,
+    which is not differentiated.
     """
-    minv_f = minv(-grad_V)
     if G.shape[-2] == 0:
-        return minv_f, np.zeros(G.shape[:-1])
-    Ht = minv(G).mT
-    rhs = G @ _col(minv_f) + D @ _col(v)
-    lam = ad.spd_solve(G @ Ht, rhs)
-    xddot = minv_f - (Ht @ lam).reshape(minv_f.shape)
-    return xddot, lam.reshape(rhs.shape[:-1])
+        return apply_on_points(Minv, ad.neg(grad_V)), np.zeros(G.shape[:-1])
+    xddot, (lam, *_) = ad.fused("lagrangian_field", _lagrangian_forward, (Minv, grad_V, v, G, D))
+    return xddot, lam.reshape(lam.shape[:-1])
 
 
 def grad_hamiltonian(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
@@ -155,7 +239,7 @@ def constrained_hamiltonian_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.
     X, P = ctx.split(z)
     v = flatten_matrix(P @ ctx.mass.inverse)
     cs = ctx.topology.constraint_set
-    return constrained_hamiltonian_field(ctx.minv, flatten_matrix(ctx.potential.grad(X)), v,
+    return constrained_hamiltonian_field(ctx.mass.inverse.T, flatten_matrix(ctx.potential.grad(X)), v,
                                          cs.dphi(z[..., :v.shape[-1]]), cs.dphidot_x(v))
 
 
@@ -181,7 +265,7 @@ def constrained_lagrangian_dynamics(ctx: DynamicsContext, X: np.ndarray,
     v = flatten_matrix(V)
     cs = ctx.topology.constraint_set
     xddot, lam = constrained_lagrangian_field(
-        ctx.minv, flatten_matrix(ctx.potential.grad(X)), v,
+        ctx.mass.inverse.T, flatten_matrix(ctx.potential.grad(X)), v,
         cs.dphi(flatten_matrix(X)), cs.dphidot_x(v))
     return unflatten_matrix(xddot, ctx.dim), lam
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .bodies import apply_on_points, block_diag, mass_blocks
 from .dynamics import constrained_hamiltonian_field, constrained_lagrangian_field
+from .errors import ParameterDomainError
 from .oracles import pendulum_angles, pendulum_embed
 from .states import unflatten_matrix
 
@@ -52,6 +53,8 @@ class DynamicsModel:
     def __init__(self, system, hidden=(256, 256, 256)):
         self.system = system
         self.hidden = tuple(int(h) for h in hidden)
+        if not all(h >= 1 for h in self.hidden):
+            raise ParameterDomainError(f"hidden widths must be at least 1, got {list(self.hidden)}")
         self.cartesian_dim = 2 * system.topology.dn
 
     # -- implemented by subclasses; nodes or arrays --
@@ -125,17 +128,12 @@ class _ConstrainedModel(DynamicsModel):
         """(M, M^-1), built once per tape and set of mass leaves."""
         return _memo(lambda: _mass_nodes(leaves, self.system.topology.bodies), leaves, "mass.")
 
-    def _minv(self, leaves: dict):
-        """M^-1 on the point index of flat rows, as the fields take it."""
-        _, Minv = self._mass(leaves)
-        return lambda w: apply_on_points(Minv, w)
-
-    def _field(self, field, leaves: dict, minv, x, v):
+    def _field(self, field, leaves: dict, Minv, x, v):
         """A constrained field at positions x and velocities v."""
         potential = self._potential or (lambda lv, xx: ad.mlp_apply(lv, xx, prefix="potential"))
         grad_V = ad.input_gradient(lambda xx: potential(leaves, xx), x)
         cs = self._constraints
-        return field(minv, grad_V, v, cs.dphi(x), cs.dphidot_x(v))
+        return field(Minv, grad_V, v, cs.dphi(x), cs.dphidot_x(v))
 
 
 class CHNN(_ConstrainedModel):
@@ -144,9 +142,9 @@ class CHNN(_ConstrainedModel):
     kind = "chnn"
 
     def dynamics_node(self, leaves: dict, z):
-        minv = self._minv(leaves)
+        _, Minv = self._mass(leaves)
         x, p = ad.narrow(z, 1, 0, self.dn), ad.narrow(z, 1, self.dn, self.dn)
-        return self._field(constrained_hamiltonian_field, leaves, minv, x, minv(p))
+        return self._field(constrained_hamiltonian_field, leaves, Minv, x, apply_on_points(Minv, p))
 
     def to_state_node(self, leaves: dict, raw):
         M, _ = self._mass(leaves)
@@ -154,8 +152,9 @@ class CHNN(_ConstrainedModel):
         return ad.concat([ad.narrow(raw, 1, 0, self.dn), apply_on_points(M, v)], axis=1)
 
     def decode_node(self, leaves: dict, w):
+        _, Minv = self._mass(leaves)
         p = ad.narrow(w, 1, self.dn, self.dn)
-        return ad.concat([ad.narrow(w, 1, 0, self.dn), self._minv(leaves)(p)], axis=1)
+        return ad.concat([ad.narrow(w, 1, 0, self.dn), apply_on_points(Minv, p)], axis=1)
 
 
 class CLNN(_ConstrainedModel):
@@ -165,7 +164,7 @@ class CLNN(_ConstrainedModel):
 
     def dynamics_node(self, leaves: dict, w):
         x, v = ad.narrow(w, 1, 0, self.dn), ad.narrow(w, 1, self.dn, self.dn)
-        xddot, _ = self._field(constrained_lagrangian_field, leaves, self._minv(leaves), x, v)
+        xddot, _ = self._field(constrained_lagrangian_field, leaves, self._mass(leaves)[1], x, v)
         return ad.concat([v, xddot], axis=1)
 
 

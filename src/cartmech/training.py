@@ -31,6 +31,9 @@ class TrainConfig:
     max_bad_steps: int = 10
 
     def __post_init__(self):
+        for name in ("lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterDomainError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("epochs", "batch_size", "lr", "substeps", "max_bad_steps"):
             if getattr(self, name) <= 0:
                 raise ParameterDomainError(f"{name} must be positive")

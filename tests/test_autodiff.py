@@ -448,7 +448,7 @@ def test_ops_on_plain_arrays_return_numpy_results_and_record_nothing(monkeypatch
     binary = [
         (ad.matmul, lambda x, y: x @ y, np.matmul, (a, b)),
         (ad.add, lambda x, y: x + y, np.add, (a, c)),
-        (ad.sub, lambda x, y: x - y, np.subtract, (a, c)),
+        (ad.sub, None, np.subtract, (a, c)),
         (ad.mul, lambda x, y: x * y, np.multiply, (a, c)),
         (ad.div, None, np.divide, (a, c)),
         (lambda x, y: ad.concat([x, y], axis=-1), None,
@@ -456,10 +456,10 @@ def test_ops_on_plain_arrays_return_numpy_results_and_record_nothing(monkeypatch
         (ad.spd_solve, None, np.linalg.solve, (K, B)),
     ]
     unary = [
-        (ad.neg, lambda x: -x, np.negative),
-        (ad.transpose, lambda x: x.mT, lambda x: x.swapaxes(-1, -2)),
+        (ad.neg, None, np.negative),
+        (ad.transpose, None, lambda x: x.swapaxes(-1, -2)),
         (lambda x: ad.reshape(x, (4, 3)), lambda x: x.reshape((4, 3)), lambda x: x.reshape(4, 3)),
-        (lambda x: ad.narrow(x, -1, 1, 2), lambda x: x[..., 1:3], lambda x: x[..., 1:3]),
+        (lambda x: ad.narrow(x, -1, 1, 2), None, lambda x: x[..., 1:3]),
         (lambda x: ad.reduce_sum(x, 1), None, lambda x: x.sum(axis=1)),
         (ad.tanh, None, np.tanh),
         (ad.sin, None, np.sin),
@@ -512,14 +512,6 @@ def test_ops_on_plain_arrays_return_numpy_results_and_record_nothing(monkeypatch
     gx = input_gradient(lambda x: mlp_apply(params, x), a)
     assert isinstance(gx, np.ndarray) and len(tape) == before
     assert np.array_equal(gx, input_gradient(lambda x: mlp_apply(leaves, x), tape.constant(a)).value)
-
-
-def test_nodes_take_last_axis_slices_only():
-    x = Tape().constant(np.ones((2, 5)))
-    assert x[..., 3:].shape == (2, 2) and x[..., -2:].value.shape == (2, 2)
-    for key in (slice(0, 1), (slice(None), slice(0, 1)), (Ellipsis, slice(0, 4, 2)), (Ellipsis, 0)):
-        with pytest.raises(ShapeError):
-            x[key]
 
 
 def test_narrow_of_concat_needs_only_the_blocks_it_reads():

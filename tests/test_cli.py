@@ -307,6 +307,37 @@ def test_bad_arguments_exit_1_not_2():
     assert rc == 1
 
 
+@pytest.mark.parametrize("setting", ["train.lr=NaN", "train.lr=1e400",
+                                     "train.weight_decay=NaN", "train.weight_decay=1e400"])
+def test_non_finite_learning_rate_or_decay_exits_1_and_writes_nothing(workdir, tmp_path, setting):
+    # JSON reads 1e400 as inf; NaN passes every `<= 0` test
+    out = tmp_path / "run"
+    rc, stdout, err = run_cli("train", *TINY, "--set", setting,
+                              "--data", str(workdir / "data" / "train"), "--out", str(out))
+    assert rc == 1, err
+    assert setting.split("=")[0].split(".")[1] in err and "finite" in err
+    assert "final_loss" not in stdout and not (out / "final.cmk").exists()
+
+
+def test_bad_hidden_widths_exit_1_naming_hidden(workdir, tmp_path):
+    for widths in ("[0]", "[-3]", "[8,0]"):
+        rc, _, err = run_cli("train", *TINY, "--set", f"model.hidden={widths}",
+                             "--data", str(workdir / "data" / "train"),
+                             "--out", str(tmp_path / "run"))
+        assert rc == 1, err
+        assert "hidden" in err and "reshape" not in err and "negative dimensions" not in err
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cartmech.cli", "simulate", "--system", "npendulum", "--n", "2",
+         "--T", "0.3", "--checkpoint", str(workdir / "run" / "final.cmk"),
+         "--model", "chnn", "--hidden", "0"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "hidden" in proc.stderr
+
+
 def _heavy_checkpoint(workdir, tmp_path):
     """The trained chnn with body 0 made 1e34 times heavier: its multiplier
     system K = DPhi M^-1 DPhi^T is degenerate on every state."""

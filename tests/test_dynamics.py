@@ -3,12 +3,17 @@ from functools import partial
 import numpy as np
 import pytest
 from conftest import fd_jacobian
+from reference_fields import reference_hamiltonian_field, reference_lagrangian_field
 
+import cartmech.autodiff as ad
+from cartmech.autodiff import finite_difference_check
 from cartmech.bodies import BodySpec, apply_inverse_mass, assemble_mass_matrix
 from cartmech.constraints import Link, anchor, jacobian_phi, jacobian_psi, phi, phidot, point
 from cartmech.dynamics import (
     DynamicsContext,
     constrained_dynamics,
+    constrained_hamiltonian_field,
+    constrained_lagrangian_field,
     constrained_hamiltonian_dynamics,
     constrained_lagrangian_dynamics,
     convert_flavor,
@@ -307,3 +312,98 @@ def test_pivot_guard_fires_wherever_the_condition_number_guard_did():
     # the explicit 2C x 2C reference applies the same test to its K block
     with pytest.raises(DegenerateConfigurationError):
         projection_matrix(jacobian_psi(ctx.topology, np.zeros(4), ctx.mass))
+
+
+# -- the fused field nodes and their closed-form VJPs ------------------------------
+
+FIELDS = {
+    HAMILTONIAN: ("hamiltonian_field", constrained_hamiltonian_field, reference_hamiltonian_field),
+    LAGRANGIAN: ("lagrangian_field", lambda *a: constrained_lagrangian_field(*a)[0],
+                 lambda *a: reference_lagrangian_field(*a)[0]),
+}
+
+
+def _field_inputs(name, rows, seed):
+    """(M^-1, grad V, v, G, D) for a system, or for three free point masses
+    in 3-D ("free", no constraints).  M^-1 is the system's (block-diagonal,
+    with off-diagonal entries for extended bodies) plus a dense SPD term, so
+    every entry's adjoint is exercised."""
+    rng = np.random.default_rng(seed)
+    if name == "free":
+        from cartmech.topology import SystemTopology
+
+        topology = SystemTopology(dim=3, bodies=[BodySpec.point(m) for m in (1.0, 2.0, 0.5)])
+        minv = assemble_mass_matrix(topology.bodies).inverse
+        x = rng.normal(size=(rows, topology.dn))
+    else:
+        system = build_system(name)
+        topology, minv = system.topology, system.mass.inverse
+        x = system.sample(rng, rows)[:, :topology.dn]
+    n = len(minv)
+    S = rng.normal(size=(n, n))
+    cs = topology.constraint_set
+    grad_V, v = rng.normal(size=(2, rows, topology.dn))
+    return [minv + 0.1 * S @ S.T / n, grad_V, v, cs.dphi(x), cs.dphidot_x(v)]
+
+
+def _field_adjoints(field, inputs, weights):
+    """Value of field on tape nodes and the adjoints of sum(weights * field)."""
+    tape = ad.Tape()
+    nodes = [tape.constant(a) for a in inputs]
+    out = field(*nodes)
+    return tape, out.value, [g.value for g in ad.grad(ad.reduce_sum(ad.mul(out, weights)), nodes)]
+
+
+@pytest.mark.parametrize("flavor", [HAMILTONIAN, LAGRANGIAN])
+@pytest.mark.parametrize("name", system_names() + ["free"])
+def test_field_vjps_match_the_op_by_op_reference(name, flavor):
+    op, field, reference = FIELDS[flavor]
+    inputs = _field_inputs(name, 3, 31)
+    weights = np.random.default_rng(32).normal(size=field(*inputs).shape)
+    tape, value, adjoints = _field_adjoints(field, inputs, weights)
+    _, ref_value, ref_adjoints = _field_adjoints(reference, inputs, weights)
+    # one node on the tape, the arrays' bits
+    assert np.array_equal(value, ref_value) and np.array_equal(value, field(*inputs))
+    assert [node.op for node in tape.nodes].count(op) == (1 if inputs[3].shape[-2] else 0)
+    for got, want in zip(adjoints, ref_adjoints):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("flavor", [HAMILTONIAN, LAGRANGIAN])
+@pytest.mark.parametrize("name", system_names() + ["free"])
+def test_field_vjps_match_finite_differences(name, flavor):
+    _, field, _ = FIELDS[flavor]
+    inputs = _field_inputs(name, 2, 33)
+    weights = np.random.default_rng(34).normal(size=field(*inputs).shape)
+    for i, at in enumerate(inputs):
+        if not at.size:
+            continue
+
+        def swap(x, i=i):
+            return inputs[:i] + [x] + inputs[i + 1:]
+
+        def loss(x):
+            return float(np.sum(field(*swap(x)) * weights))
+
+        def adjoint(x, i=i):
+            return _field_adjoints(field, swap(x), weights)[2][i]
+
+        # central differences round to ~1e-6 at the default step on the rotor's
+        # and gyroscope's large M^-1 entries; at 1e-4 they agree to < 5e-7
+        assert finite_difference_check(loss, adjoint, at, h=1e-4) < 1e-6, (name, flavor, i)
+
+
+@pytest.mark.parametrize("flavor", [HAMILTONIAN, LAGRANGIAN])
+def test_field_adjoints_cannot_be_differentiated_again(flavor):
+    # with grad V from a learned potential, the field's adjoint is already
+    # the second order of the loss; a further order raises, naming the op
+    op, field, _ = FIELDS[flavor]
+    inputs = _field_inputs("npendulum", 2, 35)
+    tape = ad.Tape()
+    nodes = [tape.constant(a) for a in inputs]
+    out = field(*nodes)
+    (g,) = ad.grad(ad.reduce_sum(ad.mul(out, out)), [nodes[1]])
+    assert g.op == f"{op}_adjoint"
+    with pytest.raises(NotImplementedError, match=f"{op}_adjoint"):
+        ad.grad(ad.reduce_sum(ad.mul(g, g)), [nodes[1]])

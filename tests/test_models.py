@@ -3,6 +3,7 @@ import pytest
 
 import cartmech.autodiff as ad
 from cartmech.dynamics import constrained_dynamics, convert_flavor
+from cartmech.errors import ParameterDomainError
 from cartmech.integrators import rollout_fixed
 from cartmech.metrics import constraint_rmse_curve
 from cartmech.models import MODEL_KINDS, _mass_nodes, build_model
@@ -205,6 +206,46 @@ def test_model_registry_rejects_bad_requests():
         build_model("hnn2d", build_system("rotor"))
     with pytest.raises(ValueError):
         build_model("node-angular", build_system("magnet"))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_hidden_widths_below_one_are_rejected_by_name(kind):
+    system = build_system("npendulum", n=2)
+    for hidden in ((0,), (-3,), (8, 0)):
+        with pytest.raises(ParameterDomainError, match="hidden"):
+            build_model(kind, system, hidden=hidden)
+
+
+@pytest.mark.parametrize("kind", ["chnn", "clnn"])
+def test_constrained_loss_records_one_field_node_per_field_call(kind, monkeypatch):
+    from reference_fields import reference_hamiltonian_field, reference_lagrangian_field
+
+    from cartmech import models
+    from cartmech.dataset import generate_dataset
+
+    system = build_system("npendulum", n=2)
+    chunks = generate_dataset(system, 3, steps=10, seed=1, split="train").states
+    assert chunks.shape[1] == 5  # 4 RK4 steps of 4 field calls
+    model = build_model(kind, system, hidden=(16, 16))
+    store = model.init_params(np.random.default_rng(2))
+
+    def loss_and_grads():
+        tape = ad.Tape()
+        leaves = store.leaves(tape)
+        loss = trajectory_loss_node(model, leaves, chunks)
+        ops = [node.op for node in tape.nodes]
+        return loss.value, ad.grad(loss, [leaves[k] for k in store.names()]), ops
+
+    loss, grads, ops = loss_and_grads()
+    op = {"chnn": "hamiltonian_field", "clnn": "lagrangian_field"}[kind]
+    assert ops.count(op) == 16 and "spd_solve" not in ops
+    monkeypatch.setattr(models, "constrained_hamiltonian_field", reference_hamiltonian_field)
+    monkeypatch.setattr(models, "constrained_lagrangian_field", reference_lagrangian_field)
+    ref_loss, ref_grads, ref_ops = loss_and_grads()
+    assert ref_ops.count("spd_solve") == 16 and op not in ref_ops
+    assert loss.tobytes() == ref_loss.tobytes()
+    for got, want in zip(grads, ref_grads):
+        assert np.max(np.abs(got.value - want.value)) <= 1e-12 * np.max(np.abs(want.value))
 
 
 @pytest.mark.parametrize("kind", ["chnn", "clnn"])

@@ -290,6 +290,10 @@ def test_train_config_validation():
         TrainConfig(lr=-1.0)
     with pytest.raises(ParameterDomainError):
         TrainConfig(weight_decay=-0.1)
+    for name in ("lr", "weight_decay"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ParameterDomainError, match=f"{name} must be finite"):
+                TrainConfig(**{name: value})
 
 
 def test_checkpoints_written_at_cadence(tmp_path):
