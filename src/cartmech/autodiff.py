@@ -4,27 +4,30 @@ Nodes hold eagerly computed numpy values; every operation appends one node
 recording its kind and parents.  grad() runs a single reverse-topological
 sweep and emits each primitive's backward pass as new forward nodes, so
 gradients are themselves differentiable (second order comes from calling
-grad on a graph that already contains a gradient, e.g. through
-input_gradient of a learned potential).  The generic ops support any order.
-mlp_apply is one fused node whose derivatives are written in closed form; it
-supports exactly second order: differentiating its second-order outputs or
-its parameter adjoints again raises NotImplementedError.  fused() and
-define_vjp() let other modules record a composite function as one node with
-a closed-form first-order VJP (the constrained fields of dynamics); its
-adjoints cannot be differentiated again either.
+grad on a graph that already contains a gradient, e.g. the input gradient of
+a learned potential).  The generic ops support any order.  The fused tanh
+MLP is one `mlp` node whose derivatives are written in closed form;
+mlp_pullback returns its output with a pullback for any output cotangent,
+which records the x-adjoint as one `mlp_vjp` node.  It supports exactly
+second order: differentiating its second-order outputs or its parameter
+adjoints again raises NotImplementedError.  fused() and define_vjp() let
+other modules record a composite function as one node with a closed-form
+first-order VJP (the constrained fields of dynamics); its adjoints cannot be
+differentiated again either.
 
 Every op also takes plain arrays: with no node among its operands it returns
 the numpy result and records nothing, so the same code runs on arrays
-(evaluation, ground truth) and on nodes (training); input_gradient of an
-array works on a private tape.  Node has the operators +, * and @ and the
-method .reshape(shape), each recording the op its function form records:
-the constraint Jacobians, bodies.apply_on_points and RK4 are written with
-them, and numpy runs the same expressions in C on arrays, without a Python
-call per op.  Node sets __array_ufunc__ = None, so numpy hands
-`array @ node` to the node.  Scalars are 0-d arrays.  Broadcasting works
-where numpy allows it; backward passes sum the broadcast axes away.  The one
-linear solve, spd_solve, is for SPD systems and carries the package's one
-degeneracy test (check_pivots, a Cholesky pivot ratio).
+(evaluation, ground truth) and on nodes (training).  On arrays the MLP's
+pullback is its numpy backward pass, so no evaluation opens a tape.  Node
+has the operators +, * and @ and the method .reshape(shape), each recording
+the op its function form records: the constraint Jacobians,
+bodies.apply_on_points and RK4 are written with them, and numpy runs the
+same expressions in C on arrays, without a Python call per op.  Node sets
+__array_ufunc__ = None, so numpy hands `array @ node` to the node.  Scalars
+are 0-d arrays.  Broadcasting works where numpy allows it; backward passes
+sum the broadcast axes away.  The one linear solve, spd_solve, is for SPD
+systems and carries the package's one degeneracy test (check_pivots, a
+Cholesky pivot ratio).
 """
 from __future__ import annotations
 
@@ -438,23 +441,6 @@ def _narrowed_blocks_need(node: Node, needs) -> int:
                    if end - size < start + length and start < end))
 
 
-def input_gradient(f, X):
-    """dV/dX for a scalar-per-row function f, from the gradient of the summed
-    rows: differentiable nodes for a node X, an array (from a private tape
-    that records f alone) for an array X."""
-    private = not isinstance(X, Node)
-    tape = Tape() if private else X.tape
-    node = tape.constant(X) if private else X
-    try:
-        out = f(node)
-        total = reduce_sum(out) if out.value.size != 1 else out
-        g = grad(total, [node])[0]
-        return g.value if private else g
-    finally:
-        if private:
-            tape.clear()
-
-
 # -- parameters and networks --------------------------------------------------
 
 class ParamStore:
@@ -516,15 +502,39 @@ def mlp_init(rng: np.random.Generator, in_dim: int, hidden, out_dim: int,
 # pass for an output cotangent g is delta_{L-1} = g, e_k = delta_k W_k^T (the
 # adjoint of h_k) and delta_{k-1} = e_k s_k; the adjoint of x is delta_0 W_0^T.
 
-def mlp_apply(params: dict, x, prefix: str = "mlp"):
-    """Forward pass of the tanh MLP on rows of x; linear final layer.
+def _times_transpose(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a W^T; a broadcast product where the inner dimension is 1, which gives
+    the same bits as the rank-1 gemm at a fraction of its cost."""
+    return a * w.T if w.shape[-1] == 1 else np.matmul(a, w.T)
 
-    Records one `mlp` node for any depth, keeping the hidden activations.  Its
-    VJP gives the x-adjoint as one `mlp_vjp` node, differentiable once more in
-    closed form: a JVP in the cotangent and a Hessian-vector product in x and
-    in every parameter.  Those second-order outputs, and the parameter
-    adjoints of the first-order VJP, are plain numpy: differentiating them
-    again raises NotImplementedError.  On plain arrays it returns an array.
+
+def _mlp_backward(weights: list, hidden: list, g: np.ndarray) -> tuple:
+    """(slopes, deltas, errs) of the backward pass for the output cotangent g,
+    on arrays and, kept for second order, on nodes alike."""
+    slopes = []
+    for h in hidden:
+        s = h * h
+        slopes.append(np.subtract(1.0, s, out=s))
+    deltas, errs = [g], []
+    for k in range(len(weights) - 1, 0, -1):
+        errs.insert(0, _times_transpose(deltas[0], weights[k]))
+        deltas.insert(0, errs[0] * slopes[k - 1])
+    return slopes, deltas, errs
+
+
+def mlp_pullback(params: dict, x, prefix: str = "mlp"):
+    """(y, pullback): the tanh MLP on rows of x (linear final layer) and the
+    map from an output cotangent g, shaped like y, to the adjoint of x.
+
+    On plain arrays both are numpy and nothing is recorded: pullback(g) is the
+    closed-form backward pass, with no tape.  With a node among x and the
+    parameters, y is one `mlp` node for any depth, keeping the hidden
+    activations, and pullback(g) records one `mlp_vjp` node, as grad() does
+    (an array g becomes a constant).  That node is differentiable once more
+    in closed form: a JVP in the cotangent and a Hessian-vector product in x
+    and in every parameter.  Those second-order outputs, and the parameter
+    adjoints of the `mlp` node, are plain numpy: differentiating them again
+    raises NotImplementedError.
     """
     n_layers = sum(1 for name in params if name.startswith(f"{prefix}.w"))
     if not n_layers:
@@ -533,16 +543,36 @@ def mlp_apply(params: dict, x, prefix: str = "mlp"):
     for k in range(n_layers):
         inputs += [params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]]
     values = [np.asarray(_value(n), dtype=float) for n in inputs]
-    h = values[0]
+    h, hidden = values[0], []
     if h.ndim < 2:
         raise ShapeError("mlp input must be at least 2-d; reshape vectors explicitly")
-    hidden = []
     for k in range(n_layers):
-        a = np.matmul(h, values[1 + 2 * k]) + values[2 + 2 * k]
+        y = np.matmul(h, values[1 + 2 * k])
+        y += values[2 + 2 * k]
         if k < n_layers - 1:
-            h = np.tanh(a)
+            h = np.tanh(y, out=y)
             hidden.append(h)
-    return _record("mlp", lambda *_: a, inputs, hidden)
+    if not any(isinstance(n, Node) for n in inputs):
+        weights = values[1::2]
+
+        def pullback(g):
+            _, deltas, _ = _mlp_backward(weights, hidden, np.asarray(g, dtype=float))
+            return _times_transpose(deltas[0], weights[0])
+
+        return y, pullback
+    node = _record("mlp", lambda *_: y, inputs, hidden)
+    need_x = (1,) + (0,) * (2 * n_layers)
+
+    def pullback(g):
+        g = g if isinstance(g, Node) else node.tape.constant(g)
+        return _vjp_mlp(node, g, need_x)[0]
+
+    return node, pullback
+
+
+def mlp_apply(params: dict, x, prefix: str = "mlp"):
+    """The output of mlp_pullback alone: an `mlp` node, or an array."""
+    return mlp_pullback(params, x, prefix)[0]
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -553,15 +583,11 @@ def _vjp_mlp(node, g, need):
     """x-adjoint as an `mlp_vjp` node; parameter adjoints from the same pass."""
     weights = [w.value for w in node.parents[1::2]]
     hidden = node.extra
-    slopes = [1.0 - h * h for h in hidden]
-    deltas, errs = [g.value], []
-    for k in range(len(weights) - 1, 0, -1):
-        errs.insert(0, np.matmul(deltas[0], weights[k].T))
-        deltas.insert(0, errs[0] * slopes[k - 1])
+    slopes, deltas, errs = _mlp_backward(weights, hidden, g.value)
     parents = (g, *node.parents)
     out = [None] * len(node.parents)
     if need[0]:
-        out[0] = node.tape._append(np.matmul(deltas[0], weights[0].T), "mlp_vjp", parents,
+        out[0] = node.tape._append(_times_transpose(deltas[0], weights[0]), "mlp_vjp", parents,
                                    (hidden, slopes, deltas, errs))
     acts = [node.parents[0].value, *hidden]
     for k, delta in enumerate(deltas):
@@ -605,16 +631,18 @@ def _vjp_mlp_vjp(node, u, need):
     stop = 0 if need[1] else owed[0] if owed else n_layers - 1
     abar = None
     for k in range(n_layers - 1, stop, -1):
-        hbar = -2.0 * hidden[k - 1] * tangents[k - 1] * errs[k - 1]
+        hbar = -2.0 * hidden[k - 1]
+        hbar *= tangents[k - 1]
+        hbar *= errs[k - 1]
         if abar is not None:
-            hbar = hbar + np.matmul(abar, weights[k].T)
-        abar = hbar * slopes[k - 1]
+            hbar += _times_transpose(abar, weights[k])
+        abar = np.multiply(hbar, slopes[k - 1], out=hbar)
         if need[2 * k]:
-            out[2 * k] = out[2 * k] + _rows(acts[k - 1]).T @ _rows(abar)
+            out[2 * k] += _rows(acts[k - 1]).T @ _rows(abar)
         if need[2 * k + 1]:
             out[2 * k + 1] = _rows(abar).sum(axis=0)
     if need[1] and abar is not None:
-        out[1] = np.matmul(abar, weights[0].T)
+        out[1] = _times_transpose(abar, weights[0])
     parents = (u, *node.parents)
     return [None if value is None else node.tape._append(value, "mlp_second_order", parents)
             for value in out]
@@ -630,7 +658,7 @@ def _final(reason: str):
 _VJP["mlp"] = _vjp_mlp
 _VJP["mlp_vjp"] = _vjp_mlp_vjp
 _VJP["mlp_param_adjoint"] = _VJP["mlp_second_order"] = _final(
-    "mlp_apply supports second order at most")
+    "the fused MLP supports second order at most")
 
 
 def define_vjp(op: str, rule) -> None:

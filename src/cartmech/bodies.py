@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ParameterDomainError, ShapeError
+from .errors import ShapeError, finite_positive
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,8 @@ class BodySpec:
     moments: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ParameterDomainError(f"mass must be positive, got {self.mass}")
-        if any(lam <= 0.0 for lam in self.moments):
-            raise ParameterDomainError(f"moments must be positive, got {self.moments}")
-        object.__setattr__(self, "moments", tuple(float(lam) for lam in self.moments))
+        finite_positive("mass", (self.mass,))
+        object.__setattr__(self, "moments", finite_positive("moments", self.moments))
 
     @staticmethod
     def point(mass: float = 1.0) -> "BodySpec":

@@ -35,6 +35,7 @@ from .errors import (
     IntegrationError,
     SchemaError,
     TrainingError,
+    finite_positive,
 )
 from .integrators import Tolerances, integrate_adaptive
 from .metrics import constraint_rmse_curve, energy_error, evaluate_model
@@ -202,15 +203,16 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     params = {"n": args.n} if args.n is not None else {}
     system = build_system(args.system, dt=args.dt, **params)
-    steps = int(round(args.T / system.dt))
+    tol = Tolerances(args.rtol, args.atol)
+    (horizon,) = finite_positive("--T", (args.T,))
+    steps = int(round(horizon / system.dt))
     if steps < 1:
         raise SchemaError("--T must cover at least one step")
     t_eval = system.dt * np.arange(steps + 1)
     rng = np.random.default_rng(args.seed)
     z0 = system.sample(rng)
     ctx = system.context()
-    traj = integrate_adaptive(system.dynamics, z0, steps * system.dt, t_eval=t_eval,
-                              tol=Tolerances(args.rtol, args.atol))
+    traj = integrate_adaptive(system.dynamics, z0, steps * system.dt, t_eval=t_eval, tol=tol)
     truth = convert_flavor(ctx, traj.states, LAGRANGIAN)
     if args.checkpoint:
         store = ad.load_checkpoint(args.checkpoint)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import convert_flavor
-from .errors import FormatError, IntegrationError
+from .errors import FormatError, IntegrationError, ParameterDomainError
 from .integrators import Tolerances, integrate_adaptive
 from .states import LAGRANGIAN
 from .systems import System, system_from_dict, system_to_dict
@@ -178,8 +178,11 @@ def load_dataset(directory) -> Dataset:
         raise FormatError(f"{path}: times_shape {list(t_shape)} and states_shape "
                           f"{list(s_shape)} are not (N, T) and (N, T, D)")
     tolerances = _entry(manifest, "tolerances", dict, path)
-    tol = Tolerances(float(_entry(tolerances, "rtol", (int, float), path)),
-                     float(_entry(tolerances, "atol", (int, float), path)))
+    try:
+        tol = Tolerances(float(_entry(tolerances, "rtol", (int, float), path)),
+                         float(_entry(tolerances, "atol", (int, float), path)))
+    except ParameterDomainError as err:
+        raise FormatError(f"{path}: {err}") from None
     system_spec = _entry(manifest, "system", dict, path)
     dt = float(_entry(manifest, "dt", (int, float), path))
     split = _entry(manifest, "split", str, path)

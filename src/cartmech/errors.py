@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one domain check for
+a positive parameter."""
+import math
 
 
 class CartmechError(Exception):
@@ -7,6 +9,16 @@ class CartmechError(Exception):
 
 class ParameterDomainError(CartmechError, ValueError):
     """A physical parameter is outside its admissible domain (m <= 0, lambda <= 0, ...)."""
+
+
+def finite_positive(name: str, values) -> tuple[float, ...]:
+    """values as floats; ParameterDomainError naming them unless every one is
+    finite and positive (nan fails every comparison, so it fails here too)."""
+    values = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        shown = values[0] if len(values) == 1 else values
+        raise ParameterDomainError(f"{name} must be finite and positive, got {shown}")
+    return values
 
 
 class ShapeError(CartmechError, ValueError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, finite_positive
 
 # Dormand-Prince 5(4) tableau.
 DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -55,8 +55,14 @@ K_P = 0.4 / 5
 
 @dataclass(frozen=True)
 class Tolerances:
+    """DP5's relative and absolute error tolerances, both finite and positive."""
+
     rtol: float = 1e-7
     atol: float = 1e-9
+
+    def __post_init__(self):
+        finite_positive("rtol", (self.rtol,))
+        finite_positive("atol", (self.atol,))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constraints import phi
 from .dynamics import energy
-from .errors import ShapeError
+from .errors import ShapeError, finite_positive
 from .states import LAGRANGIAN, unflatten_matrix
 
 LOG_FLOOR = 1e-12
@@ -111,10 +111,12 @@ def evaluate_rollout(system, preds: np.ndarray, truth: np.ndarray,
 
 def evaluate_model(model, store, dataset, horizon: float | None = None,
                    substeps: int = 1) -> EvalResult:
-    """Roll the model from each test trajectory's initial state and score it."""
+    """Roll the model from each test trajectory's initial state and score it,
+    over the first horizon seconds (finite and positive) or the whole test set."""
     times = dataset.times[0]
     states = dataset.states
     if horizon is not None:
+        (horizon,) = finite_positive("horizon", (horizon,))
         keep = int(round(horizon / dataset.dt)) + 1
         keep = max(2, min(keep, times.size))
         times = times[:keep]

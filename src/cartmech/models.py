@@ -3,15 +3,20 @@
 Every method takes `leaves` (parameter name -> tape node or array) and a
 (B, D) state batch and is written with the autodiff ops, so one code path
 runs on the tape (training: one tape per loss) and on plain arrays
-(evaluation: no tape but input_gradient's private one).  CHNN and CLNN keep
-the system's known constraints, learn per-body masses plus an MLP potential,
-and use the ground truth's own mass blocks and constrained fields; NODE
-learns the flat vector field; HNN2D learns a Hamiltonian in joint angles with
-a Cholesky-parametrized inverse mass (pendulum chains only).  Data is
-Cartesian (x, xdot), so each model converts into and out of its own state;
-the angle models decode through the ground truth's chain embedding.
+(evaluation: no tape at all).  Input gradients of the networks come from
+autodiff.mlp_pullback, which is the numpy backward pass on arrays.  CHNN and
+CLNN keep the system's known constraints, learn per-body masses plus an MLP
+potential, and use the ground truth's own mass blocks and constrained
+fields; NODE learns the flat vector field; HNN2D learns a Hamiltonian in
+joint angles with a Cholesky-parametrized inverse mass (pendulum chains
+only), and its field is that Hamiltonian's gradient written out around the
+pullbacks of its two networks.  Data is Cartesian (x, xdot), so each model
+converts into and out of its own state; the angle models decode through the
+ground truth's chain embedding.
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -25,7 +30,9 @@ from .states import unflatten_matrix
 
 class _RolloutLeaves(dict):
     """The parameter arrays of one rollout.  They stay fixed while it runs, so
-    what is built from them alone (the learned mass) is built once, in memo."""
+    what is built from them alone (the learned mass) is built once, in memo,
+    and what is built from them and state arrays (HNN2D's chart) once per
+    state: its entry goes when one of those arrays is freed."""
 
     def __init__(self, store: ad.ParamStore):
         super().__init__(store.items())
@@ -34,15 +41,19 @@ class _RolloutLeaves(dict):
 
 def _memo(build, leaves: dict, prefix: str, *nodes):
     """build() once per tape for the nodes and leaves named prefix*.  On
-    arrays: once per rollout when it reads leaves alone, else on every call."""
+    arrays, in a rollout: once, or once per state array in nodes while that
+    array lives; outside a rollout on every call."""
     key = (prefix,) + nodes + tuple(v for k, v in leaves.items() if k.startswith(prefix))
     if all(isinstance(node, ad.Node) for node in key[1:]):
         return key[1].tape.memo(key, build)
-    if nodes or not isinstance(leaves, _RolloutLeaves):
+    if not isinstance(leaves, _RolloutLeaves):
         return build()
-    if prefix not in leaves.memo:
-        leaves.memo[prefix] = build()
-    return leaves.memo[prefix]
+    key = (prefix,) + tuple(map(id, nodes))
+    if key not in leaves.memo:
+        leaves.memo[key] = build()
+        for state in nodes:
+            weakref.finalize(state, leaves.memo.pop, key, None)
+    return leaves.memo[key]
 
 
 class DynamicsModel:
@@ -106,20 +117,30 @@ def _mass_nodes(leaves: dict, bodies) -> tuple:
     return tuple(block_diag(side) for side in zip(*blocks))
 
 
-class _ConstrainedModel(DynamicsModel):
-    """Common machinery for CHNN/CLNN: learned mass + MLP potential + known DPhi."""
+def _mlp_potential_gradient(leaves: dict, x):
+    """grad_x V of the learned potential network: its pullback of ones."""
+    V, pullback = ad.mlp_pullback(leaves, x, prefix="potential")
+    return pullback(np.ones(V.shape))
 
-    def __init__(self, system, hidden=(256, 256, 256), potential=None):
+
+class _ConstrainedModel(DynamicsModel):
+    """Common machinery for CHNN/CLNN: learned mass + MLP potential + known DPhi.
+
+    grad_potential(leaves, x) -> grad_x V, when given, replaces the potential
+    network (a known potential's gradient, say); the default is the
+    network's."""
+
+    def __init__(self, system, hidden=(256, 256, 256), grad_potential=None):
         super().__init__(system, hidden)
         topo = system.topology
         self.dn = topo.dn
         self._constraints = topo.constraint_set
-        self._potential = potential
+        self._grad_potential = grad_potential or _mlp_potential_gradient
 
     def init_params(self, rng: np.random.Generator) -> ad.ParamStore:
         store = ad.ParamStore()
         _mass_param_init(store, self.system.topology.bodies)
-        if self._potential is None:
+        if self._grad_potential is _mlp_potential_gradient:
             for name, value in ad.mlp_init(rng, self.dn, self.hidden, 1, prefix="potential").items():
                 store.add(name, value)
         return store
@@ -129,11 +150,10 @@ class _ConstrainedModel(DynamicsModel):
         return _memo(lambda: _mass_nodes(leaves, self.system.topology.bodies), leaves, "mass.")
 
     def _field(self, field, leaves: dict, Minv, x, v):
-        """A constrained field at positions x and velocities v."""
-        potential = self._potential or (lambda lv, xx: ad.mlp_apply(lv, xx, prefix="potential"))
-        grad_V = ad.input_gradient(lambda xx: potential(leaves, xx), x)
+        """A constrained field at positions x and velocities v, with grad V
+        from the potential's pullback (no tape on arrays)."""
         cs = self._constraints
-        return field(Minv, grad_V, v, cs.dphi(x), cs.dphidot_x(v))
+        return field(Minv, self._grad_potential(leaves, x), v, cs.dphi(x), cs.dphidot_x(v))
 
 
 class CHNN(_ConstrainedModel):
@@ -230,7 +250,9 @@ class HNN2D(_AngularModel):
     """Hamiltonian baseline in joint angles: H = p^T L L^T p / 2 + V(q).
 
     L(q) is a lower-triangular network output offset by the identity, so
-    M^-1 = L L^T stays positive definite at initialization.
+    M^-1 = L L^T stays positive definite at initialization.  Both networks
+    read (sin q, cos q).  The field is grad H written out around their
+    pullbacks, so it needs no tape of its own: see dynamics_node.
     """
 
     kind = "hnn2d"
@@ -252,37 +274,41 @@ class HNN2D(_AngularModel):
         return ad.ParamStore(params)
 
     def _chart(self, leaves: dict, w) -> tuple:
-        """Network input (sin q, cos q) and factor L(q) at a state w = (q, .),
-        once per tape and state node: decode_node(states[t]) reuses the first
-        RK stage's.  Keyed on w, so L is always created after w, inside the
-        range input_gradient(H, w) differentiates."""
+        """(sin q, cos q, the network input (sin q, cos q), L(q), the Cholesky
+        network's pullback) at a state w = (q, .), built once per state: per
+        tape and state node, or per rollout and state array, so decode_node
+        (states[t]) reuses the first RK stage's."""
         def build():
             B, N = w.shape[0], self.n_angles
             q = ad.narrow(w, 1, 0, N)
-            inp = ad.concat([ad.sin(q), ad.cos(q)], axis=1)
-            packed = ad.mlp_apply(leaves, inp, prefix="cholesky")
+            sin_q, cos_q = ad.sin(q), ad.cos(q)
+            inp = ad.concat([sin_q, cos_q], axis=1)
+            packed, pullback = ad.mlp_pullback(leaves, inp, prefix="cholesky")
             L = ad.reshape(ad.matmul(packed, self._scatter_T), (B, N, N))
-            return inp, ad.add(L, np.eye(N))
+            return sin_q, cos_q, inp, ad.add(L, np.eye(N)), pullback
 
         return _memo(build, leaves, "cholesky.", w)
 
-    def _hamiltonian_node(self, leaves: dict, w):
-        B, N = w.shape[0], self.n_angles
-        inp, L = self._chart(leaves, w)
-        p = ad.narrow(w, 1, N, N)
-        u = ad.reshape(ad.matmul(ad.transpose(L), ad.reshape(p, (B, N, 1))), (B, N))
-        kinetic = ad.mul(0.5, ad.reduce_sum(ad.mul(u, u), axis=1))
-        potential = ad.reshape(ad.mlp_apply(leaves, inp, prefix="potential"), (B,))
-        return ad.add(kinetic, potential)
-
     def dynamics_node(self, leaves: dict, w):
-        N = self.n_angles
-        g = ad.input_gradient(lambda ww: self._hamiltonian_node(leaves, ww), w)
-        return ad.concat([ad.narrow(g, 1, N, N), ad.neg(ad.narrow(g, 1, 0, N))], axis=1)
+        """(dH/dp, -dH/dq).  With u = L^T p: dH/dp = L u, dH/dL = p u^T, whose
+        packed lower triangle c is the Cholesky network's output cotangent, so
+        dH/d(sin q, cos q) = grad V + J^T c from the two pullbacks, and the
+        chain rule through (sin q, cos q) gives dH/dq."""
+        B, N = w.shape[0], self.n_angles
+        sin_q, cos_q, inp, L, cholesky_pullback = self._chart(leaves, w)
+        p = ad.reshape(ad.narrow(w, 1, N, N), (B, N, 1))
+        u = ad.matmul(ad.transpose(L), p)
+        qdot = ad.reshape(ad.matmul(L, u), (B, N))
+        V, potential_pullback = ad.mlp_pullback(leaves, inp, prefix="potential")
+        c = ad.matmul(ad.reshape(ad.matmul(p, ad.transpose(u)), (B, N * N)), self._scatter_T.T)
+        d_inp = ad.add(potential_pullback(np.ones(V.shape)), cholesky_pullback(c))
+        pdot = ad.sub(ad.mul(ad.narrow(d_inp, 1, N, N), sin_q),
+                      ad.mul(ad.narrow(d_inp, 1, 0, N), cos_q))
+        return ad.concat([qdot, pdot], axis=1)
 
     def to_state_node(self, leaves: dict, raw):
         B, N = raw.shape[0], self.n_angles
-        _, L = self._chart(leaves, raw)
+        _, _, _, L, _ = self._chart(leaves, raw)
         minv = ad.matmul(L, ad.transpose(L))
         qdot = ad.reshape(ad.narrow(raw, 1, N, N), (B, N, 1))
         p = ad.reshape(ad.spd_solve(minv, qdot), (B, N))
@@ -290,7 +316,7 @@ class HNN2D(_AngularModel):
 
     def decode_node(self, leaves: dict, w):
         B, N = w.shape[0], self.n_angles
-        _, L = self._chart(leaves, w)
+        _, _, _, L, _ = self._chart(leaves, w)
         minv = ad.matmul(L, ad.transpose(L))
         qdot = ad.reshape(ad.matmul(minv, ad.reshape(ad.narrow(w, 1, N, N), (B, N, 1))), (B, N))
         return self._embed_node(ad.narrow(w, 1, 0, N), qdot)
@@ -307,13 +333,14 @@ _MODEL_CLASSES = {
 }
 
 
-def build_model(kind: str, system, hidden=(256, 256, 256), potential=None) -> DynamicsModel:
+def build_model(kind: str, system, hidden=(256, 256, 256),
+                grad_potential=None) -> DynamicsModel:
     try:
         cls = _MODEL_CLASSES[kind]
     except KeyError:
         raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}") from None
-    if potential is not None:
+    if grad_potential is not None:
         if not issubclass(cls, _ConstrainedModel):
-            raise ValueError(f"{kind} does not take an injected potential")
-        return cls(system, hidden, potential=potential)
+            raise ValueError(f"{kind} does not take an injected potential gradient")
+        return cls(system, hidden, grad_potential=grad_potential)
     return cls(system, hidden)

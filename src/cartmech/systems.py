@@ -28,6 +28,7 @@ from .errors import (
     FieldSingularityError,
     GradientSingularityError,
     ParameterDomainError,
+    finite_positive,
 )
 from .oracles import (
     gyroscope_embed,
@@ -191,19 +192,12 @@ class SumPotential:
 
 # -- configs ---------------------------------------------------------------------
 
-def _positive(name: str, values) -> tuple[float, ...]:
-    values = tuple(float(v) for v in values)
-    if any(v <= 0.0 for v in values):
-        raise ParameterDomainError(f"{name} must be positive, got {values}")
-    return values
-
-
 def _chain_masses_and_lengths(cfg) -> None:
     """Check a chain config's n and fill in unit masses and lengths (n each)."""
     if cfg.n < 1:
         raise ParameterDomainError(f"need at least one pendulum, got n={cfg.n}")
     for name in ("masses", "lengths"):
-        values = _positive(name, getattr(cfg, name) or (1.0,) * cfg.n)
+        values = finite_positive(name, getattr(cfg, name) or (1.0,) * cfg.n)
         if len(values) != cfg.n:
             raise ParameterDomainError("masses and lengths must have n entries")
         object.__setattr__(cfg, name, values)
@@ -223,7 +217,7 @@ class NPendulumConfig:
 
     def __post_init__(self):
         _chain_masses_and_lengths(self)
-        _positive("dt", (self.dt,))
+        finite_positive("dt", (self.dt,))
 
 
 @dataclass(frozen=True)
@@ -247,9 +241,9 @@ class CoupledConfig:
         if len(self.pivot) != 3:
             raise ParameterDomainError("pivot must be a 3-vector")
         rest = self.rest_length or float(np.linalg.norm(self.pivot))
-        object.__setattr__(self, "rest_length", _positive("rest_length", (rest,))[0])
-        _positive("spring_k", (self.spring_k,))
-        _positive("dt", (self.dt,))
+        object.__setattr__(self, "rest_length", finite_positive("rest_length", (rest,))[0])
+        finite_positive("spring_k", (self.spring_k,))
+        finite_positive("dt", (self.dt,))
 
 
 @dataclass(frozen=True)
@@ -267,9 +261,9 @@ class MagnetConfig:
     speed_std: float = 0.2
 
     def __post_init__(self):
-        _positive("mass", (self.mass,))
-        _positive("length", (self.length,))
-        _positive("dt", (self.dt,))
+        finite_positive("mass", (self.mass,))
+        finite_positive("length", (self.length,))
+        finite_positive("dt", (self.dt,))
         object.__setattr__(self, "magnet_positions",
                            tuple(tuple(float(v) for v in r) for r in self.magnet_positions))
         object.__setattr__(self, "magnet_moments",
@@ -290,11 +284,11 @@ class GyroscopeConfig:
     spin_std: float = 2.0
 
     def __post_init__(self):
-        _positive("mass", (self.mass,))
-        object.__setattr__(self, "moments", _positive("moments", self.moments))
+        finite_positive("mass", (self.mass,))
+        object.__setattr__(self, "moments", finite_positive("moments", self.moments))
         object.__setattr__(self, "pivot_offset",
                            tuple(float(v) for v in self.pivot_offset))
-        _positive("dt", (self.dt,))
+        finite_positive("dt", (self.dt,))
 
 
 @dataclass(frozen=True)
@@ -307,13 +301,13 @@ class RotorConfig:
     spin_bias: float = 3.0
 
     def __post_init__(self):
-        _positive("mass", (self.mass,))
-        moments = _positive("moments", self.moments)
+        finite_positive("mass", (self.mass,))
+        moments = finite_positive("moments", self.moments)
         if len(set(moments)) != len(moments):
             raise ParameterDomainError(
                 f"rotor moments must be pairwise distinct, got {moments}")
         object.__setattr__(self, "moments", moments)
-        _positive("dt", (self.dt,))
+        finite_positive("dt", (self.dt,))
 
 
 # -- the system bundle -------------------------------------------------------------

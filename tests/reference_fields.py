@@ -1,9 +1,14 @@
-"""Op-by-op reference for the constrained fields, written with the autodiff
-function forms: every product, transpose, slice and the solve is its own tape
-node, so grad() differentiates them with the generic rules.  The package's
-fields record one fused node with a closed-form VJP; tests check its values
-bitwise and its adjoints against these references.  Same inputs and outputs
-as dynamics.constrained_{hamiltonian,lagrangian}_field.
+"""Op-by-op references, written with the autodiff function forms: every
+product, transpose, slice and the solve is its own tape node, so grad()
+differentiates them with the generic rules.
+
+- The constrained fields.  The package's fields record one fused node with a
+  closed-form VJP; tests check its values bitwise and its adjoints against
+  these references.  Same inputs and outputs as
+  dynamics.constrained_{hamiltonian,lagrangian}_field.
+- input_gradient, the generic gradient of a scalar-per-row function on a
+  tape, and HNN2D's field as input_gradient of its Hamiltonian.  The package
+  writes that field out around autodiff.mlp_pullback instead.
 """
 import numpy as np
 
@@ -53,3 +58,38 @@ def reference_lagrangian_field(Minv, grad_V, v, G, D):
     lam = ad.spd_solve(ad.matmul(G, Ht), rhs)
     xddot = ad.sub(minv_f, ad.reshape(ad.matmul(Ht, lam), minv_f.shape))
     return xddot, ad.reshape(lam, rhs.shape[:-1])
+
+
+def input_gradient(f, X):
+    """dV/dX for a scalar-per-row function f, from the gradient of the summed
+    rows: differentiable nodes for a node X, an array (from a private tape
+    that records f alone) for an array X."""
+    private = not isinstance(X, ad.Node)
+    tape = ad.Tape() if private else X.tape
+    node = tape.constant(X) if private else X
+    try:
+        out = f(node)
+        total = ad.reduce_sum(out) if out.value.size != 1 else out
+        g = ad.grad(total, [node])[0]
+        return g.value if private else g
+    finally:
+        if private:
+            tape.clear()
+
+
+def reference_hnn2d_hamiltonian(model, leaves, w):
+    """H = p^T L L^T p / 2 + V at states w = (q, p) (B, 2N), from the model's chart."""
+    B, N = w.shape[0], model.n_angles
+    _, _, inp, L, _ = model._chart(leaves, w)
+    p = ad.narrow(w, 1, N, N)
+    u = ad.reshape(ad.matmul(ad.transpose(L), ad.reshape(p, (B, N, 1))), (B, N))
+    kinetic = ad.mul(0.5, ad.reduce_sum(ad.mul(u, u), axis=1))
+    potential = ad.reshape(ad.mlp_apply(leaves, inp, prefix="potential"), (B,))
+    return ad.add(kinetic, potential)
+
+
+def reference_hnn2d_field(model, leaves, w):
+    """HNN2D's (dH/dp, -dH/dq) as input_gradient of its Hamiltonian."""
+    N = model.n_angles
+    g = input_gradient(lambda ww: reference_hnn2d_hamiltonian(model, leaves, ww), w)
+    return ad.concat([ad.narrow(g, 1, N, N), ad.neg(ad.narrow(g, 1, 0, N))], axis=1)

@@ -49,6 +49,7 @@ from cartmech.systems import build_system, disable_system_constraints, system_na
 from cartmech.training import TrainConfig, trajectory_loss, trajectory_loss_node, train
 
 from conftest import fd_jacobian
+from reference_fields import input_gradient
 
 
 def all_systems():
@@ -278,7 +279,7 @@ def test_gradients_survive_potentials_and_rollouts():
         tape = ad.Tape()
         leaves = store.leaves(tape)
         x = tape.constant(x_batch)
-        gx = ad.input_gradient(lambda u: ad.mlp_apply(leaves, u, prefix="net"), x)
+        gx = input_gradient(lambda u: ad.mlp_apply(leaves, u, prefix="net"), x)
         return float(ad.reduce_sum(ad.mul(gx, weights)).value)
 
     def curl_grad(store, name, w):
@@ -287,7 +288,7 @@ def test_gradients_survive_potentials_and_rollouts():
         tape = ad.Tape()
         leaves = trial.leaves(tape)
         x = tape.constant(x_batch)
-        gx = ad.input_gradient(lambda u: ad.mlp_apply(leaves, u, prefix="net"), x)
+        gx = input_gradient(lambda u: ad.mlp_apply(leaves, u, prefix="net"), x)
         s = ad.reduce_sum(ad.mul(gx, weights))
         return ad.grad(s, [leaves[name]])[0].value
 

@@ -7,13 +7,13 @@ from cartmech.autodiff import (
     Tape,
     finite_difference_check,
     grad,
-    input_gradient,
     load_checkpoint,
     mlp_apply,
     mlp_init,
     save_checkpoint,
 )
 from cartmech.errors import FormatError, ShapeError
+from reference_fields import input_gradient
 
 
 def test_elementwise_chain():
@@ -391,6 +391,35 @@ def test_mlp_second_order_adjoints_match_finite_differences(hidden):
         np.testing.assert_allclose(a.value, b.value, rtol=1e-12, atol=1e-14, err_msg=name)
 
 
+def _pullback_loss(vals):
+    """sum(U * pullback(G)) through mlp_pullback: the cotangent G is a node."""
+    tape = Tape()
+    leaves = {name: tape.constant(value) for name, value in vals.items()}
+    _, pullback = ad.mlp_pullback(leaves, leaves["x"])
+    return ad.reduce_sum(pullback(leaves["G"]) * leaves["U"]), leaves
+
+
+@pytest.mark.parametrize("hidden", MLP_DEPTHS)
+def test_mlp_pullback_matches_finite_differences_to_second_order(hidden):
+    vals = _mlp_problem(hidden)
+    params = {name: value for name, value in vals.items() if name.startswith("mlp.")}
+    # on arrays: the x-adjoint of sum(G * mlp(x)) for a cotangent G that is not all ones
+    def first(x):
+        return float(np.sum(vals["G"] * mlp_apply(params, x.reshape(vals["x"].shape))))
+
+    def first_grad(x):
+        return ad.mlp_pullback(params, x.reshape(vals["x"].shape))[1](vals["G"])
+
+    assert finite_difference_check(first, first_grad, vals["x"]) < 1e-6
+    # on nodes: the array's bits, grad()'s loss, and second order in the
+    # cotangent, in x and in every parameter
+    loss, leaves = _pullback_loss(vals)
+    (gx,) = [node for node in leaves["x"].tape.nodes if node.op == "mlp_vjp"]
+    assert _same_bits(gx.value, first_grad(vals["x"]))
+    assert _same_bits(loss.value, _second_order_loss(vals)[0].value)
+    _check_adjoints(vals, _pullback_loss, ["G", "x", *params], 1e-6)
+
+
 def test_mlp_third_order_raises_instead_of_returning_zeros():
     rng = np.random.default_rng(27)
     store = ParamStore(mlp_init(rng, 3, (8,), 1))
@@ -502,16 +531,23 @@ def test_ops_on_plain_arrays_return_numpy_results_and_record_nothing(monkeypatch
                 assert out.parents[at] is mixed[at]
                 assert _same_bits(out.value, expected(*args))
 
+    # the fused MLP and its pullback: plain numpy without a tape on arrays,
+    # the same bits as the `mlp` and `mlp_vjp` nodes
     params = mlp_init(rng, 4, (5,), 1)
+    g = rng.normal(size=(3, 1))
+    monkeypatch.setattr(ad, "Tape", CountingTape)
+    plain, pullback = ad.mlp_pullback(params, a)
+    gx = pullback(g)
+    assert isinstance(plain, np.ndarray) and isinstance(gx, np.ndarray)
+    assert not tapes
+    monkeypatch.undo()
     tape = Tape()
     leaves = {k: tape.constant(v) for k, v in params.items()}
-    plain = mlp_apply(params, a)
-    assert isinstance(plain, np.ndarray)
-    assert np.array_equal(plain, mlp_apply(leaves, tape.constant(a)).value)
-    before = len(tape)
-    gx = input_gradient(lambda x: mlp_apply(params, x), a)
-    assert isinstance(gx, np.ndarray) and len(tape) == before
-    assert np.array_equal(gx, input_gradient(lambda x: mlp_apply(leaves, x), tape.constant(a)).value)
+    node, node_pullback = ad.mlp_pullback(leaves, tape.constant(a))
+    assert _same_bits(plain, node.value) and _same_bits(plain, mlp_apply(params, a))
+    gx_node = node_pullback(g)
+    assert gx_node.op == "mlp_vjp" and gx_node.parents[1:] == node.parents
+    assert _same_bits(gx, gx_node.value)
 
 
 def test_narrow_of_concat_needs_only_the_blocks_it_reads():

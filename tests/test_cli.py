@@ -431,8 +431,20 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         (ablate(missing, data / "test"), 1),
         (ablate(data / "train", cut_data), 1),
         (ablate(data / "train", data / "test", *diverge), 2),
+        # non-finite or negative numbers, each named in the message
+        (("generate", *TINY, "--set", "data.dt=1e400", "--out", out), 1, "dt", "inf"),
+        (("generate", *TINY, "--set", "data.rtol=NaN", "--out", out), 1, "rtol", "nan"),
+        (("simulate", "--system", "npendulum", "--rtol", "-1"), 1, "rtol", "-1.0"),
+        (("simulate", "--system", "npendulum", "--rtol", "nan"), 1, "rtol", "nan"),
+        (("simulate", "--system", "npendulum", "--T", "inf"), 1, "--T", "inf"),
+        (("simulate", "--system", "npendulum", "--T", "nan"), 1, "--T", "nan"),
+        ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=1e400"), 1, "horizon", "inf"),
+        ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=NaN"), 1, "horizon", "nan"),
+        ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=0"), 1, "horizon", "0.0"),
     ]
-    for args, expected in table:
+    for args, expected, *named in table:
         rc, _, err = run_cli(*args)
         assert rc == expected, (args, err)
         assert "Traceback" not in err, args
+        for word in named:
+            assert word in err, (args, err)

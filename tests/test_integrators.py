@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cartmech.errors import IntegrationError
+from cartmech.errors import IntegrationError, ParameterDomainError
 from cartmech.integrators import Tolerances, integrate_adaptive, rk4_step, rollout_fixed
 from cartmech.systems import build_system
 
@@ -139,3 +139,11 @@ def test_step_budget_ends_only_the_rows_that_exhaust_it():
     assert (batch.n_accepted[0], batch.n_rejected[0]) == (alone.n_accepted, alone.n_rejected)
     with pytest.raises(IntegrationError, match="exceeded 10 steps"):
         integrate_adaptive(lambda z: f(z[None])[0], Z0[1], 1.0, t_eval=t_eval, max_steps=10)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-7, float("nan"), float("inf")])
+def test_tolerances_must_be_finite_and_positive(value):
+    for name in ("rtol", "atol"):
+        with pytest.raises(ParameterDomainError, match=f"{name} must be finite and positive"):
+            Tolerances(**{name: value})
+    assert Tolerances(1e-7, 1e-9) == Tolerances()

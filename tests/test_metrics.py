@@ -81,3 +81,20 @@ def test_constraint_rmse_curve_values():
     off = np.array([0.0, -2.0, 0.0, 0.0])  # phi = 3
     curve = constraint_rmse_curve(system, np.stack([on, off]))
     np.testing.assert_allclose(curve, [0.0, 3.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -0.3, float("nan"), float("inf")])
+def test_evaluate_model_needs_a_finite_positive_horizon(horizon):
+    # 0 and below used to score two samples, nan and inf failed in int()
+    from cartmech.dataset import generate_dataset
+    from cartmech.errors import ParameterDomainError
+    from cartmech.metrics import evaluate_model
+    from cartmech.models import build_model
+
+    system = build_system("npendulum", n=2)
+    dataset = generate_dataset(system, 1, steps=5, seed=0, split="test")
+    model = build_model("node", system, hidden=(4,))
+    store = model.init_params(np.random.default_rng(0))
+    with pytest.raises(ParameterDomainError, match="horizon must be finite and positive"):
+        evaluate_model(model, store, dataset, horizon=horizon)
+    assert evaluate_model(model, store, dataset, horizon=0.06).times.size == 3

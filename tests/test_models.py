@@ -13,12 +13,14 @@ from cartmech.states import LAGRANGIAN
 from cartmech.systems import build_system
 
 
-def zero_potential(leaves, x):
-    return ad.mul(ad.reduce_sum(x), 0.0)
+def zero_gradient(leaves, x):
+    """grad V of V = 0."""
+    return np.zeros(x.shape)
 
 
-def linear_potential(system):
-    """Tape twin of the system's LinearGravity (possibly inside a sum)."""
+def linear_gradient(system):
+    """grad V of the system's LinearGravity (possibly inside a sum): a
+    constant row per state."""
     pot = system.potential
     target = pot.parts[0] if hasattr(pot, "parts") else pot
     d, dn = system.topology.dim, system.topology.dn
@@ -26,10 +28,10 @@ def linear_potential(system):
     for p in range(system.topology.n_points):
         cvec[p * d + target.axis] = target.g * target.weights[p]
 
-    def potential(leaves, x):
-        return ad.matmul(x, cvec.reshape(-1, 1))
+    def grad_potential(leaves, x):
+        return np.zeros(x.shape) + cvec
 
-    return potential
+    return grad_potential
 
 
 def true_mass_store(model, system, seed=0):
@@ -57,7 +59,7 @@ def test_learned_mass_blocks_match_assembled_matrices():
     for name, kwargs in [("npendulum", dict(n=3, masses=(1.0, 2.0, 0.5))),
                          ("gyroscope", {}), ("rotor", {})]:
         system = build_system(name, **kwargs)
-        model = build_model("chnn", system, hidden=(8,), potential=zero_potential)
+        model = build_model("chnn", system, hidden=(8,), grad_potential=zero_gradient)
         store = true_mass_store(model, system)
         tape = ad.Tape()
         leaves = {k: tape.constant(v) for k, v in store.items()}
@@ -75,8 +77,8 @@ def test_chnn_plugin_matches_ground_truth(name, kwargs):
     # dynamics must be the constrained Hamiltonian flow itself
     rng = np.random.default_rng(7)
     system = build_system(name, **kwargs)
-    pot = zero_potential if name == "rotor" else linear_potential(system)
-    model = build_model("chnn", system, hidden=(8,), potential=pot)
+    grad_V = zero_gradient if name == "rotor" else linear_gradient(system)
+    model = build_model("chnn", system, hidden=(8,), grad_potential=grad_V)
     store = true_mass_store(model, system)
     Z = system.sample(rng, 5)
     out = eval_node(model, store, "dynamics_node", Z)
@@ -88,7 +90,7 @@ def test_chnn_plugin_matches_ground_truth(name, kwargs):
 def test_clnn_plugin_matches_ground_truth(name, kwargs):
     rng = np.random.default_rng(8)
     system = build_system(name, **kwargs)
-    model = build_model("clnn", system, hidden=(8,), potential=linear_potential(system))
+    model = build_model("clnn", system, hidden=(8,), grad_potential=linear_gradient(system))
     store = true_mass_store(model, system)
     _, W = lagrangian_batch(system, rng, 5)
     out = eval_node(model, store, "dynamics_node", W)
@@ -99,7 +101,7 @@ def test_clnn_plugin_matches_ground_truth(name, kwargs):
 
 def test_chnn_zero_potential_zero_momentum_is_stationary():
     system = build_system("npendulum", n=2)
-    model = build_model("chnn", system, hidden=(8,), potential=zero_potential)
+    model = build_model("chnn", system, hidden=(8,), grad_potential=zero_gradient)
     store = model.init_params(np.random.default_rng(0))
     Z = system.sample(np.random.default_rng(1), 3)
     Z[:, system.topology.dn:] = 0.0
@@ -201,7 +203,7 @@ def test_model_registry_rejects_bad_requests():
     with pytest.raises(ValueError):
         build_model("lstm", system)
     with pytest.raises(ValueError):
-        build_model("node", system, potential=zero_potential)
+        build_model("node", system, grad_potential=zero_gradient)
     with pytest.raises(ValueError):
         build_model("hnn2d", build_system("rotor"))
     with pytest.raises(ValueError):
@@ -297,8 +299,8 @@ def test_learned_mass_is_built_once_per_rollout(kind, monkeypatch):
 
 
 def _counting_tapes(monkeypatch):
-    """Patch Tape and input_gradient to count tapes and input gradients."""
-    tapes, gradients = [], []
+    """Patch Tape to count the tapes made."""
+    tapes = []
 
     class CountingTape(ad.Tape):
         __slots__ = ()
@@ -307,21 +309,14 @@ def _counting_tapes(monkeypatch):
             super().__init__()
             tapes.append(1)
 
-    original = ad.input_gradient
-
-    def counting_gradient(f, X):
-        gradients.append(1)
-        return original(f, X)
-
     monkeypatch.setattr(ad, "Tape", CountingTape)
-    monkeypatch.setattr(ad, "input_gradient", counting_gradient)
-    return tapes, gradients
+    return tapes
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_rollout_builds_no_tape_and_matches_the_tape(kind, monkeypatch):
-    # evaluation runs on the store's arrays; only input_gradient opens a
-    # (private) tape, and the result is the tape's to the bit
+    # evaluation runs on the store's arrays, input gradients included, and
+    # the result is the tape's to the bit
     rng = np.random.default_rng(9)
     system = build_system("npendulum", n=2)
     _, W0 = lagrangian_batch(system, rng, 3)
@@ -334,11 +329,10 @@ def test_rollout_builds_no_tape_and_matches_the_tape(kind, monkeypatch):
     states = rollout_fixed(lambda w: model.dynamics_node(leaves, w), w0, times)
     on_tape = np.stack([model.decode_node(leaves, w).value for w in states], axis=1)
 
-    tapes, gradients = _counting_tapes(monkeypatch)
+    tapes = _counting_tapes(monkeypatch)
     preds = model.rollout(store, W0, times)
     assert np.array_equal(preds, on_tape)
-    assert len(tapes) == len(gradients)
-    assert len(gradients) == (0 if kind in ("node", "node-angular") else 4 * 3)
+    assert not tapes
 
 
 def test_hnn2d_builds_its_cholesky_factor_once_per_state_node():
@@ -354,6 +348,88 @@ def test_hnn2d_builds_its_cholesky_factor_once_per_state_node():
     trajectory_loss_node(model, leaves, chunks)
     cholesky = [n for n in tape.nodes if n.op == "mlp" and n.parents[1] is leaves["cholesky.w0"]]
     assert len(cholesky) == 4 * 4 + 2
+
+
+def test_hnn2d_builds_its_cholesky_factor_once_per_state_array(monkeypatch):
+    # the array rollout matches the tape's count: 4 RK4 steps of 4 stage
+    # states, the raw initial state, and the last state, which only
+    # decode_node sees; the field's pullback reuses the chart's forward
+    system = build_system("npendulum", n=2)
+    model = build_model("hnn2d", system, hidden=(8,))
+    store = model.init_params(np.random.default_rng(0))
+    _, W0 = lagrangian_batch(system, np.random.default_rng(2), 3)
+    forwards = []
+    original = ad.mlp_pullback
+
+    def counting(params, x, prefix="mlp"):
+        forwards.append(prefix)
+        return original(params, x, prefix)
+
+    monkeypatch.setattr(ad, "mlp_pullback", counting)
+    model.rollout(store, W0, system.dt * np.arange(5))
+    assert forwards.count("cholesky") == 4 * 4 + 2
+    assert forwards.count("potential") == 4 * 4
+
+
+def _hnn2d_problem(n):
+    system = build_system("npendulum", n=n)
+    model = build_model("hnn2d", system, hidden=(16, 16))
+    store = model.init_params(np.random.default_rng(n))
+    _, W = lagrangian_batch(system, np.random.default_rng(10 + n), 4)
+    return system, model, store, W
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hnn2d_field_matches_the_gradient_of_its_hamiltonian(n):
+    # the field written out around the two pullbacks against input_gradient
+    # of H: bitwise on arrays, to 1e-12 on the tape, second order included
+    from reference_fields import reference_hnn2d_field
+
+    system, model, store, W = _hnn2d_problem(n)
+    w = np.concatenate([model.encode(W)[:, :n], np.random.default_rng(n).normal(size=(4, n))], 1)
+    params = dict(store.items())
+    got = model.dynamics_node(params, w)
+    assert isinstance(got, np.ndarray)
+    assert got.tobytes() == reference_hnn2d_field(model, params, w).tobytes()
+
+    weights = np.random.default_rng(20 + n).normal(size=w.shape)
+
+    def loss_and_grads(field):
+        tape = ad.Tape()
+        leaves = store.leaves(tape)
+        wn = tape.constant(w)
+        loss = ad.reduce_sum(ad.mul(field(model, leaves, wn), weights))
+        grads = ad.grad(loss, [wn] + [leaves[k] for k in store.names()])
+        return loss.value, [g.value for g in grads]
+
+    loss, grads = loss_and_grads(lambda m, lv, ww: m.dynamics_node(lv, ww))
+    ref_loss, ref_grads = loss_and_grads(reference_hnn2d_field)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, a, b in zip(["w"] + store.names(), grads, ref_grads):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hnn2d_training_step_matches_the_reference_field(n, monkeypatch):
+    from reference_fields import reference_hnn2d_field
+
+    from cartmech.models import HNN2D
+
+    system, model, store, W = _hnn2d_problem(n)
+    chunks = model.rollout(store, W, system.dt * np.arange(3)) + 0.01
+
+    def loss_and_grads():
+        tape = ad.Tape()
+        leaves = store.leaves(tape)
+        loss = trajectory_loss_node(model, leaves, chunks)
+        return loss.value, [g.value for g in ad.grad(loss, [leaves[k] for k in store.names()])]
+
+    loss, grads = loss_and_grads()
+    monkeypatch.setattr(HNN2D, "dynamics_node", reference_hnn2d_field)
+    ref_loss, ref_grads = loss_and_grads()
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, a, b in zip(store.names(), grads, ref_grads):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
 
 def _heavy_first_body(kind, system):

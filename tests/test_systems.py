@@ -62,6 +62,17 @@ def test_config_validation():
         build_system("rotor", moments=(0.05, 0.05, 0.09))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name,key", [("npendulum", "dt"), ("coupled", "spring_k"),
+                                      ("magnet", "length"), ("gyroscope", "mass")])
+def test_non_finite_parameters_are_rejected_by_name(name, key, value):
+    # nan passes every `<= 0` test, and an inf dt never ends a trajectory
+    with pytest.raises(ParameterDomainError, match=f"{key} must be finite and positive, got"):
+        build_system(name, **{key: value})
+    with pytest.raises(ParameterDomainError, match="masses must be finite"):
+        build_system("npendulum", n=2, masses=(1.0, value))
+
+
 def test_system_dict_roundtrip():
     for name in system_names():
         system = build_system(name)

@@ -21,7 +21,7 @@ from cartmech.training import (
     trajectory_loss_node,
     write_history,
 )
-from test_models import linear_potential, true_mass_store
+from test_models import linear_gradient, true_mass_store
 
 DT = 0.03
 
@@ -46,7 +46,7 @@ def exact_pendulum_setup(n=2, seed=0):
     from cartmech.systems import build_system
 
     system = build_system("npendulum", n=n)
-    model = build_model("chnn", system, hidden=(8,), potential=linear_potential(system))
+    model = build_model("chnn", system, hidden=(8,), grad_potential=linear_gradient(system))
     store = true_mass_store(model, system, seed=seed)
     return system, model, store
 
