@@ -176,6 +176,18 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(**cfg["train"])
 
 
+def _load_checkpoint_for(model, path) -> ad.ParamStore:
+    """The checkpoint at path; FormatError unless its parameter names are the
+    ones model.init_params creates (shapes are checked where they are used)."""
+    store = ad.load_checkpoint(path)
+    want = set(model.init_params(np.random.default_rng(0)).names())
+    have = set(store.names())
+    if have != want:
+        raise FormatError(f"{path}: not a {model.kind} checkpoint for this system "
+                          f"(missing {sorted(want - have)}, unexpected {sorted(have - want)})")
+    return store
+
+
 # -- subcommands ----------------------------------------------------------------------
 
 def cmd_print_config(args) -> int:
@@ -215,8 +227,8 @@ def cmd_simulate(args) -> int:
     traj = integrate_adaptive(system.dynamics, z0, steps * system.dt, t_eval=t_eval, tol=tol)
     truth = convert_flavor(ctx, traj.states, LAGRANGIAN)
     if args.checkpoint:
-        store = ad.load_checkpoint(args.checkpoint)
         model = build_model(args.model, system, hidden=tuple(args.hidden))
+        store = _load_checkpoint_for(model, args.checkpoint)
         states = model.rollout(store, truth[0], t_eval)[0]
     else:
         states = truth
@@ -244,7 +256,8 @@ def cmd_train(args) -> int:
 
 
 def _run_evaluation(cfg: dict, model, store, dataset, out_path) -> None:
-    result = evaluate_model(model, store, dataset, horizon=cfg["eval"]["horizon"])
+    result = evaluate_model(model, store, dataset, horizon=cfg["eval"]["horizon"],
+                            substeps=cfg["train"]["substeps"])
     if out_path:
         export_metrics_csv(out_path, result.times, result.rel_err, result.energy_err,
                            result.phi_rmse)
@@ -257,7 +270,7 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args)
     ds = load_dataset(args.dataset)
     model = _model_from_config(cfg, ds.system())
-    store = ad.load_checkpoint(args.checkpoint)
+    store = _load_checkpoint_for(model, args.checkpoint)
     _run_evaluation(cfg, model, store, ds, args.out)
     return 0
 

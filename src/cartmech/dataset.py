@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import convert_flavor
-from .errors import FormatError, IntegrationError, ParameterDomainError
+from .errors import FormatError, IntegrationError, ParameterDomainError, finite_positive
 from .integrators import Tolerances, integrate_adaptive
 from .states import LAGRANGIAN
 from .systems import System, system_from_dict, system_to_dict
@@ -181,10 +181,10 @@ def load_dataset(directory) -> Dataset:
     try:
         tol = Tolerances(float(_entry(tolerances, "rtol", (int, float), path)),
                          float(_entry(tolerances, "atol", (int, float), path)))
+        (dt,) = finite_positive("dt", (_entry(manifest, "dt", (int, float), path),))
     except ParameterDomainError as err:
         raise FormatError(f"{path}: {err}") from None
     system_spec = _entry(manifest, "system", dict, path)
-    dt = float(_entry(manifest, "dt", (int, float), path))
     split = _entry(manifest, "split", str, path)
     seed = _entry(manifest, "seed", int, path)
     n_t = math.prod(t_shape)

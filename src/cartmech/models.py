@@ -12,11 +12,11 @@ joint angles with a Cholesky-parametrized inverse mass (pendulum chains
 only), and its field is that Hamiltonian's gradient written out around the
 pullbacks of its two networks.  Data is Cartesian (x, xdot), so each model
 converts into and out of its own state; the angle models decode through the
-ground truth's chain embedding.
+ground truth's chain embedding.  A rollout or a loss decodes all of its
+states in one batched call, so nothing built from a state is kept: only the
+learned mass is built once per tape or per rollout.
 """
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -30,30 +30,9 @@ from .states import unflatten_matrix
 
 class _RolloutLeaves(dict):
     """The parameter arrays of one rollout.  They stay fixed while it runs, so
-    what is built from them alone (the learned mass) is built once, in memo,
-    and what is built from them and state arrays (HNN2D's chart) once per
-    state: its entry goes when one of those arrays is freed."""
+    the learned mass built from them is built once, in mass."""
 
-    def __init__(self, store: ad.ParamStore):
-        super().__init__(store.items())
-        self.memo = {}
-
-
-def _memo(build, leaves: dict, prefix: str, *nodes):
-    """build() once per tape for the nodes and leaves named prefix*.  On
-    arrays, in a rollout: once, or once per state array in nodes while that
-    array lives; outside a rollout on every call."""
-    key = (prefix,) + nodes + tuple(v for k, v in leaves.items() if k.startswith(prefix))
-    if all(isinstance(node, ad.Node) for node in key[1:]):
-        return key[1].tape.memo(key, build)
-    if not isinstance(leaves, _RolloutLeaves):
-        return build()
-    key = (prefix,) + tuple(map(id, nodes))
-    if key not in leaves.memo:
-        leaves.memo[key] = build()
-        for state in nodes:
-            weakref.finalize(state, leaves.memo.pop, key, None)
-    return leaves.memo[key]
+    mass = None
 
 
 class DynamicsModel:
@@ -88,15 +67,17 @@ class DynamicsModel:
     def rollout(self, store: ad.ParamStore, xv0: np.ndarray, times,
                 substeps: int = 1) -> np.ndarray:
         """Cartesian predictions (B, T, 2dn) from Cartesian initial states, on
-        the store's arrays."""
+        the store's arrays.  The states of all T times are decoded in one
+        call, time-major."""
         from .integrators import rollout_fixed
 
-        params = _RolloutLeaves(store)
+        params = _RolloutLeaves(store.items())
         xv0 = np.atleast_2d(np.asarray(xv0, dtype=float))
         w0 = self.to_state_node(params, self.encode(xv0))
         states = rollout_fixed(lambda w: self.dynamics_node(params, w), w0,
                                np.asarray(times, dtype=float), substeps=substeps)
-        return np.stack([self.decode_node(params, w) for w in states], axis=1)
+        xv = self.decode_node(params, np.concatenate(states, axis=0))
+        return np.ascontiguousarray(xv.reshape(len(states), len(xv0), -1).swapaxes(0, 1))
 
 
 # -- learned mass blocks (CHNN / CLNN) ------------------------------------------------
@@ -146,8 +127,19 @@ class _ConstrainedModel(DynamicsModel):
         return store
 
     def _mass(self, leaves: dict) -> tuple:
-        """(M, M^-1), built once per tape and set of mass leaves."""
-        return _memo(lambda: _mass_nodes(leaves, self.system.topology.bodies), leaves, "mass.")
+        """(M, M^-1): built once per tape and set of mass leaves, or once per
+        rollout; on other arrays on every call."""
+        def build():
+            return _mass_nodes(leaves, self.system.topology.bodies)
+
+        key = tuple(v for k, v in leaves.items() if k.startswith("mass."))
+        if all(isinstance(v, ad.Node) for v in key):
+            return key[0].tape.memo(key, build)
+        if not isinstance(leaves, _RolloutLeaves):
+            return build()
+        if leaves.mass is None:
+            leaves.mass = build()
+        return leaves.mass
 
     def _field(self, field, leaves: dict, Minv, x, v):
         """A constrained field at positions x and velocities v, with grad V
@@ -275,19 +267,16 @@ class HNN2D(_AngularModel):
 
     def _chart(self, leaves: dict, w) -> tuple:
         """(sin q, cos q, the network input (sin q, cos q), L(q), the Cholesky
-        network's pullback) at a state w = (q, .), built once per state: per
-        tape and state node, or per rollout and state array, so decode_node
-        (states[t]) reuses the first RK stage's."""
-        def build():
-            B, N = w.shape[0], self.n_angles
-            q = ad.narrow(w, 1, 0, N)
-            sin_q, cos_q = ad.sin(q), ad.cos(q)
-            inp = ad.concat([sin_q, cos_q], axis=1)
-            packed, pullback = ad.mlp_pullback(leaves, inp, prefix="cholesky")
-            L = ad.reshape(ad.matmul(packed, self._scatter_T), (B, N, N))
-            return sin_q, cos_q, inp, ad.add(L, np.eye(N)), pullback
-
-        return _memo(build, leaves, "cholesky.", w)
+        network's pullback) at states w = (q, .), built on every call.  A
+        rollout or a loss decodes all of its states in one call, so that costs
+        one batched network forward beyond the field's, not one per state."""
+        B, N = w.shape[0], self.n_angles
+        q = ad.narrow(w, 1, 0, N)
+        sin_q, cos_q = ad.sin(q), ad.cos(q)
+        inp = ad.concat([sin_q, cos_q], axis=1)
+        packed, pullback = ad.mlp_pullback(leaves, inp, prefix="cholesky")
+        L = ad.reshape(ad.matmul(packed, self._scatter_T), (B, N, N))
+        return sin_q, cos_q, inp, ad.add(L, np.eye(N)), pullback
 
     def dynamics_node(self, leaves: dict, w):
         """(dH/dp, -dH/dq).  With u = L^T p: dH/dp = L u, dH/dL = p u^T, whose

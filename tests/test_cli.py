@@ -378,6 +378,36 @@ def _corrupt_dataset(workdir, tmp_path):
     return bad
 
 
+def _mismatched_checkpoints(workdir, tmp_path):
+    """A two-pendulum node checkpoint, and the trained chnn checkpoint
+    without potential.b1 and without mass.log_m1."""
+    from cartmech import autodiff as ad
+    from cartmech.models import build_model
+    from cartmech.systems import build_system
+
+    node = build_model("node", build_system("npendulum", n=2), hidden=(8, 8))
+    paths = [tmp_path / "node.cmk"]
+    ad.save_checkpoint(node.init_params(np.random.default_rng(0)), paths[0])
+    store = ad.load_checkpoint(workdir / "run" / "final.cmk")
+    for name in ("potential.b1", "mass.log_m1"):
+        paths.append(tmp_path / f"no_{name}.cmk")
+        ad.save_checkpoint(ad.ParamStore({k: v for k, v in store.items() if k != name}),
+                           paths[-1])
+    return paths
+
+
+def _dataset_with_dt(workdir, tmp_path, dt):
+    """The test split with its manifest's dt replaced."""
+    bad = tmp_path / f"dt_{dt}"
+    bad.mkdir()
+    source = workdir / "data" / "test"
+    manifest = json.loads((source / "manifest.json").read_text())
+    manifest["dt"] = dt
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    (bad / "payload.bin").write_bytes((source / "payload.bin").read_bytes())
+    return bad
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
     """0 on good input, 1 on a missing or corrupt file, 2 on a numeric
@@ -389,6 +419,7 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
     cut_ckpt.write_bytes(raw[:len(raw) // 2])
     heavy = _heavy_checkpoint(workdir, tmp_path)
     cut_data = _corrupt_dataset(workdir, tmp_path)
+    node_ckpt, no_b1, no_m1 = _mismatched_checkpoints(workdir, tmp_path)
     missing = tmp_path / "missing"
     diverge = ("--set", "train.lr=1e12", "--set", "train.epochs=30")
     out = str(tmp_path / "out")
@@ -441,6 +472,18 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=1e400"), 1, "horizon", "inf"),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=NaN"), 1, "horizon", "nan"),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=0"), 1, "horizon", "0.0"),
+        # checkpoints whose parameter names do not fit the model, each name shown
+        (simulate(node_ckpt), 1, "chnn", "mass.log_m0", "field.w0"),
+        ((*evaluate(node_ckpt, data / "test"), "--set", "model.kind=chnn"), 1,
+         "chnn", "mass.log_m0", "field.w0"),
+        (simulate(no_b1), 1, "potential.b1"),
+        (evaluate(no_b1, data / "test"), 1, "potential.b1"),
+        (simulate(no_m1), 1, "mass.log_m1"),
+        (evaluate(no_m1, data / "test"), 1, "mass.log_m1"),
+        # a dataset whose dt is not finite and positive
+        (evaluate(good_ckpt, _dataset_with_dt(workdir, tmp_path, 0.0)), 1, "dt", "0.0"),
+        (evaluate(good_ckpt, _dataset_with_dt(workdir, tmp_path, -0.03)), 1, "dt", "-0.03"),
+        (evaluate(good_ckpt, _dataset_with_dt(workdir, tmp_path, float("inf"))), 1, "dt", "inf"),
     ]
     for args, expected, *named in table:
         rc, _, err = run_cli(*args)
@@ -448,3 +491,23 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         assert "Traceback" not in err, args
         for word in named:
             assert word in err, (args, err)
+
+
+def test_evaluate_rolls_out_with_the_training_substeps(workdir):
+    from cartmech import autodiff as ad
+    from cartmech.metrics import evaluate_model
+    from cartmech.models import build_model
+
+    ckpt, test_dir = workdir / "run" / "final.cmk", workdir / "data" / "test"
+    args = ("evaluate", *TINY, "--checkpoint", str(ckpt), "--dataset", str(test_dir))
+    rc, default, err = run_cli(*args)
+    assert rc == 0, err
+    rc, out, err = run_cli(*args, "--set", "train.substeps=2")
+    assert rc == 0, err
+    ds = load_dataset(test_dir)
+    model = build_model("chnn", ds.system(), hidden=(8, 8))
+    result = evaluate_model(model, ad.load_checkpoint(ckpt), ds, horizon=3.0, substeps=2)
+    assert out.splitlines() == [f"gm_rel_err {result.gm_rel_err:.17g}",
+                                f"gm_energy_err {result.gm_energy_err:.17g}",
+                                f"gm_phi_rmse {result.gm_phi_rmse:.17g}"]
+    assert out != default

@@ -335,9 +335,30 @@ def test_rollout_builds_no_tape_and_matches_the_tape(kind, monkeypatch):
     assert not tapes
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_rollout_and_loss_decode_in_one_call(kind, monkeypatch):
+    system = build_system("npendulum", n=2)
+    model = build_model(kind, system, hidden=(8,))
+    store = model.init_params(np.random.default_rng(0))
+    _, W = lagrangian_batch(system, np.random.default_rng(2), 3)
+    calls = []
+    original = model.decode_node
+
+    def counting(leaves, w):
+        calls.append(w.shape[0])
+        return original(leaves, w)
+
+    monkeypatch.setattr(model, "decode_node", counting)
+    preds = model.rollout(store, W, system.dt * np.arange(5))
+    assert preds.shape == (3, 5, 8) and calls == [5 * 3]
+    calls.clear()
+    trajectory_loss_node(model, store.leaves(ad.Tape()), np.stack([W] * 5, axis=1))
+    assert calls == [4 * 3]
+
+
 def test_hnn2d_builds_its_cholesky_factor_once_per_state_node():
-    # 4 RK4 steps: 16 stage states, plus the raw initial state and the last
-    # state, which only to_state_node and decode_node see
+    # 4 RK4 steps: 16 stage states, plus the raw initial state, which only
+    # to_state_node sees, and the one batched decode of the compared states
     system = build_system("npendulum", n=2)
     model = build_model("hnn2d", system, hidden=(8,))
     store = model.init_params(np.random.default_rng(0))
@@ -352,8 +373,8 @@ def test_hnn2d_builds_its_cholesky_factor_once_per_state_node():
 
 def test_hnn2d_builds_its_cholesky_factor_once_per_state_array(monkeypatch):
     # the array rollout matches the tape's count: 4 RK4 steps of 4 stage
-    # states, the raw initial state, and the last state, which only
-    # decode_node sees; the field's pullback reuses the chart's forward
+    # states, the raw initial state, and the one batched decode of all
+    # states; the field's pullback reuses the chart's forward
     system = build_system("npendulum", n=2)
     model = build_model("hnn2d", system, hidden=(8,))
     store = model.init_params(np.random.default_rng(0))
