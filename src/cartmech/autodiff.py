@@ -28,6 +28,11 @@ are 0-d arrays.  Broadcasting works where numpy allows it; backward passes
 sum the broadcast axes away.  The one linear solve, spd_solve, is for SPD
 systems and carries the package's one degeneracy test (check_pivots, a
 Cholesky pivot ratio).
+
+Tape.clear() frees the graph even while some of its nodes are still
+referenced: each node keeps its value and drops its parents and saved
+arrays.  A training step clears its tape when it ends, so it holds one
+step's graph, never two.
 """
 from __future__ import annotations
 
@@ -67,8 +72,14 @@ class Tape:
         return self._memo[key]
 
     def clear(self) -> None:
-        """Drop every node.  Nodes refer back to their tape, so a tape that is
-        no longer used is otherwise freed only by a full garbage collection."""
+        """Drop every node and free the graph, even while some of its nodes
+        are still referenced: each keeps its value and loses its parents and
+        saved arrays, so it pins nothing but its own value, and grad() of it
+        raises ValueError.  Nodes refer back to their tape, so a tape nobody
+        clears is freed only by a full garbage collection."""
+        for node in self.nodes:
+            node.parents = ()
+            node.extra = None
         self.nodes.clear()
         self._memo.clear()
 
@@ -388,6 +399,9 @@ def grad(output: Node, wrt) -> list[Node]:
         raise ShapeError(f"grad needs a scalar output, got shape {output.value.shape}")
     wrt = list(wrt)
     tape = output.tape
+    nodes = tape.nodes
+    if output.idx >= len(nodes) or nodes[output.idx] is not output:
+        raise ValueError(f"grad of {output!r}: its tape was cleared")
     limit = output.idx + 1
     # nodes created before every wrt node cannot depend on them
     floor = min((w.idx for w in wrt if w.idx < limit), default=limit)
@@ -395,7 +409,6 @@ def grad(output: Node, wrt) -> list[Node]:
     needs = bytearray(limit)
     for i in wrt_ids:
         needs[i] = 1
-    nodes = tape.nodes
     for i in range(floor, limit):
         node = nodes[i]
         if node.parents and not needs[i]:

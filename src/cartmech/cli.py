@@ -121,6 +121,9 @@ def resolve_config(doc: dict | None) -> dict:
     if merged["model"]["kind"] not in MODEL_KINDS:
         raise SchemaError(
             f"model.kind: unknown model {merged['model']['kind']!r}; choose from {MODEL_KINDS}")
+    for section, key in (("data", "n_traj"), ("eval", "n_test")):
+        if merged[section][key] < 1:
+            raise SchemaError(f"{section}.{key} must be at least 1, got {merged[section][key]}")
     return merged
 
 

@@ -99,6 +99,8 @@ def generate_dataset(system: System, n_traj: int, steps: int = 100,
     """
     if split not in (TRAIN, TEST):
         raise ValueError(f"split must be {TRAIN!r} or {TEST!r}")
+    if n_traj < 1:
+        raise ParameterDomainError(f"n_traj must be at least 1, got {n_traj}")
     if steps < CHUNK_STATES:
         raise ValueError(f"steps must be at least {CHUNK_STATES}")
     t_eval = system.dt * np.arange(steps + 1)

@@ -121,7 +121,9 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
     reproduces the run bit for bit.  A non-finite loss or gradient, or a
     DegenerateConfigurationError from a guarded solve, skips the optimizer
     step and logs the reason; max_bad_steps consecutive ones abort with
-    TrainingError.
+    TrainingError.  Each step, skipped or not, clears its tape when it ends,
+    so a step holds one step's graph: the loss and leaf nodes still bound
+    then keep their values and nothing else.
     """
     chunks = np.asarray(chunks, dtype=float)
     if chunks.ndim != 3:
@@ -146,13 +148,14 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
                 value = float(loss.value)
                 bad = None if np.isfinite(value) else "non-finite loss"
                 if bad is None:
-                    grad_nodes = ad.grad(loss, [leaves[name] for name in names])
-                    grads = {name: node.value for name, node in zip(names, grad_nodes)}
+                    grads = {name: node.value for name, node in
+                             zip(names, ad.grad(loss, [leaves[name] for name in names]))}
                     if not all(np.isfinite(g).all() for g in grads.values()):
                         bad = "non-finite gradient"
             except DegenerateConfigurationError as err:
                 bad = f"degenerate system (pivot ratio {err.ratio:.3g})"
-            tape.clear()  # frees the step's arrays now, not at the next full collection
+            # frees the step's graph now, though loss and leaves stay bound
+            tape.clear()
             if bad is not None:
                 bad_total += 1
                 bad_streak += 1

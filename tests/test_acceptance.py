@@ -362,6 +362,7 @@ def _train_and_score(kind, system, train_states, test_ds, seed,
     return evaluate_model(model, result.store, test_ds, horizon=3.0).gm_rel_err
 
 
+@pytest.mark.slow
 def test_constraint_aware_models_win_the_benchmark():
     # identical data, budget and seeds for every model family; scores are
     # geometric-mean relative error over three seconds, averaged over seeds
@@ -382,6 +383,7 @@ def test_constraint_aware_models_win_the_benchmark():
     assert time.monotonic() - started < 45 * 60
 
 
+@pytest.mark.slow
 def test_single_disabled_link_costs_an_order_of_magnitude():
     system = build_system("npendulum", n=3)
     train_ds = generate_dataset(system, 200, steps=100, seed=0, split="train")

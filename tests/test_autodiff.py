@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,38 @@ def test_grad_wrt_interior_node_is_retained():
     gx, gy = grad(out, [x, y])
     assert gx.value == pytest.approx(24.0)  # d(4x^2)/dx
     assert gy.value == pytest.approx(12.0)  # d(y^2)/dy
+
+
+def test_clear_frees_the_graph_of_nodes_still_held():
+    # a node held after clear() keeps its value bit for bit and pins nothing
+    # else: the mlp node's hidden activation, reached only through the graph,
+    # is freed at once
+    vals = _mlp_problem((8,))
+    tape = Tape()
+    leaves = {name: tape.constant(value) for name, value in vals.items()}
+    y = mlp_apply(leaves, leaves["x"])
+    out = ad.reduce_sum(ad.mul(y, leaves["G"]))
+    (gx,) = grad(out, [leaves["x"]])
+    hidden = weakref.ref(y.extra[0])
+    held = {node: node.value.copy() for node in (out, gx)}
+    tape.clear()
+    assert len(tape) == 0
+    assert hidden() is None
+    for node, value in held.items():
+        assert node.value.tobytes() == value.tobytes()
+
+
+def test_grad_of_a_cleared_tape_raises_value_error():
+    tape = Tape()
+    x = tape.constant(np.array([1.0, 2.0]))
+    out = ad.reduce_sum(ad.mul(x, x))
+    tape.clear()
+    with pytest.raises(ValueError, match="cleared"):
+        grad(out, [x])
+    # the tape records again, and out's index now names another node
+    ad.reduce_sum(ad.mul(tape.constant(np.ones(2)), 3.0))
+    with pytest.raises(ValueError, match="cleared"):
+        grad(out, [x])
 
 
 def test_input_gradient_of_sliced_batch():

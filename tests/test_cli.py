@@ -472,6 +472,10 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=1e400"), 1, "horizon", "inf"),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=NaN"), 1, "horizon", "nan"),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=0"), 1, "horizon", "0.0"),
+        # trajectory counts below one, each named by its key
+        (("generate", *TINY, "--set", "data.n_traj=0", "--out", out), 1, "data.n_traj", "0"),
+        (("generate", *TINY, "--set", "eval.n_test=0", "--out", out), 1, "eval.n_test", "0"),
+        (("generate", *TINY, "--set", "eval.n_test=-1", "--out", out), 1, "eval.n_test", "-1"),
         # checkpoints whose parameter names do not fit the model, each name shown
         (simulate(node_ckpt), 1, "chnn", "mass.log_m0", "field.w0"),
         ((*evaluate(node_ckpt, data / "test"), "--set", "model.kind=chnn"), 1,

@@ -16,7 +16,7 @@ from cartmech.dataset import (
     save_dataset,
     trajectory_columns,
 )
-from cartmech.errors import FormatError, IntegrationError
+from cartmech.errors import FormatError, IntegrationError, ParameterDomainError
 from cartmech.integrators import Tolerances
 from cartmech.metrics import constraint_rmse_curve
 from cartmech.models import build_model
@@ -224,3 +224,6 @@ def test_generate_validates_arguments():
         generate_dataset(system, 1, steps=3)
     with pytest.raises(ValueError):
         generate_dataset(system, 1, split="validation")
+    for n_traj in (0, -1):
+        with pytest.raises(ParameterDomainError, match="n_traj"):
+            generate_dataset(system, n_traj)

@@ -217,6 +217,33 @@ def test_train_frees_each_step_tape_without_the_garbage_collector():
     assert after == before
 
 
+def test_train_holds_one_step_graph_at_each_backward_pass(monkeypatch):
+    # the nodes a finished step leaves bound must not pin its graph while the
+    # next step records its own: every backward pass starts from the same count
+    import gc
+
+    from cartmech.systems import build_system
+
+    counts = []
+    grad = ad.grad
+
+    def counting_grad(output, wrt):
+        counts.append(sum(isinstance(o, ad.Node) for o in gc.get_objects()))
+        return grad(output, wrt)
+
+    monkeypatch.setattr(ad, "grad", counting_grad)
+    model = build_model("node", build_system("npendulum", n=2), hidden=(8,))
+    chunks = np.random.default_rng(10).normal(size=(16, 5, 8))
+    gc.collect()
+    gc.disable()
+    try:
+        train(model, chunks, TrainConfig(epochs=3, batch_size=8))
+    finally:
+        gc.enable()
+    assert len(counts) == 6
+    assert counts == [counts[0]] * 6
+
+
 def test_train_aborts_after_consecutive_bad_steps():
     class Exploding:
         def __init__(self, system):
