@@ -9,11 +9,11 @@ a learned potential).  The generic ops support any order.  The fused tanh
 MLP is one `mlp` node whose derivatives are written in closed form;
 mlp_pullback returns its output with a pullback for any output cotangent,
 which records the x-adjoint as one `mlp_vjp` node.  It supports exactly
-second order: differentiating its second-order outputs or its parameter
-adjoints again raises NotImplementedError.  fused() and define_vjp() let
-other modules record a composite function as one node with a closed-form
-first-order VJP (the constrained fields of dynamics); its adjoints cannot be
-differentiated again either.
+second order: its second-order outputs and parameter adjoints have no
+backward rule, and grad() raises NotImplementedError naming such an op.
+fused() and define_vjp() let other modules record a composite function as
+one node with a closed-form first-order VJP (the constrained fields of
+dynamics); its adjoints have no rule either.
 
 Every op also takes plain arrays: with no node among its operands it returns
 the numpy result and records nothing, so the same code runs on arrays
@@ -50,11 +50,10 @@ CHECKPOINT_VERSION = 1
 class Tape:
     """Append-only record of operations for one differentiable computation."""
 
-    __slots__ = ("nodes", "_memo")
+    __slots__ = ("nodes",)
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._memo: dict = {}
 
     def _append(self, value, op, parents, extra=None) -> "Node":
         node = Node(self, np.asarray(value, dtype=float), op, parents, extra, len(self.nodes))
@@ -64,12 +63,6 @@ class Tape:
     def constant(self, value) -> "Node":
         """An input node; grad() differentiates with respect to any node."""
         return self._append(value, None, ())
-
-    def memo(self, key, build):
-        """build() on the first call with key; later calls reuse its nodes."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def clear(self) -> None:
         """Drop every node and free the graph, even while some of its nodes
@@ -81,7 +74,6 @@ class Tape:
             node.parents = ()
             node.extra = None
         self.nodes.clear()
-        self._memo.clear()
 
     def __len__(self):
         return len(self.nodes)
@@ -257,21 +249,16 @@ def check_pivots(K: np.ndarray) -> None:
 
 
 def spd_solve(K, B):
-    """x with K x = B for SPD K (..., k, k), after check_pivots(K) (once per
-    tape and matrix node).  numpy has no stacked triangular solve, so x comes
-    from a stacked LU solve, each matrix on its own.  The constrained fields
-    call it on arrays, in their forward pass; on nodes it serves HNN2D's
-    momentum solve.  The VJP is written with spd_solve and matmul, so it is
-    differentiable again.
+    """x with K x = B for SPD K (..., k, k), after check_pivots(K), once per
+    call.  numpy has no stacked triangular solve, so x comes from a stacked
+    LU solve, each matrix on its own.  The constrained fields call it on
+    arrays, in their forward pass; on nodes it serves HNN2D's momentum solve.
+    The VJP is written with `spd_solve` nodes and matmul, so it is
+    differentiable again; its solves skip the check, which K passed here.
     """
     if np.ndim(_value(B)) < 2:
         raise ShapeError("spd_solve right-hand side must be at least 2-d")
-    if isinstance(K, Node):
-        K.tape.memo(("check_pivots", K), lambda: check_pivots(K.value))
-    else:
-        check_pivots(K)
-        if not isinstance(B, Node):
-            return np.linalg.solve(K, B)
+    check_pivots(_value(K))
     return _record("spd_solve", np.linalg.solve, (K, B))
 
 
@@ -331,7 +318,7 @@ def _vjp_matmul(node, g, need):
 def _vjp_spd_solve(node, g, need):
     # K is symmetric, so K^-T g = K^-1 g
     K, B = node.parents
-    gb = spd_solve(K, g)
+    gb = _record("spd_solve", np.linalg.solve, (K, g))
     gk = _unbroadcast(neg(matmul(gb, transpose(node))), K.shape) if need[0] else None
     return gk, _unbroadcast(gb, B.shape) if need[1] else None
 
@@ -429,7 +416,10 @@ def grad(output: Node, wrt) -> list[Node]:
         g = adjoint.get(i) if i in wrt_ids else adjoint.pop(i, None)
         if g is None:
             continue
-        contribs = _VJP[node.op](node, g, [needs[p.idx] for p in node.parents])
+        rule = _VJP.get(node.op)
+        if rule is None:
+            raise NotImplementedError(f"op {node.op!r} has no backward rule: it cannot be differentiated")
+        contribs = rule(node, g, [needs[p.idx] for p in node.parents])
         for parent, contrib in zip(node.parents, contribs):
             if contrib is None or not needs[parent.idx]:
                 continue
@@ -661,25 +651,16 @@ def _vjp_mlp_vjp(node, u, need):
             for value in out]
 
 
-def _final(reason: str):
-    """The rule of an op that cannot be differentiated again."""
-    def rule(node, g, need):
-        raise NotImplementedError(f"op {node.op!r} cannot be differentiated again: {reason}")
-    return rule
-
-
 _VJP["mlp"] = _vjp_mlp
 _VJP["mlp_vjp"] = _vjp_mlp_vjp
-_VJP["mlp_param_adjoint"] = _VJP["mlp_second_order"] = _final(
-    "the fused MLP supports second order at most")
 
 
 def define_vjp(op: str, rule) -> None:
     """Register the closed-form VJP of a fused op.  rule(node, g, need) takes
     the output adjoint g as an array and returns one array per parent (None
     where need says no), in the broadcast shape.  Each is summed to its
-    parent's shape and recorded as an `{op}_adjoint` node, which cannot be
-    differentiated again."""
+    parent's shape and recorded as an `{op}_adjoint` node, which has no rule,
+    so it cannot be differentiated again."""
     adjoint_op = f"{op}_adjoint"
 
     def vjp(node, g, need):
@@ -689,7 +670,6 @@ def define_vjp(op: str, rule) -> None:
                 for a, parent in zip(rule(node, g.value, need), node.parents)]
 
     _VJP[op] = vjp
-    _VJP[adjoint_op] = _final(f"{op} has a first-order VJP only")
 
 
 def finite_difference_check(f, grad_fn, x: np.ndarray, h: float = 1e-5) -> float:

@@ -48,6 +48,10 @@ class IntegrationError(CartmechError):
         self.step = step
 
 
+class RolloutDivergedError(CartmechError):
+    """A model's rollout left the finite numbers (overflow or nan)."""
+
+
 class GradientSingularityError(CartmechError):
     """A potential gradient was requested at a singular point (coincident points)."""
 

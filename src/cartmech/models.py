@@ -1,7 +1,8 @@
 """Learnable dynamics models trained by backprop through fixed-step rollouts.
 
-Every method takes `leaves` (parameter name -> tape node or array) and a
-(B, D) state batch and is written with the autodiff ops, so one code path
+bind(leaves) adds to the parameters (name -> tape node or array) what a
+model builds from them alone; every other method takes the bound leaves and
+a (B, D) state batch and is written with the autodiff ops, so one code path
 runs on the tape (training: one tape per loss) and on plain arrays
 (evaluation: no tape at all).  Input gradients of the networks come from
 autodiff.mlp_pullback, which is the numpy backward pass on arrays.  CHNN and
@@ -12,9 +13,9 @@ joint angles with a Cholesky-parametrized inverse mass (pendulum chains
 only), and its field is that Hamiltonian's gradient written out around the
 pullbacks of its two networks.  Data is Cartesian (x, xdot), so each model
 converts into and out of its own state; the angle models decode through the
-ground truth's chain embedding.  A rollout or a loss decodes all of its
-states in one batched call, so nothing built from a state is kept: only the
-learned mass is built once per tape or per rollout.
+ground truth's chain embedding.  A rollout or a loss binds once and decodes
+all of its states in one batched call, so CHNN and CLNN build their learned
+mass once per rollout or loss, and nothing built from a state is kept.
 """
 from __future__ import annotations
 
@@ -23,16 +24,9 @@ import numpy as np
 from . import autodiff as ad
 from .bodies import apply_on_points, block_diag, mass_blocks
 from .dynamics import constrained_hamiltonian_field, constrained_lagrangian_field
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, RolloutDivergedError
 from .oracles import pendulum_angles, pendulum_embed
 from .states import unflatten_matrix
-
-
-class _RolloutLeaves(dict):
-    """The parameter arrays of one rollout.  They stay fixed while it runs, so
-    the learned mass built from them is built once, in mass."""
-
-    mass = None
 
 
 class DynamicsModel:
@@ -51,6 +45,11 @@ class DynamicsModel:
     def init_params(self, rng: np.random.Generator) -> ad.ParamStore:
         raise NotImplementedError
 
+    def bind(self, leaves: dict) -> dict:
+        """The leaves the other methods take: the parameters plus what the
+        model builds from them alone, once per rollout or loss."""
+        return leaves
+
     def dynamics_node(self, leaves: dict, w):
         raise NotImplementedError
 
@@ -68,16 +67,22 @@ class DynamicsModel:
                 substeps: int = 1) -> np.ndarray:
         """Cartesian predictions (B, T, 2dn) from Cartesian initial states, on
         the store's arrays.  The states of all T times are decoded in one
-        call, time-major."""
+        call, time-major.  RolloutDivergedError names the first trajectory
+        and time that are not finite."""
         from .integrators import rollout_fixed
 
-        params = _RolloutLeaves(store.items())
+        params = self.bind(dict(store.items()))
         xv0 = np.atleast_2d(np.asarray(xv0, dtype=float))
+        times = np.asarray(times, dtype=float)
         w0 = self.to_state_node(params, self.encode(xv0))
-        states = rollout_fixed(lambda w: self.dynamics_node(params, w), w0,
-                               np.asarray(times, dtype=float), substeps=substeps)
+        states = rollout_fixed(lambda w: self.dynamics_node(params, w), w0, times,
+                               substeps=substeps)
         xv = self.decode_node(params, np.concatenate(states, axis=0))
-        return np.ascontiguousarray(xv.reshape(len(states), len(xv0), -1).swapaxes(0, 1))
+        preds = np.ascontiguousarray(xv.reshape(len(states), len(xv0), -1).swapaxes(0, 1))
+        if not np.isfinite(preds).all():
+            row, t = np.argwhere(~np.isfinite(preds))[0, :2]
+            raise RolloutDivergedError(f"trajectory {row} is not finite at t = {times[t]:.6g}")
+        return preds
 
 
 # -- learned mass blocks (CHNN / CLNN) ------------------------------------------------
@@ -126,20 +131,9 @@ class _ConstrainedModel(DynamicsModel):
                 store.add(name, value)
         return store
 
-    def _mass(self, leaves: dict) -> tuple:
-        """(M, M^-1): built once per tape and set of mass leaves, or once per
-        rollout; on other arrays on every call."""
-        def build():
-            return _mass_nodes(leaves, self.system.topology.bodies)
-
-        key = tuple(v for k, v in leaves.items() if k.startswith("mass."))
-        if all(isinstance(v, ad.Node) for v in key):
-            return key[0].tape.memo(key, build)
-        if not isinstance(leaves, _RolloutLeaves):
-            return build()
-        if leaves.mass is None:
-            leaves.mass = build()
-        return leaves.mass
+    def bind(self, leaves: dict) -> dict:
+        """The leaves plus the learned (M, M^-1) under "mass"."""
+        return {**leaves, "mass": _mass_nodes(leaves, self.system.topology.bodies)}
 
     def _field(self, field, leaves: dict, Minv, x, v):
         """A constrained field at positions x and velocities v, with grad V
@@ -154,17 +148,17 @@ class CHNN(_ConstrainedModel):
     kind = "chnn"
 
     def dynamics_node(self, leaves: dict, z):
-        _, Minv = self._mass(leaves)
+        _, Minv = leaves["mass"]
         x, p = ad.narrow(z, 1, 0, self.dn), ad.narrow(z, 1, self.dn, self.dn)
         return self._field(constrained_hamiltonian_field, leaves, Minv, x, apply_on_points(Minv, p))
 
     def to_state_node(self, leaves: dict, raw):
-        M, _ = self._mass(leaves)
+        M, _ = leaves["mass"]
         v = ad.narrow(raw, 1, self.dn, self.dn)
         return ad.concat([ad.narrow(raw, 1, 0, self.dn), apply_on_points(M, v)], axis=1)
 
     def decode_node(self, leaves: dict, w):
-        _, Minv = self._mass(leaves)
+        _, Minv = leaves["mass"]
         p = ad.narrow(w, 1, self.dn, self.dn)
         return ad.concat([ad.narrow(w, 1, 0, self.dn), apply_on_points(Minv, p)], axis=1)
 
@@ -176,7 +170,7 @@ class CLNN(_ConstrainedModel):
 
     def dynamics_node(self, leaves: dict, w):
         x, v = ad.narrow(w, 1, 0, self.dn), ad.narrow(w, 1, self.dn, self.dn)
-        xddot, _ = self._field(constrained_lagrangian_field, leaves, self._mass(leaves)[1], x, v)
+        xddot, _ = self._field(constrained_lagrangian_field, leaves, leaves["mass"][1], x, v)
         return ad.concat([v, xddot], axis=1)
 
 

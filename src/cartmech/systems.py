@@ -10,7 +10,8 @@ Phid = 0 by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, asdict, replace
+import numbers
+from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
 from typing import Callable
 
@@ -28,6 +29,7 @@ from .errors import (
     FieldSingularityError,
     GradientSingularityError,
     ParameterDomainError,
+    SchemaError,
     finite_positive,
 )
 from .oracles import (
@@ -562,15 +564,34 @@ def system_names() -> list[str]:
     return sorted(SYSTEM_BUILDERS)
 
 
+def _like(value, default) -> bool:
+    """Whether value has default's type: an integer, a number, or a list or
+    tuple of values like default's first item; a boolean is none of them."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_like(v, default[0]) for v in value)
+    wanted = numbers.Integral if isinstance(default, int) else numbers.Real
+    return isinstance(value, wanted) and not isinstance(value, bool)
+
+
 def build_system(kind: str, **params) -> System:
+    """The system `kind` from its config's defaults and params.  A value
+    without its default's type raises SchemaError naming system.<key>."""
+    if not isinstance(kind, str):
+        raise SchemaError(f"system.kind: expected a string, got {kind!r}")
     try:
         cfg_cls, builder = SYSTEM_BUILDERS[kind]
     except KeyError:
         raise ValueError(f"unknown system {kind!r}; choose from {system_names()}") from None
-    known = {f.name for f in fields(cfg_cls)}
-    bad = sorted(set(params) - known)
+    defaults = vars(cfg_cls())
+    bad = sorted(set(params) - set(defaults))
     if bad:
-        raise ValueError(f"unknown {kind} parameters {bad}; known: {sorted(known)}")
+        raise ValueError(f"unknown {kind} parameters {bad}; known: {sorted(defaults)}")
+    for key, value in params.items():
+        default = defaults[key]
+        if not _like(value, default):
+            want = "an integer" if isinstance(default, int) else (
+                "a number", "a list of numbers", "a list of lists of numbers")[np.ndim(default)]
+            raise SchemaError(f"system.{key}: expected {want}, got {value!r}")
     return builder(cfg_cls(**params))
 
 

@@ -73,13 +73,15 @@ def trajectory_loss_node(model, leaves: dict, chunks: np.ndarray,
     """Mean L1 rollout error of a chunk batch, as a tape node.
 
     chunks is (B, T, 2dn) Cartesian ground truth at uniform dt spacing; the
-    model is started from column 0 and compared against columns 1..T-1.  The
+    model is started from column 0 and compared against columns 1..T-1.
+    leaves are the parameters' tape nodes, which the model binds once.  The
     predicted states are decoded in one call, time-major; each time's L1
     error is summed over (B, 2dn) and those sums are added in time order.
     """
     chunks = np.asarray(chunks, dtype=float)
     B, T, D = chunks.shape
     tape = next(iter(leaves.values())).tape
+    leaves = model.bind(leaves)
     times = model.system.dt * np.arange(T)
     w0 = model.to_state_node(leaves, tape.constant(model.encode(chunks[:, 0])))
     states = rollout_fixed(lambda w: model.dynamics_node(leaves, w), w0, times,

@@ -134,6 +134,26 @@ def test_batched_matmul_and_solve_backward():
     assert gK.value.shape == (3, 3)
 
 
+def test_spd_solve_checks_its_pivots_once_per_forward_solve(monkeypatch):
+    # the backward pass solves with the K the forward pass checked, at first
+    # and second order, so it does not check again
+    checked = []
+    original = ad.check_pivots
+    monkeypatch.setattr(ad, "check_pivots", lambda K: checked.append(K) or original(K))
+    rng = np.random.default_rng(22)
+    tape = Tape()
+    K = tape.constant(_spd_stack(rng, 4, 3))
+    B = tape.constant(rng.normal(size=(4, 3, 2)))
+    x = ad.spd_solve(K, B)
+    assert len(checked) == 1 and checked[0] is K.value
+    gK, gB = grad(ad.reduce_sum(x * x), [K, B])
+    grad(ad.reduce_sum(gK * gK) + ad.reduce_sum(gB * gB), [K, B])
+    assert [n.op for n in tape.nodes].count("spd_solve") > 3
+    assert len(checked) == 1
+    ad.spd_solve(K, B)
+    assert len(checked) == 2
+
+
 def test_concat_narrow_backward():
     tape = Tape()
     a = tape.constant(np.array([1.0, 2.0]))

@@ -350,6 +350,23 @@ def _heavy_checkpoint(workdir, tmp_path):
     return path
 
 
+def _diverging_checkpoint(tmp_path):
+    """A two-pendulum hnn2d with tenfold Cholesky weights, whose rollout from
+    the first test state overflows within a few steps."""
+    from cartmech import autodiff as ad
+    from cartmech.models import build_model
+    from cartmech.systems import build_system
+
+    model = build_model("hnn2d", build_system("npendulum", n=2), hidden=(8, 8))
+    store = model.init_params(np.random.default_rng(1))
+    for name in store.names():
+        if name.startswith("cholesky.w"):
+            store[name] = 10.0 * store[name]
+    path = tmp_path / "diverging.cmk"
+    ad.save_checkpoint(store, path)
+    return path
+
+
 def test_evaluate_degenerate_model_exits_2_without_traceback(workdir, tmp_path):
     rc, _, err = run_cli("evaluate", *TINY, "--checkpoint", str(_heavy_checkpoint(workdir, tmp_path)),
                          "--dataset", str(workdir / "data" / "test"))
@@ -396,13 +413,17 @@ def _mismatched_checkpoints(workdir, tmp_path):
     return paths
 
 
-def _dataset_with_dt(workdir, tmp_path, dt):
-    """The test split with its manifest's dt replaced."""
-    bad = tmp_path / f"dt_{dt}"
+def _dataset_with(workdir, tmp_path, key, value):
+    """The test split with one manifest entry replaced (key is dotted)."""
+    bad = tmp_path / f"{key}_{value}"
     bad.mkdir()
     source = workdir / "data" / "test"
     manifest = json.loads((source / "manifest.json").read_text())
-    manifest["dt"] = dt
+    *outer, last = key.split(".")
+    entry = manifest
+    for name in outer:
+        entry = entry[name]
+    entry[last] = value
     (bad / "manifest.json").write_text(json.dumps(manifest))
     (bad / "payload.bin").write_bytes((source / "payload.bin").read_bytes())
     return bad
@@ -485,9 +506,16 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         (simulate(no_m1), 1, "mass.log_m1"),
         (evaluate(no_m1, data / "test"), 1, "mass.log_m1"),
         # a dataset whose dt is not finite and positive
-        (evaluate(good_ckpt, _dataset_with_dt(workdir, tmp_path, 0.0)), 1, "dt", "0.0"),
-        (evaluate(good_ckpt, _dataset_with_dt(workdir, tmp_path, -0.03)), 1, "dt", "-0.03"),
-        (evaluate(good_ckpt, _dataset_with_dt(workdir, tmp_path, float("inf"))), 1, "dt", "inf"),
+        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", 0.0)), 1, "dt", "0.0"),
+        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", -0.03)), 1, "dt", "-0.03"),
+        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", float("inf"))), 1, "dt", "inf"),
+        # a wrong-typed system parameter in the manifest, named by its key
+        (export(_dataset_with(workdir, tmp_path, "system.n", "x")), 1, "system.n"),
+        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "system.gravity", [1])), 1,
+         "system.gravity"),
+        # a model whose rollout overflows
+        ((*evaluate(_diverging_checkpoint(tmp_path), data / "test"), "--set", "model.kind=hnn2d"),
+         2, "trajectory 0 is not finite"),
     ]
     for args, expected, *named in table:
         rc, _, err = run_cli(*args)

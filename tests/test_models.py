@@ -45,7 +45,7 @@ def true_mass_store(model, system, seed=0):
 
 def eval_node(model, store, fn_name, array):
     tape = ad.Tape()
-    leaves = {k: tape.constant(v) for k, v in store.items()}
+    leaves = model.bind({k: tape.constant(v) for k, v in store.items()})
     return getattr(model, fn_name)(leaves, tape.constant(array)).value
 
 
@@ -129,7 +129,7 @@ def test_state_conversion_roundtrip_all_kinds():
         store = model.init_params(np.random.default_rng(4))
         raw = model.encode(W)
         tape = ad.Tape()
-        leaves = {k: tape.constant(v) for k, v in store.items()}
+        leaves = model.bind({k: tape.constant(v) for k, v in store.items()})
         w = model.to_state_node(leaves, tape.constant(raw))
         back = model.decode_node(leaves, w).value
         np.testing.assert_allclose(back, W, atol=1e-9, err_msg=kind)
@@ -324,7 +324,7 @@ def test_rollout_builds_no_tape_and_matches_the_tape(kind, monkeypatch):
     store = model.init_params(np.random.default_rng(1))
     times = system.dt * np.arange(4)
     tape = ad.Tape()
-    leaves = store.leaves(tape)
+    leaves = model.bind(store.leaves(tape))
     w0 = model.to_state_node(leaves, tape.constant(model.encode(W0)))
     states = rollout_fixed(lambda w: model.dynamics_node(leaves, w), w0, times)
     on_tape = np.stack([model.decode_node(leaves, w).value for w in states], axis=1)
@@ -485,3 +485,31 @@ def test_degenerate_learned_mass_raises_in_evaluate_model(kind):
     model, store = _heavy_first_body(kind, system)
     with pytest.raises(DegenerateConfigurationError):
         evaluate_model(model, store, test_ds)
+
+
+def test_diverging_rollout_raises_naming_its_first_non_finite_trajectory_and_time():
+    # tenfold Cholesky weights make the learned inverse mass overflow within
+    # a few steps; evaluate_model used to score such a rollout as nan
+    from cartmech.dataset import generate_dataset
+    from cartmech.errors import RolloutDivergedError
+    from cartmech.metrics import evaluate_model
+
+    system = build_system("npendulum", n=2)
+    test_ds = generate_dataset(system, 4, steps=100, seed=1000000, split="test")
+    model = build_model("hnn2d", system, hidden=(8,))
+    store = model.init_params(np.random.default_rng(0))
+    for name in store.names():
+        if name.startswith("cholesky.w"):
+            store[name] = 10.0 * store[name]
+    with np.errstate(all="ignore"):
+        with pytest.raises(RolloutDivergedError) as info:
+            evaluate_model(model, store, test_ds, horizon=3.0)
+        times = test_ds.times[0, :101]
+        params = model.bind(dict(store.items()))
+        w0 = model.to_state_node(params, model.encode(test_ds.states[:, 0]))
+        states = rollout_fixed(lambda w: model.dynamics_node(params, w), w0, times)
+        finite = np.stack([np.isfinite(model.decode_node(params, w)).all(axis=1)
+                           for w in states], axis=1)
+    row = np.flatnonzero(~finite.all(axis=1))[0]
+    t = times[np.flatnonzero(~finite[row])[0]]
+    assert str(info.value) == f"trajectory {row} is not finite at t = {t:.6g}"

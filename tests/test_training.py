@@ -83,6 +83,9 @@ def test_constant_model_loss_is_mean_l1_displacement():
         def encode(self, xv):
             return xv
 
+        def bind(self, leaves):
+            return leaves
+
         def to_state_node(self, leaves, raw):
             return raw
 
@@ -255,6 +258,9 @@ def test_train_aborts_after_consecutive_bad_steps():
         def encode(self, xv):
             return xv
 
+        def bind(self, leaves):
+            return leaves
+
         def to_state_node(self, leaves, raw):
             return raw
 
@@ -286,6 +292,9 @@ def test_non_finite_gradient_skips_the_step():
 
         def encode(self, xv):
             return xv
+
+        def bind(self, leaves):
+            return leaves
 
         def to_state_node(self, leaves, raw):
             return raw
@@ -353,3 +362,45 @@ def test_degenerate_constraint_system_is_a_bad_step_with_its_reason():
     assert len(skipped) == 3
     assert all("degenerate" in m and "pivot ratio" in m for m in skipped)
     assert "degenerate" in str(info.value)
+
+
+def test_train_and_evaluate_look_up_the_names_a_tracer_replaces(monkeypatch):
+    # perfbench traces a run by replacing these attributes for its duration,
+    # so the package must look each one up when it calls it
+    from collections import Counter
+
+    from cartmech import integrators, metrics, training
+    from cartmech.dataset import generate_dataset
+    from cartmech.metrics import evaluate_model
+    from cartmech.systems import build_system
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    loss_node = training.trajectory_loss_node
+
+    def traced_loss_node(model, leaves, chunks, substeps=1):
+        # the tracer reads the tape from the leaves, which are the unbound ones
+        assert all(isinstance(leaf, ad.Node) for leaf in leaves.values())
+        return counted("trajectory_loss_node", loss_node)(model, leaves, chunks, substeps)
+
+    monkeypatch.setattr(training, "trajectory_loss_node", traced_loss_node)
+    monkeypatch.setattr(training, "ad", SimpleNamespace(**{**vars(ad),
+                                                           "grad": counted("grad", ad.grad)}))
+    for owner, name, key in ((training, "rollout_fixed", "training.rollout_fixed"),
+                             (training.AdamW, "step", "AdamW.step"),
+                             (integrators, "rollout_fixed", "integrators.rollout_fixed"),
+                             (metrics, "evaluate_rollout", "evaluate_rollout")):
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+    system = build_system("npendulum", n=2)
+    model = build_model("chnn", system, hidden=(8,))
+    chunks = generate_dataset(system, 2, steps=10, seed=1, split="train").states
+    result = train(model, chunks, TrainConfig(epochs=1, batch_size=len(chunks)))
+    evaluate_model(model, result.store, generate_dataset(system, 2, steps=5, seed=2, split="test"))
+    assert calls == {"trajectory_loss_node": 1, "grad": 1, "training.rollout_fixed": 1,
+                     "AdamW.step": 1, "integrators.rollout_fixed": 1, "evaluate_rollout": 1}
