@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: generate, simulate, train, evaluate, ablate-constraints, export,
-print-config.  Experiments are driven by a single JSON config with sections
-system/data/model/train/eval; every value has an explicit default and unknown
-keys are rejected with their dotted path.  Exit codes: 0 success, 1 user
-error, 2 numeric failure.
+print-config.  Every subcommand but export is driven by one JSON config with
+sections system/data/model/train/eval, read with --config and overridden
+entry by entry with --set; every value has an explicit default, and unknown
+keys and wrong-typed values are rejected with their dotted path.  simulate
+rolls one initial state, drawn with data.seed, over eval.horizon seconds:
+the ground truth, or with --checkpoint the configured model at
+train.substeps.  Exit codes: 0 success, 1 user error, 2 numeric failure
+(errors.NumericFailure).
 """
 from __future__ import annotations
 
@@ -26,23 +30,13 @@ from .dataset import (
     save_dataset,
 )
 from .dynamics import convert_flavor
-from .errors import (
-    DegenerateConfigurationError,
-    FieldSingularityError,
-    FormatError,
-    GimbalLockError,
-    GradientSingularityError,
-    IntegrationError,
-    RolloutDivergedError,
-    SchemaError,
-    TrainingError,
-    finite_positive,
-)
+from .errors import (CartmechError, FormatError, NumericFailure, SchemaError, check_like,
+                     finite_positive)
 from .integrators import Tolerances, integrate_adaptive
 from .metrics import constraint_rmse_curve, energy_error, evaluate_model
 from .models import MODEL_KINDS, build_model
 from .states import LAGRANGIAN
-from .systems import build_system, disable_system_constraints, system_names, system_to_dict
+from .systems import build_system, disable_system_constraints, system_to_dict
 from .training import TrainConfig, train, write_history
 
 DEFAULT_CONFIG = {
@@ -56,22 +50,6 @@ DEFAULT_CONFIG = {
 
 
 # -- config handling ------------------------------------------------------------------
-
-def _check_value(path: str, value, default) -> None:
-    if isinstance(default, bool) or isinstance(value, bool):
-        raise SchemaError(f"{path}: booleans are not used in this schema")
-    if isinstance(default, int) and not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer, got {value!r}")
-    if isinstance(default, float) and not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {value!r}")
-    if isinstance(default, str) and not isinstance(value, str):
-        raise SchemaError(f"{path}: expected a string, got {value!r}")
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise SchemaError(f"{path}: expected a list, got {value!r}")
-        if all(isinstance(v, int) for v in default) and not all(isinstance(v, int) for v in value):
-            raise SchemaError(f"{path}: expected a list of integers, got {value!r}")
-
 
 def _resolve_system(doc: dict) -> dict:
     """The system section with every default made explicit, from the system
@@ -110,7 +88,7 @@ def resolve_config(doc: dict | None) -> dict:
         for key, value in content.items():
             if key not in defaults:
                 raise SchemaError(f"unknown key {section}.{key}")
-            _check_value(f"{section}.{key}", value, defaults[key])
+            check_like(f"{section}.{key}", value, defaults[key])
             merged[section][key] = value
     merged["system"] = _resolve_system(doc.get("system", {}))
     if merged["model"]["kind"] not in MODEL_KINDS:
@@ -211,23 +189,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = {"n": args.n} if args.n is not None else {}
-    system = build_system(args.system, dt=args.dt, **params)
-    tol = Tolerances(args.rtol, args.atol)
-    (horizon,) = finite_positive("--T", (args.T,))
+    cfg = load_config(args)
+    system = _system_from_config(cfg)
+    (horizon,) = finite_positive("eval.horizon", (cfg["eval"]["horizon"],))
     steps = int(round(horizon / system.dt))
     if steps < 1:
-        raise SchemaError("--T must cover at least one step")
+        raise SchemaError("eval.horizon must cover at least one step")
     t_eval = system.dt * np.arange(steps + 1)
-    rng = np.random.default_rng(args.seed)
-    z0 = system.sample(rng)
-    ctx = system.context()
-    traj = integrate_adaptive(system.dynamics, z0, steps * system.dt, t_eval=t_eval, tol=tol)
-    truth = convert_flavor(ctx, traj.states, LAGRANGIAN)
+    z0 = system.sample(np.random.default_rng(cfg["data"]["seed"]))
+    traj = integrate_adaptive(system.dynamics, z0, steps * system.dt, t_eval=t_eval,
+                              tol=_tolerances(cfg))
+    truth = convert_flavor(system.context(), traj.states, LAGRANGIAN)
     if args.checkpoint:
-        model = build_model(args.model, system, hidden=tuple(args.hidden))
+        model = _model_from_config(cfg, system)
         store = _load_checkpoint_for(model, args.checkpoint)
-        states = model.rollout(store, truth[0], t_eval)[0]
+        states = model.rollout(store, truth[0], t_eval, substeps=cfg["train"]["substeps"])[0]
     else:
         states = truth
     if args.out:
@@ -336,17 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="roll out ground truth or a checkpointed model")
-    p.add_argument("--system", required=True, choices=system_names())
-    p.add_argument("--n", type=int, help="chain length for pendulum systems")
-    p.add_argument("--T", type=float, default=3.0, help="horizon in seconds")
-    p.add_argument("--dt", type=float, default=0.03)
-    p.add_argument("--rtol", type=float, default=1e-7)
-    p.add_argument("--atol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_args(p)
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument("--checkpoint", help="roll a trained model instead of ground truth")
-    p.add_argument("--model", choices=MODEL_KINDS, default="chnn")
-    p.add_argument("--hidden", type=int, nargs="+", default=[256, 256, 256])
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train a model on a generated dataset")
@@ -390,12 +358,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (IntegrationError, DegenerateConfigurationError, FieldSingularityError,
-            GradientSingularityError, GimbalLockError, TrainingError, RolloutDivergedError,
-            FloatingPointError, np.linalg.LinAlgError) as err:
+    except (NumericFailure, FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 2
-    except (SchemaError, FormatError, ValueError, OSError) as err:
+    except (CartmechError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

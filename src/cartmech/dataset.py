@@ -25,6 +25,7 @@ from .systems import System, system_from_dict, system_to_dict
 
 FORMAT_VERSION = 1
 CHUNK_STATES = 5  # 4 steps per training chunk
+RETRIES = 3  # redraws of a row whose integration fails
 TRAIN, TEST = "train", "test"
 
 
@@ -54,19 +55,19 @@ class Dataset:
 
 
 def _integrate_rows(system: System, rngs: list, steps: int, tol: Tolerances,
-                    retries: int, log=None) -> np.ndarray:
+                    log=None) -> np.ndarray:
     """(N, steps + 1, 2dn) Hamiltonian trajectories, one per rng stream.
 
     Every initial state is drawn first and all are integrated in one batched
     call.  A row whose integration fails is redrawn from its own stream and
-    integrated again with the other failed rows, up to `retries` times; the
+    integrated again with the other failed rows, up to RETRIES times; the
     last failure is raised.  Other errors propagate.
     """
     t_eval = system.dt * np.arange(steps + 1)
     todo = np.arange(len(rngs))
     z0 = np.stack([system.sample(rng) for rng in rngs])
     states = None
-    for attempt in range(retries + 1):
+    for attempt in range(RETRIES + 1):
         run = integrate_adaptive(system.dynamics, z0, steps * system.dt, t_eval=t_eval, tol=tol)
         failed = [(i, err) for i, err in zip(todo, run.failures) if err is not None]
         if states is None:
@@ -78,7 +79,7 @@ def _integrate_rows(system: System, rngs: list, steps: int, tol: Tolerances,
                 log(f"trajectory {i}: integration failed (attempt {attempt + 1}): {err}")
         if not failed:
             return states
-        if attempt == retries:
+        if attempt == RETRIES:
             raise failed[0][1]
         todo = np.array([i for i, _ in failed])
         z0 = np.stack([system.sample(rngs[i]) for i in todo])
@@ -87,8 +88,7 @@ def _integrate_rows(system: System, rngs: list, steps: int, tol: Tolerances,
 
 def generate_dataset(system: System, n_traj: int, steps: int = 100,
                      tolerances: Tolerances = Tolerances(1e-7, 1e-9), seed: int = 0,
-                     split: str = TRAIN, retries: int = 3,
-                     log=None) -> Dataset:
+                     split: str = TRAIN, log=None) -> Dataset:
     """Integrate n_traj sampled initial conditions and package them.
 
     All trajectories of the split go through one batched integration; a row
@@ -105,7 +105,7 @@ def generate_dataset(system: System, n_traj: int, steps: int = 100,
         raise ValueError(f"steps must be at least {CHUNK_STATES}")
     t_eval = system.dt * np.arange(steps + 1)
     rngs = [np.random.default_rng([seed, index]) for index in range(n_traj)]
-    states = _integrate_rows(system, rngs, steps, tolerances, retries, log)
+    states = _integrate_rows(system, rngs, steps, tolerances, log)
     if split == TEST:
         times = np.tile(t_eval, (n_traj, 1))
     else:
@@ -187,6 +187,8 @@ def load_dataset(directory) -> Dataset:
     except ParameterDomainError as err:
         raise FormatError(f"{path}: {err}") from None
     system_spec = _entry(manifest, "system", dict, path)
+    if system_spec.get("dt") != dt:
+        raise FormatError(f"{path}: dt {dt!r} disagrees with system.dt {system_spec.get('dt')!r}")
     split = _entry(manifest, "split", str, path)
     seed = _entry(manifest, "seed", int, path)
     n_t = math.prod(t_shape)

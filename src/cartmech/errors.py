@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one domain check for
-a positive parameter."""
+"""Exception types shared across the package, the one domain check for a
+positive parameter and the one type check for a configuration value."""
 import math
+import numbers
 
 
 class CartmechError(Exception):
@@ -21,11 +22,42 @@ def finite_positive(name: str, values) -> tuple[float, ...]:
     return values
 
 
+def _like(value, default) -> bool:
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, (list, tuple)) and all(_like(v, default[0]) for v in value)
+    if isinstance(default, str):
+        return isinstance(value, str)
+    wanted = numbers.Integral if isinstance(default, int) else numbers.Real
+    return isinstance(value, wanted) and not isinstance(value, bool)
+
+
+def check_like(path: str, value, default) -> None:
+    """SchemaError naming path unless value has default's type: an integer, a
+    number, a string, or a list (or tuple) of values like default's first
+    item.  A boolean is never an integer, a number or a list item."""
+    if _like(value, default):
+        return
+    depth = 0
+    while isinstance(default, (list, tuple)):
+        default, depth = default[0], depth + 1
+    leaf = ("string" if isinstance(default, str)
+            else "integer" if isinstance(default, int) else "number")
+    if depth:
+        want = "a list of " + "lists of " * (depth - 1) + leaf + "s"
+    else:
+        want = ("an " if leaf == "integer" else "a ") + leaf
+    raise SchemaError(f"{path}: expected {want}, got {value!r}")
+
+
 class ShapeError(CartmechError, ValueError):
     """An array argument has an incompatible shape."""
 
 
-class DegenerateConfigurationError(CartmechError):
+class NumericFailure(CartmechError):
+    """A computation left the numbers it can handle; the command line exits 2."""
+
+
+class DegenerateConfigurationError(NumericFailure):
     """A symmetric positive definite system is numerically singular.
 
     Raised by autodiff.spd_solve on the constraints' multiplier matrix
@@ -39,7 +71,7 @@ class DegenerateConfigurationError(CartmechError):
         self.ratio = ratio
 
 
-class IntegrationError(CartmechError):
+class IntegrationError(NumericFailure):
     """Adaptive integration failed (step underflow or non-finite state)."""
 
     def __init__(self, message: str, t: float = float("nan"), step: int = -1):
@@ -48,23 +80,23 @@ class IntegrationError(CartmechError):
         self.step = step
 
 
-class RolloutDivergedError(CartmechError):
-    """A model's rollout left the finite numbers (overflow or nan)."""
+class RolloutDivergedError(NumericFailure):
+    """A model's rollout, or its scores, left the finite numbers (overflow or nan)."""
 
 
-class GradientSingularityError(CartmechError):
+class GradientSingularityError(NumericFailure):
     """A potential gradient was requested at a singular point (coincident points)."""
 
 
-class FieldSingularityError(CartmechError):
+class FieldSingularityError(NumericFailure):
     """A field was evaluated too close to one of its sources."""
 
 
-class GimbalLockError(CartmechError):
+class GimbalLockError(NumericFailure):
     """Euler-angle oracle evaluated too close to sin(theta) = 0."""
 
 
-class TrainingError(CartmechError):
+class TrainingError(NumericFailure):
     """Training aborted (repeated non-finite losses or gradients)."""
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constraints import phi
 from .dynamics import energy
-from .errors import ShapeError, finite_positive
+from .errors import RolloutDivergedError, ShapeError, finite_positive
 from .states import LAGRANGIAN, unflatten_matrix
 
 LOG_FLOOR = 1e-12
@@ -94,16 +94,22 @@ def evaluate_rollout(system, preds: np.ndarray, truth: np.ndarray,
     """Test-set metrics for predicted trajectories (N, T, 2dn) in (x, xdot) form.
 
     Curves are means over the N trajectories; the summary numbers are
-    geometric means of those mean curves over time.
+    geometric means of those mean curves over time.  A finite prediction can
+    still overflow its scores: RolloutDivergedError names the first
+    trajectory and time whose score is not finite.
     """
     preds = np.asarray(preds, dtype=float)
     truth = np.asarray(truth, dtype=float)
     times = np.asarray(times, dtype=float)
     if preds.shape != truth.shape:
         raise ShapeError(f"prediction/truth shapes differ: {preds.shape} vs {truth.shape}")
-    rel = np.mean(relative_error(preds, truth), axis=0)
-    en = np.mean(energy_error(system, preds, truth), axis=0)
-    ph = np.mean(constraint_rmse_curve(system, preds), axis=0)
+    curves = (relative_error(preds, truth), energy_error(system, preds, truth),
+              constraint_rmse_curve(system, preds))
+    finite = np.logical_and.reduce([np.isfinite(c) for c in curves])
+    if not finite.all():
+        row, t = np.argwhere(~finite)[0]
+        raise RolloutDivergedError(f"trajectory {row} has a non-finite score at t = {times[t]:.6g}")
+    rel, en, ph = (np.mean(c, axis=0) for c in curves)
     return EvalResult(times, rel, en, ph,
                       geometric_mean(rel, times), geometric_mean(en, times),
                       geometric_mean(ph, times))

@@ -10,7 +10,6 @@ Phid = 0 by construction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
 from typing import Callable
@@ -29,7 +28,7 @@ from .errors import (
     FieldSingularityError,
     GradientSingularityError,
     ParameterDomainError,
-    SchemaError,
+    check_like,
     finite_positive,
 )
 from .oracles import (
@@ -564,20 +563,10 @@ def system_names() -> list[str]:
     return sorted(SYSTEM_BUILDERS)
 
 
-def _like(value, default) -> bool:
-    """Whether value has default's type: an integer, a number, or a list or
-    tuple of values like default's first item; a boolean is none of them."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_like(v, default[0]) for v in value)
-    wanted = numbers.Integral if isinstance(default, int) else numbers.Real
-    return isinstance(value, wanted) and not isinstance(value, bool)
-
-
 def build_system(kind: str, **params) -> System:
     """The system `kind` from its config's defaults and params.  A value
     without its default's type raises SchemaError naming system.<key>."""
-    if not isinstance(kind, str):
-        raise SchemaError(f"system.kind: expected a string, got {kind!r}")
+    check_like("system.kind", kind, "npendulum")
     try:
         cfg_cls, builder = SYSTEM_BUILDERS[kind]
     except KeyError:
@@ -587,11 +576,7 @@ def build_system(kind: str, **params) -> System:
     if bad:
         raise ValueError(f"unknown {kind} parameters {bad}; known: {sorted(defaults)}")
     for key, value in params.items():
-        default = defaults[key]
-        if not _like(value, default):
-            want = "an integer" if isinstance(default, int) else (
-                "a number", "a list of numbers", "a list of lists of numbers")[np.ndim(default)]
-            raise SchemaError(f"system.{key}: expected {want}, got {value!r}")
+        check_like(f"system.{key}", value, defaults[key])
     return builder(cfg_cls(**params))
 
 

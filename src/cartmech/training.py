@@ -49,9 +49,9 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
 class AdamW:
     """Adam with decoupled weight decay applied to every parameter."""
 
-    def __init__(self, store: ad.ParamStore, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 1e-4):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, store: ad.ParamStore, weight_decay: float = 1e-4):
         self.weight_decay = weight_decay
         self.t = 0
         self._m = {name: np.zeros_like(value) for name, value in store.items()}

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -90,6 +91,11 @@ def test_wrong_value_type_is_rejected():
     assert rc == 1
     assert "system.kind" in err and "unhashable" not in err
 
+    # a boolean is not an integer, not even inside a list
+    rc, _, err = run_cli("print-config", "--set", "model.hidden=[true,2]")
+    assert rc == 1
+    assert "model.hidden" in err
+
 
 def test_generate_writes_both_splits(workdir):
     for split in ("train", "test"):
@@ -171,8 +177,8 @@ def test_evaluate_matches_library_api(workdir, tmp_path):
 
 def test_simulate_ground_truth_conserves(tmp_path):
     out_csv = tmp_path / "sim.csv"
-    rc, out, err = run_cli("simulate", "--system", "npendulum", "--n", "2",
-                           "--T", "0.6", "--seed", "3", "--out", str(out_csv))
+    rc, out, err = run_cli("simulate", "--set", "system.n=2", "--set", "eval.horizon=0.6",
+                           "--set", "data.seed=3", "--out", str(out_csv))
     assert rc == 0, err
     report = {line.split()[0]: line.split()[1] for line in out.strip().splitlines()}
     assert int(report["steps"]) == 20
@@ -185,10 +191,10 @@ def test_simulate_ground_truth_conserves(tmp_path):
 
 def test_simulate_with_checkpoint_rolls_model(workdir, tmp_path):
     out_csv = tmp_path / "msim.csv"
-    rc, out, err = run_cli("simulate", "--system", "npendulum", "--n", "2",
-                           "--T", "0.3", "--seed", "3",
+    rc, out, err = run_cli("simulate", "--set", "system.n=2", "--set", "eval.horizon=0.3",
+                           "--set", "data.seed=3",
                            "--checkpoint", str(workdir / "run" / "final.cmk"),
-                           "--model", "chnn", "--hidden", "8", "8",
+                           "--set", "model.kind=chnn", "--set", "model.hidden=[8,8]",
                            "--out", str(out_csv))
     assert rc == 0, err
     assert len(out_csv.read_text().strip().splitlines()) == 12
@@ -301,7 +307,7 @@ def test_field_singularity_exits_2_without_traceback(tmp_path):
 
 
 def test_bad_arguments_exit_1_not_2():
-    rc, _, err = run_cli("simulate", "--system", "hovercraft")
+    rc, _, err = run_cli("simulate", "--set", "system.kind=hovercraft")
     assert rc == 1
     rc, _, err = run_cli("frobnicate")
     assert rc == 1
@@ -330,9 +336,9 @@ def test_bad_hidden_widths_exit_1_naming_hidden(workdir, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "cartmech.cli", "simulate", "--system", "npendulum", "--n", "2",
-         "--T", "0.3", "--checkpoint", str(workdir / "run" / "final.cmk"),
-         "--model", "chnn", "--hidden", "0"],
+        [sys.executable, "-m", "cartmech.cli", "simulate", "--set", "system.n=2",
+         "--set", "eval.horizon=0.3", "--checkpoint", str(workdir / "run" / "final.cmk"),
+         "--set", "model.kind=chnn", "--set", "model.hidden=[0]"],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr and "hidden" in proc.stderr
@@ -376,9 +382,9 @@ def test_evaluate_degenerate_model_exits_2_without_traceback(workdir, tmp_path):
 
 
 def test_simulate_degenerate_model_exits_2_without_traceback(workdir, tmp_path):
-    rc, _, err = run_cli("simulate", "--system", "npendulum", "--n", "2", "--T", "0.3",
+    rc, _, err = run_cli("simulate", "--set", "system.n=2", "--set", "eval.horizon=0.3",
                          "--checkpoint", str(_heavy_checkpoint(workdir, tmp_path)),
-                         "--model", "chnn", "--hidden", "8", "8")
+                         "--set", "model.kind=chnn", "--set", "model.hidden=[8,8]")
     assert rc == 2
     assert "numeric failure" in err and "pivot ratio" in err
     assert "Traceback" not in err
@@ -452,8 +458,9 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         return ("evaluate", *TINY, "--checkpoint", str(ckpt), "--dataset", str(d))
 
     def simulate(ckpt):
-        return ("simulate", "--system", "npendulum", "--n", "2", "--T", "0.3",
-                "--checkpoint", str(ckpt), "--model", "chnn", "--hidden", "8", "8")
+        return ("simulate", "--set", "system.n=2", "--set", "eval.horizon=0.3",
+                "--checkpoint", str(ckpt), "--set", "model.kind=chnn",
+                "--set", "model.hidden=[8,8]")
 
     def export(d):
         return ("export", "--dataset", str(d), "--index", "0", "--out", out + ".csv")
@@ -486,10 +493,10 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         # non-finite or negative numbers, each named in the message
         (("generate", *TINY, "--set", "data.dt=1e400", "--out", out), 1, "dt", "inf"),
         (("generate", *TINY, "--set", "data.rtol=NaN", "--out", out), 1, "rtol", "nan"),
-        (("simulate", "--system", "npendulum", "--rtol", "-1"), 1, "rtol", "-1.0"),
-        (("simulate", "--system", "npendulum", "--rtol", "nan"), 1, "rtol", "nan"),
-        (("simulate", "--system", "npendulum", "--T", "inf"), 1, "--T", "inf"),
-        (("simulate", "--system", "npendulum", "--T", "nan"), 1, "--T", "nan"),
+        (("simulate", "--set", "data.rtol=-1"), 1, "rtol", "-1.0"),
+        (("simulate", "--set", "data.rtol=NaN"), 1, "rtol", "nan"),
+        (("simulate", "--set", "eval.horizon=1e400"), 1, "eval.horizon", "inf"),
+        (("simulate", "--set", "eval.horizon=NaN"), 1, "eval.horizon", "nan"),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=1e400"), 1, "horizon", "inf"),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=NaN"), 1, "horizon", "nan"),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=0"), 1, "horizon", "0.0"),
@@ -509,6 +516,8 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", 0.0)), 1, "dt", "0.0"),
         (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", -0.03)), 1, "dt", "-0.03"),
         (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", float("inf"))), 1, "dt", "inf"),
+        # a dataset whose dt disagrees with its system's, both values shown
+        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", 0.05)), 1, "0.05", "0.03"),
         # a wrong-typed system parameter in the manifest, named by its key
         (export(_dataset_with(workdir, tmp_path, "system.n", "x")), 1, "system.n"),
         (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "system.gravity", [1])), 1,
@@ -543,3 +552,57 @@ def test_evaluate_rolls_out_with_the_training_substeps(workdir):
                                 f"gm_energy_err {result.gm_energy_err:.17g}",
                                 f"gm_phi_rmse {result.gm_phi_rmse:.17g}"]
     assert out != default
+
+
+def test_every_numeric_failure_exits_2_without_traceback(monkeypatch):
+    from cartmech.errors import NumericFailure
+
+    names = {cls.__name__ for cls in NumericFailure.__subclasses__()}
+    assert names == {"IntegrationError", "DegenerateConfigurationError",
+                     "FieldSingularityError", "GradientSingularityError", "GimbalLockError",
+                     "TrainingError", "RolloutDivergedError"}
+    for cls in NumericFailure.__subclasses__():
+        def fail(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "load_config", fail)
+        rc, _, err = run_cli("print-config")
+        assert rc == 2, cls
+        assert "numeric failure: boom" in err and "Traceback" not in err
+
+
+def test_import_loads_no_cli_and_simulate_takes_only_its_config(capsys):
+    # import time is most of a run's setup, and the command line is not on
+    # the library's path
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cartmech; print(sorted({'cartmech.cli', 'argparse'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    flags = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+    assert flags == {"-h", "--help", "--config", "--set", "--out", "--checkpoint"}
+
+
+def test_simulate_rolls_out_with_the_training_substeps(workdir, tmp_path):
+    from cartmech import autodiff as ad
+    from cartmech.models import build_model
+    from cartmech.systems import build_system
+
+    ckpt = workdir / "run" / "final.cmk"
+    base = ("simulate", *TINY, "--set", "eval.horizon=0.3")
+    paths = [tmp_path / name for name in ("truth.csv", "one.csv", "two.csv")]
+    for path, extra in zip(paths, ((), ("--checkpoint", str(ckpt)),
+                                   ("--checkpoint", str(ckpt), "--set", "train.substeps=2"))):
+        rc, _, err = run_cli(*base, *extra, "--out", str(path))
+        assert rc == 0, err
+    truth, one, two = (np.loadtxt(p, delimiter=",", skiprows=1) for p in paths)
+    model = build_model("chnn", build_system("npendulum", n=2), hidden=(8, 8))
+    want = model.rollout(ad.load_checkpoint(ckpt), truth[0, 1:], truth[:, 0], substeps=2)[0]
+    assert np.array_equal(two[:, 1:], want)
+    assert not np.array_equal(one, two)

@@ -184,7 +184,7 @@ def test_integration_failures_resample_up_to_three_retries():
 
     exhausted, draws = poisoned(base, {2: 10})
     with pytest.raises(IntegrationError):
-        generate_dataset(exhausted, 5, steps=10, tolerances=TOL, seed=4, retries=3)
+        generate_dataset(exhausted, 5, steps=10, tolerances=TOL, seed=4)
     assert draws[2] == 4  # initial try + 3 retries
     assert [draws[i] for i in (0, 1, 3, 4)] == [1, 1, 1, 1]
 

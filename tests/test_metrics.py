@@ -98,3 +98,27 @@ def test_evaluate_model_needs_a_finite_positive_horizon(horizon):
     with pytest.raises(ParameterDomainError, match="horizon must be finite and positive"):
         evaluate_model(model, store, dataset, horizon=horizon)
     assert evaluate_model(model, store, dataset, horizon=0.06).times.size == 3
+
+
+def test_finite_rollout_with_overflowing_scores_raises_naming_trajectory_and_time():
+    # tenfold Cholesky weights: the hnn2d rollout stays finite (up to ~1e181)
+    # but its scores overflow on the last sample, t = 0.3; evaluate_model
+    # used to return gm_rel_err nan
+    from cartmech.dataset import generate_dataset
+    from cartmech.errors import RolloutDivergedError
+    from cartmech.metrics import evaluate_model
+    from cartmech.models import build_model
+
+    system = build_system("npendulum", n=2)
+    test_ds = generate_dataset(system, 2, steps=10, seed=1000000, split="test")
+    model = build_model("hnn2d", system, hidden=(8, 8))
+    store = model.init_params(np.random.default_rng(0))
+    for name in store.names():
+        if name.startswith("cholesky.w"):
+            store[name] = 10.0 * store[name]
+    with np.errstate(all="ignore"):
+        preds = model.rollout(store, test_ds.states[:, 0], test_ds.times[0])
+        with pytest.raises(RolloutDivergedError) as info:
+            evaluate_model(model, store, test_ds)
+    assert np.isfinite(preds).all()
+    assert str(info.value) == "trajectory 0 has a non-finite score at t = 0.3"
