@@ -1,8 +1,11 @@
 """The reverse-mode tape, from scalars to second-order gradients.
 
-The backward pass is emitted as more tape nodes, so gradients are themselves
-differentiable; that is what lets a learned potential enter the dynamics as
-grad_X V and still receive parameter gradients through a rollout.
+By default the backward pass is emitted as more tape nodes, so gradients are
+themselves differentiable; that is what lets a learned potential enter the
+dynamics as grad_X V and still receive parameter gradients through a rollout.
+Training needs only the first-order gradient of its loss, so it opens its
+tape with graph=False: the backward pass then runs on arrays and records
+nothing, as the last block shows.
 """
 import numpy as np
 
@@ -45,19 +48,21 @@ def main():
     pts = rng.normal(size=(8, 2))
     print("first-layer FD check:", ad.finite_difference_check(value, gradient, params["V.w0"]))
 
-    # differentiate through a four-step RK4 rollout of a learned field
+    # differentiate through a four-step RK4 rollout of a learned field, to
+    # first order only, as training does: the gradients are arrays
     flow = ad.ParamStore(ad.mlp_init(rng, 2, (16,), 2, prefix="f"))
-    tape = ad.Tape()
+    tape = ad.Tape(graph=False)
     leaves = flow.leaves(tape)
     z0 = tape.constant(rng.normal(size=(1, 2)))
     field = lambda z: ad.mlp_apply(leaves, z, prefix="f")
     states = rollout_fixed(field, z0, 0.1 * np.arange(5))
     loss = ad.reduce_sum(ad.absolute(states[-1]))
+    forward = len(tape)
     grads = ad.grad(loss, [leaves[n] for n in flow.names()])
     print("rollout loss:", float(loss.value))
     print("gradient norms through 4 steps:",
-          {n: round(float(np.abs(g.value).max()), 5)
-           for n, g in zip(flow.names(), grads)})
+          {n: round(float(np.abs(g).max()), 5) for n, g in zip(flow.names(), grads)})
+    print(f"tape: {forward} forward nodes, {len(tape) - forward} added by the backward pass")
 
 
 if __name__ == "__main__":

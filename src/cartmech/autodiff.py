@@ -2,18 +2,20 @@
 
 Nodes hold eagerly computed numpy values; every operation appends one node
 recording its kind and parents.  grad() runs a single reverse-topological
-sweep and emits each primitive's backward pass as new forward nodes, so
-gradients are themselves differentiable (second order comes from calling
-grad on a graph that already contains a gradient, e.g. the input gradient of
-a learned potential).  The generic ops support any order.  The fused tanh
-MLP is one `mlp` node whose derivatives are written in closed form;
-mlp_pullback returns its output with a pullback for any output cotangent,
-which records the x-adjoint as one `mlp_vjp` node.  It supports exactly
-second order: its second-order outputs and parameter adjoints have no
-backward rule, and grad() raises NotImplementedError naming such an op.
-fused() and define_vjp() let other modules record a composite function as
-one node with a closed-form first-order VJP (the constrained fields of
-dynamics); its adjoints have no rule either.
+sweep and, on a graph tape (the default), emits each primitive's backward
+pass as new forward nodes, so gradients are themselves differentiable (second
+order comes from calling grad on a graph that already contains a gradient,
+e.g. the input gradient of a learned potential).  On a graph=False tape it
+runs the same rules on the nodes' values and returns arrays with the graph's
+bits, appending nothing (training's backward pass).  The generic ops support
+any order.  The fused tanh MLP is one `mlp` node whose derivatives are
+written in closed form; mlp_pullback returns its output with a pullback for
+any output cotangent, which records the x-adjoint as one `mlp_vjp` node.  It
+supports exactly second order: its second-order outputs and parameter
+adjoints have no backward rule, and grad() raises NotImplementedError naming
+such an op.  fused() and define_vjp() let other modules record a composite
+function as one node with a closed-form first-order VJP (the constrained
+fields of dynamics); its adjoints have no rule either.
 
 Every op also takes plain arrays: with no node among its operands it returns
 the numpy result and records nothing, so the same code runs on arrays
@@ -41,19 +43,21 @@ import struct
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, FormatError, ShapeError
+from .errors import DegenerateConfigurationError, FormatError, NonFiniteStateError, ShapeError
 
 CHECKPOINT_MAGIC = b"CMK1"
 CHECKPOINT_VERSION = 1
 
 
 class Tape:
-    """Append-only record of operations for one differentiable computation."""
+    """Append-only record of operations for one differentiable computation;
+    with graph=False grad() records no backward pass on it (see grad)."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "graph")
 
-    def __init__(self):
+    def __init__(self, graph: bool = True):
         self.nodes: list[Node] = []
+        self.graph = graph
 
     def _append(self, value, op, parents, extra=None) -> "Node":
         node = Node(self, np.asarray(value, dtype=float), op, parents, extra, len(self.nodes))
@@ -234,7 +238,8 @@ def check_pivots(K: np.ndarray) -> None:
     A failed Cholesky factorization (of the lower triangle) or a pivot ratio
     (min diag L / max diag L)^2 below PIVOT_RATIO_LIMIT raises
     DegenerateConfigurationError with the worst ratio (0 for a failed
-    factorization, nan where K holds a nan).
+    factorization), or NonFiniteStateError where K holds a nan or an inf.
+    Only a failing K is tested for finiteness, so a sound one pays nothing.
     """
     if not K.shape[-1]:
         return
@@ -244,6 +249,9 @@ def check_pivots(K: np.ndarray) -> None:
     except np.linalg.LinAlgError:
         ratio = np.zeros(K.shape[:-2])
     if not (ratio >= PIVOT_RATIO_LIMIT).all():  # also catches nan
+        if not np.isfinite(K).all():
+            raise NonFiniteStateError("positive definite system is not finite: "
+                                      "its state left the finite numbers")
         raise DegenerateConfigurationError("positive definite system is numerically singular",
                                            ratio=float(np.min(ratio)))
 
@@ -264,9 +272,19 @@ def spd_solve(K, B):
 
 # -- backward rules -----------------------------------------------------------
 #
-# A rule maps (node, g, need) to one contribution per parent, where need[i]
-# says whether parent i leads to a requested input; a rule may return None
-# for a parent that does not.
+# A rule maps (out, args, extra, g, need) to one contribution per parent: the
+# node's output, its parents and saved extra, the output adjoint g, and
+# need[i], whether parent i leads to a requested input (a rule may return
+# None for a parent that does not).  On a graph=False tape out, args and g
+# are arrays, where the ad ops and _adjoint record nothing.
+
+def _adjoint(value, op, g, args, extra=None):
+    """A closed-form adjoint: an `op` node of g's tape with parents (g, *args)
+    when g is a node, the array itself when g is one."""
+    if not isinstance(g, Node):
+        return value
+    return g.tape._append(value, op, (g, *args), extra)
+
 
 def _unbroadcast(g, shape: tuple):
     """Sum g's broadcast axes away so it matches the parent's shape; g is a
@@ -283,48 +301,48 @@ def _unbroadcast(g, shape: tuple):
     return g
 
 
-def _vjp_add(node, g, need):
-    a, b = node.parents
+def _vjp_add(out, args, extra, g, need):
+    a, b = args
     return (_unbroadcast(g, a.shape) if need[0] else None,
             _unbroadcast(g, b.shape) if need[1] else None)
 
 
-def _vjp_sub(node, g, need):
-    a, b = node.parents
+def _vjp_sub(out, args, extra, g, need):
+    a, b = args
     return (_unbroadcast(g, a.shape) if need[0] else None,
             _unbroadcast(neg(g), b.shape) if need[1] else None)
 
 
-def _vjp_mul(node, g, need):
-    a, b = node.parents
+def _vjp_mul(out, args, extra, g, need):
+    a, b = args
     return (_unbroadcast(mul(g, b), a.shape) if need[0] else None,
             _unbroadcast(mul(g, a), b.shape) if need[1] else None)
 
 
-def _vjp_div(node, g, need):
-    a, b = node.parents
+def _vjp_div(out, args, extra, g, need):
+    a, b = args
     ga = _unbroadcast(div(g, b), a.shape) if need[0] else None
-    gb = _unbroadcast(neg(mul(g, div(node, b))), b.shape) if need[1] else None
+    gb = _unbroadcast(neg(mul(g, div(out, b))), b.shape) if need[1] else None
     return ga, gb
 
 
-def _vjp_matmul(node, g, need):
-    a, b = node.parents
+def _vjp_matmul(out, args, extra, g, need):
+    a, b = args
     ga = _unbroadcast(matmul(g, transpose(b)), a.shape) if need[0] else None
     gb = _unbroadcast(matmul(transpose(a), g), b.shape) if need[1] else None
     return ga, gb
 
 
-def _vjp_spd_solve(node, g, need):
+def _vjp_spd_solve(out, args, extra, g, need):
     # K is symmetric, so K^-T g = K^-1 g
-    K, B = node.parents
+    K, B = args
     gb = _record("spd_solve", np.linalg.solve, (K, g))
-    gk = _unbroadcast(neg(matmul(gb, transpose(node))), K.shape) if need[0] else None
+    gk = _unbroadcast(neg(matmul(gb, transpose(out))), K.shape) if need[0] else None
     return gk, _unbroadcast(gb, B.shape) if need[1] else None
 
 
-def _vjp_sum(node, g, need):
-    axis, keepdims, shape = node.extra
+def _vjp_sum(out, args, extra, g, need):
+    axis, keepdims, shape = extra
     if axis is not None and not keepdims:
         kshape = list(shape)
         for ax in axis:
@@ -333,18 +351,18 @@ def _vjp_sum(node, g, need):
     return (expand(g, shape),)
 
 
-def _vjp_concat(node, g, need):
-    axis, sizes = node.extra
-    out = []
+def _vjp_concat(out, args, extra, g, need):
+    axis, sizes = extra
+    grads = []
     at = 0
     for size, wanted in zip(sizes, need):
-        out.append(narrow(g, axis, at, size) if wanted else None)
+        grads.append(narrow(g, axis, at, size) if wanted else None)
         at += size
-    return tuple(out)
+    return tuple(grads)
 
 
-def _vjp_narrow(node, g, need):
-    axis, start, length, total = node.extra
+def _vjp_narrow(out, args, extra, g, need):
+    axis, start, length, total = extra
     before, after = list(g.shape), list(g.shape)
     before[axis], after[axis] = start, total - start - length
     parts = [np.zeros(before), g, np.zeros(after)]
@@ -356,31 +374,33 @@ _VJP = {
     "sub": _vjp_sub,
     "mul": _vjp_mul,
     "div": _vjp_div,
-    "neg": lambda node, g, need: (neg(g),),
+    "neg": lambda out, args, extra, g, need: (neg(g),),
     "matmul": _vjp_matmul,
-    "transpose": lambda node, g, need: (transpose(g),),
+    "transpose": lambda out, args, extra, g, need: (transpose(g),),
     "sum": _vjp_sum,
-    "tanh": lambda node, g, need: (mul(g, sub(1.0, mul(node, node))),),
-    "exp": lambda node, g, need: (mul(g, node),),
-    "sin": lambda node, g, need: (mul(g, cos(node.parents[0])),),
-    "cos": lambda node, g, need: (neg(mul(g, sin(node.parents[0]))),),
+    "tanh": lambda out, args, extra, g, need: (mul(g, sub(1.0, mul(out, out))),),
+    "exp": lambda out, args, extra, g, need: (mul(g, out),),
+    "sin": lambda out, args, extra, g, need: (mul(g, cos(args[0])),),
+    "cos": lambda out, args, extra, g, need: (neg(mul(g, sin(args[0]))),),
     # sign treated as locally constant: exact a.e., zero curvature.
-    "abs": lambda node, g, need: (mul(g, np.sign(node.parents[0].value)),),
+    "abs": lambda out, args, extra, g, need: (mul(g, np.sign(_value(args[0]))),),
     "concat": _vjp_concat,
     "narrow": _vjp_narrow,
-    "reshape": lambda node, g, need: (reshape(g, node.extra),),
-    "expand": lambda node, g, need: (_unbroadcast(g, node.extra),),
+    "reshape": lambda out, args, extra, g, need: (reshape(g, extra),),
+    "expand": lambda out, args, extra, g, need: (_unbroadcast(g, extra),),
     "spd_solve": _vjp_spd_solve,
 }
 
 
-def grad(output: Node, wrt) -> list[Node]:
+def grad(output: Node, wrt) -> list:
     """Adjoints of a scalar output for each node in wrt; zeros when unused.
 
     The backward pass visits nodes in reverse creation order (a valid reverse
-    topological order) exactly once, emitting adjoint math as new tape nodes,
-    so the returned gradients can be differentiated again.  Each rule is told
-    which parents lead to a requested input and builds only their adjoints.
+    topological order) exactly once.  Each rule is told which parents lead to
+    a requested input and builds only their adjoints.  On a graph tape (the
+    default) it emits the adjoint math as tape nodes, which can be
+    differentiated again; on a graph=False tape it returns numpy arrays with
+    the same bits, and the tape does not grow.
     """
     if output.value.size != 1:
         raise ShapeError(f"grad needs a scalar output, got shape {output.value.shape}")
@@ -389,6 +409,7 @@ def grad(output: Node, wrt) -> list[Node]:
     nodes = tape.nodes
     if output.idx >= len(nodes) or nodes[output.idx] is not output:
         raise ValueError(f"grad of {output!r}: its tape was cleared")
+    graph = tape.graph
     limit = output.idx + 1
     # nodes created before every wrt node cannot depend on them
     floor = min((w.idx for w in wrt if w.idx < limit), default=limit)
@@ -407,7 +428,8 @@ def grad(output: Node, wrt) -> list[Node]:
                 if needs[p.idx]:
                     needs[i] = 1
                     break
-    adjoint: dict[int, Node] = {output.idx: tape.constant(np.ones(output.value.shape))}
+    seed = np.ones(output.value.shape)
+    adjoint = {output.idx: tape.constant(seed) if graph else seed}
     for i in range(limit - 1, floor - 1, -1):
         node = nodes[i]
         if not node.parents or not needs[i]:
@@ -419,17 +441,18 @@ def grad(output: Node, wrt) -> list[Node]:
         rule = _VJP.get(node.op)
         if rule is None:
             raise NotImplementedError(f"op {node.op!r} has no backward rule: it cannot be differentiated")
-        contribs = rule(node, g, [needs[p.idx] for p in node.parents])
+        args = node.parents if graph else [p.value for p in node.parents]
+        contribs = rule(node if graph else node.value, args, node.extra, g,
+                        [needs[p.idx] for p in node.parents])
         for parent, contrib in zip(node.parents, contribs):
             if contrib is None or not needs[parent.idx]:
                 continue
             seen = adjoint.get(parent.idx)
             adjoint[parent.idx] = contrib if seen is None else add(seen, contrib)
-    out = []
-    for w in wrt:
-        g = adjoint.get(w.idx)
-        out.append(g if g is not None else tape.constant(np.zeros(w.value.shape)))
-    return out
+    grads = [adjoint.get(w.idx) for w in wrt]
+    if graph:
+        return [tape.constant(np.zeros(w.value.shape)) if g is None else g for g, w in zip(grads, wrt)]
+    return [np.zeros(w.value.shape) if g is None else np.asarray(g) for g, w in zip(grads, wrt)]
 
 
 def _narrowed_blocks_need(node: Node, needs) -> int:
@@ -532,10 +555,10 @@ def mlp_pullback(params: dict, x, prefix: str = "mlp"):
     On plain arrays both are numpy and nothing is recorded: pullback(g) is the
     closed-form backward pass, with no tape.  With a node among x and the
     parameters, y is one `mlp` node for any depth, keeping the hidden
-    activations, and pullback(g) records one `mlp_vjp` node, as grad() does
-    (an array g becomes a constant).  That node is differentiable once more
-    in closed form: a JVP in the cotangent and a Hessian-vector product in x
-    and in every parameter.  Those second-order outputs, and the parameter
+    activations, and pullback(g) records one `mlp_vjp` node on any tape, as
+    grad() does on a graph tape (an array g becomes a constant).  That node
+    is differentiable once more in closed form: a JVP in the cotangent and a
+    Hessian-vector product in x and in every parameter.  Those second-order outputs, and the parameter
     adjoints of the `mlp` node, are plain numpy: differentiating them again
     raises NotImplementedError.
     """
@@ -568,7 +591,7 @@ def mlp_pullback(params: dict, x, prefix: str = "mlp"):
 
     def pullback(g):
         g = g if isinstance(g, Node) else node.tape.constant(g)
-        return _vjp_mlp(node, g, need_x)[0]
+        return _vjp_mlp(node, node.parents, hidden, g, need_x)[0]
 
     return node, pullback
 
@@ -582,28 +605,25 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def _vjp_mlp(node, g, need):
-    """x-adjoint as an `mlp_vjp` node; parameter adjoints from the same pass."""
-    weights = [w.value for w in node.parents[1::2]]
-    hidden = node.extra
-    slopes, deltas, errs = _mlp_backward(weights, hidden, g.value)
-    parents = (g, *node.parents)
-    out = [None] * len(node.parents)
+def _vjp_mlp(out, args, hidden, g, need):
+    """x-adjoint as an `mlp_vjp` node; parameter adjoints from the same pass
+    (all arrays, for an array g)."""
+    weights = [_value(w) for w in args[1::2]]
+    slopes, deltas, errs = _mlp_backward(weights, hidden, _value(g))
+    grads = [None] * len(args)
     if need[0]:
-        out[0] = node.tape._append(_times_transpose(deltas[0], weights[0]), "mlp_vjp", parents,
-                                   (hidden, slopes, deltas, errs))
-    acts = [node.parents[0].value, *hidden]
+        grads[0] = _adjoint(_times_transpose(deltas[0], weights[0]), "mlp_vjp", g, args,
+                            (hidden, slopes, deltas, errs))
+    acts = [_value(args[0]), *hidden]
     for k, delta in enumerate(deltas):
         if need[1 + 2 * k]:
-            out[1 + 2 * k] = node.tape._append(_rows(acts[k]).T @ _rows(delta),
-                                               "mlp_param_adjoint", parents)
+            grads[1 + 2 * k] = _adjoint(_rows(acts[k]).T @ _rows(delta), "mlp_param_adjoint", g, args)
         if need[2 + 2 * k]:
-            out[2 + 2 * k] = node.tape._append(_rows(delta).sum(axis=0),
-                                               "mlp_param_adjoint", parents)
-    return out
+            grads[2 + 2 * k] = _adjoint(_rows(delta).sum(axis=0), "mlp_param_adjoint", g, args)
+    return grads
 
 
-def _vjp_mlp_vjp(node, u, need):
+def _vjp_mlp_vjp(out, args, saved, u, need):
     """Closed-form second order: the VJP of (g, x, W, b) -> delta_0 W_0^T.
 
     Forward over the backward pass, the tangent of delta_k along u is
@@ -613,22 +633,22 @@ def _vjp_mlp_vjp(node, u, need):
     -2 h_k t_{k-1} e_k of h_k flows back through the forward pass to x and
     the parameters below layer k.
     """
-    hidden, slopes, deltas, errs = node.extra
-    weights = [w.value for w in node.parents[2::2]]
-    acts = [node.parents[1].value, *hidden]
+    hidden, slopes, deltas, errs = saved
+    weights = [_value(w) for w in args[2::2]]
+    acts = [_value(args[1]), *hidden]
     n_layers = len(weights)
-    out = [None] * len(node.parents)
-    ebar = u.value
+    grads = [None] * len(args)
+    ebar = _value(u)
     tangents = [np.matmul(ebar, weights[0])]
     for k in range(n_layers):
         if need[2 + 2 * k]:
-            out[2 + 2 * k] = _rows(ebar).T @ _rows(deltas[k])
+            grads[2 + 2 * k] = _rows(ebar).T @ _rows(deltas[k])
         if k + 1 < n_layers:
             ebar = tangents[k] * slopes[k]
             if k + 2 < n_layers or need[0]:
                 tangents.append(np.matmul(ebar, weights[k + 1]))
     if need[0]:
-        out[0] = tangents[-1]
+        grads[0] = tangents[-1]
     # the sweep runs down to the lowest layer that owes x or a parameter something
     owed = [j for j in range(n_layers - 1) if need[2 + 2 * j] or need[3 + 2 * j]]
     stop = 0 if need[1] else owed[0] if owed else n_layers - 1
@@ -641,14 +661,13 @@ def _vjp_mlp_vjp(node, u, need):
             hbar += _times_transpose(abar, weights[k])
         abar = np.multiply(hbar, slopes[k - 1], out=hbar)
         if need[2 * k]:
-            out[2 * k] += _rows(acts[k - 1]).T @ _rows(abar)
+            grads[2 * k] += _rows(acts[k - 1]).T @ _rows(abar)
         if need[2 * k + 1]:
-            out[2 * k + 1] = _rows(abar).sum(axis=0)
+            grads[2 * k + 1] = _rows(abar).sum(axis=0)
     if need[1] and abar is not None:
-        out[1] = _times_transpose(abar, weights[0])
-    parents = (u, *node.parents)
-    return [None if value is None else node.tape._append(value, "mlp_second_order", parents)
-            for value in out]
+        grads[1] = _times_transpose(abar, weights[0])
+    return [None if value is None else _adjoint(value, "mlp_second_order", u, args)
+            for value in grads]
 
 
 _VJP["mlp"] = _vjp_mlp
@@ -656,18 +675,18 @@ _VJP["mlp_vjp"] = _vjp_mlp_vjp
 
 
 def define_vjp(op: str, rule) -> None:
-    """Register the closed-form VJP of a fused op.  rule(node, g, need) takes
-    the output adjoint g as an array and returns one array per parent (None
-    where need says no), in the broadcast shape.  Each is summed to its
-    parent's shape and recorded as an `{op}_adjoint` node, which has no rule,
-    so it cannot be differentiated again."""
+    """Register the closed-form VJP of a fused op.  rule(args, saved, g, need)
+    takes the operands' values, what the forward saved and the output adjoint
+    g, all arrays, and returns one array per operand (None where need says
+    no), in the broadcast shape.  Each is summed to its operand's shape; on a
+    graph tape it is recorded as an `{op}_adjoint` node, which has no rule, so
+    it cannot be differentiated again."""
     adjoint_op = f"{op}_adjoint"
 
-    def vjp(node, g, need):
-        parents = (g, *node.parents)
-        return [None if a is None else
-                node.tape._append(_unbroadcast(a, parent.shape), adjoint_op, parents)
-                for a, parent in zip(rule(node, g.value, need), node.parents)]
+    def vjp(out, args, saved, g, need):
+        values = [_value(a) for a in args]
+        return [None if a is None else _adjoint(_unbroadcast(a, value.shape), adjoint_op, g, args)
+                for a, value in zip(rule(values, saved, _value(g), need), values)]
 
     _VJP[op] = vjp
 

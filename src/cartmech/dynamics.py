@@ -110,7 +110,7 @@ def _hamiltonian_forward(Minv, grad_V, v, G, D):
     return _flat(xdot, pdot), (H, K, W, lam1, lam2)
 
 
-def _hamiltonian_vjp(node, g, need):
+def _hamiltonian_vjp(args, saved, g, need):
     """Reverse of _hamiltonian_forward for the adjoint g = (a, b) of (xdot, pdot).
 
     Back through xdot = v + H^T lam2 and pdot = -grad V - G^T lam1 - D^T lam2,
@@ -119,8 +119,8 @@ def _hamiltonian_vjp(node, g, need):
     blocks, S = E - E^T with E = D H^T, K = G H^T and H = G M^-T (rows
     M^-1 G_r).
     """
-    Minv, grad_V, v, G, D = (parent.value for parent in node.parents)
-    H, K, W, lam1, lam2 = node.extra
+    Minv, grad_V, v, G, D = args
+    H, K, W, lam1, lam2 = saved
     dn = v.shape[-1]
     a, b, v, grad_V = _col(g[..., :dn]), _col(g[..., dn:]), _col(v), _col(grad_V)
     lam1_bar = -(G @ b)
@@ -155,13 +155,13 @@ def _lagrangian_forward(Minv, grad_V, v, G, D):
     return minv_f - (Ht @ lam).reshape(minv_f.shape), (lam, H, K, minv_f)
 
 
-def _lagrangian_vjp(node, g, need):
+def _lagrangian_vjp(args, saved, g, need):
     """Reverse of _lagrangian_forward for the adjoint g of xddot: back through
     xddot = M^-1 f - H^T lam, lam = K^-1 (G M^-1 f + D v) (adjoint
     r = K^-1 lambar, Kbar = -r lam^T), K = G H^T, H = G M^-T and
     M^-1 f = -M^-1 grad V."""
-    Minv, grad_V, v, G, D = (parent.value for parent in node.parents)
-    lam, H, K, minv_f = node.extra
+    Minv, grad_V, v, G, D = args
+    lam, H, K, minv_f = saved
     a = _col(g)
     r = np.linalg.solve(K, -(H @ a))
     K_bar = -(r @ lam.mT)

@@ -71,6 +71,15 @@ class DegenerateConfigurationError(NumericFailure):
         self.ratio = ratio
 
 
+class NonFiniteStateError(DegenerateConfigurationError, NumericFailure):
+    """A guarded solve met a non-finite matrix, so its state had overflowed:
+    a DegenerateConfigurationError (ratio nan) for callers that catch one."""
+
+    def __init__(self, message: str):
+        NumericFailure.__init__(self, message)
+        self.ratio = float("nan")
+
+
 class IntegrationError(NumericFailure):
     """Adaptive integration failed (step underflow or non-finite state)."""
 

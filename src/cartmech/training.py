@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateConfigurationError, ParameterDomainError, TrainingError
+from .errors import (DegenerateConfigurationError, NonFiniteStateError, ParameterDomainError,
+                     TrainingError)
 from .integrators import rollout_fixed
 
 
@@ -120,11 +121,13 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
     """Minibatch AdamW over shuffled chunk batches with cosine annealing.
 
     Init and shuffle randomness derive from config.seed only, so a fixed seed
-    reproduces the run bit for bit.  A non-finite loss or gradient, or a
-    DegenerateConfigurationError from a guarded solve, skips the optimizer
-    step and logs the reason; max_bad_steps consecutive ones abort with
-    TrainingError.  Each step, skipped or not, clears its tape when it ends,
-    so a step holds one step's graph: the loss and leaf nodes still bound
+    reproduces the run bit for bit.  A non-finite loss, gradient or state
+    (NonFiniteStateError), or a DegenerateConfigurationError from a guarded
+    solve, skips the optimizer step and logs the reason; max_bad_steps
+    consecutive ones abort with TrainingError.  Each step records on a
+    first-order tape (ad.Tape(graph=False)), so its backward pass runs on
+    arrays and adds no nodes, and clears it when it ends, skipped or not: a
+    step holds one step's graph, and the loss and leaf nodes still bound
     then keep their values and nothing else.
     """
     chunks = np.asarray(chunks, dtype=float)
@@ -143,17 +146,18 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = chunks[order[start:start + config.batch_size]]
-            tape = ad.Tape()
+            tape = ad.Tape(graph=False)
             leaves = store.leaves(tape)
             try:
                 loss = trajectory_loss_node(model, leaves, batch, config.substeps)
                 value = float(loss.value)
                 bad = None if np.isfinite(value) else "non-finite loss"
                 if bad is None:
-                    grads = {name: node.value for name, node in
-                             zip(names, ad.grad(loss, [leaves[name] for name in names]))}
+                    grads = dict(zip(names, ad.grad(loss, [leaves[name] for name in names])))
                     if not all(np.isfinite(g).all() for g in grads.values()):
                         bad = "non-finite gradient"
+            except NonFiniteStateError:
+                bad = "non-finite state"
             except DegenerateConfigurationError as err:
                 bad = f"degenerate system (pivot ratio {err.ratio:.3g})"
             # frees the step's graph now, though loss and leaves stay bound

@@ -372,6 +372,45 @@ def _composed_mlp(params, x, prefix="mlp"):
 MLP_DEPTHS = [(), (8,), (8, 8)]
 
 
+def _every_rule_loss(tape, vals):
+    """A scalar through every op with a rule, the MLP's input gradient among
+    them; returns it with the leaves ("U" is unused)."""
+    leaves = {name: tape.constant(value) for name, value in vals.items()}
+    x = leaves["x"]
+    y, pullback = ad.mlp_pullback(leaves, x)
+    gx = pullback(leaves["G"])
+    K = ad.add(ad.matmul(ad.transpose(y), y), np.eye(4))
+    rhs = ad.transpose(ad.narrow(ad.concat([gx, x], axis=1), 1, 1, 4))
+    terms = [ad.reduce_sum(ad.absolute(ad.spd_solve(K, rhs))),
+             ad.reduce_sum(ad.div(ad.sin(gx), ad.exp(ad.cos(x))), axis=1),
+             ad.neg(ad.reduce_sum(ad.tanh(ad.reshape(y, (20,))))),
+             ad.reduce_sum(ad.sub(ad.expand(leaves["mlp.b0"], (5, 8)), 0.5) * 3.0)]
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, ad.reduce_sum(term))
+    return total, leaves
+
+
+def test_first_order_tape_returns_the_graphs_gradients_as_arrays_and_does_not_grow():
+    vals = _mlp_problem((8, 8))
+    graph_tape = Tape()
+    out, leaves = _every_rule_loss(graph_tape, vals)
+    want = [g.value for g in grad(out, list(leaves.values()))]
+
+    tape = Tape(graph=False)
+    out, leaves = _every_rule_loss(tape, vals)
+    before = len(tape)
+    got = grad(out, list(leaves.values()))
+    assert len(tape) == before
+    assert all(type(g) is np.ndarray for g in got)
+    for name, g, w in zip(leaves, got, want):
+        assert _same_bits(g, w), name
+    assert not got[list(leaves).index("U")].any()
+    tape.clear()
+    with pytest.raises(ValueError, match="cleared"):
+        grad(out, list(leaves.values()))
+
+
 def _mlp_problem(hidden):
     """Parameters with nonzero biases, inputs x, an output cotangent G and a
     cotangent U for the input gradient; vector outputs, as HNN2D's Cholesky
@@ -516,6 +555,22 @@ def test_spd_solve_raises_on_degenerate_input_with_the_ratio():
     assert np.isnan(info.value.ratio)
     # above the limit (ratio 2.5e-10) the solve goes through
     np.testing.assert_allclose(ad.spd_solve(np.diag([4.0, 1e-9]), rhs)[:, 0], [0.25, 1e9], rtol=1e-15)
+
+
+def test_check_pivots_tells_a_non_finite_system_from_a_degenerate_one():
+    from cartmech.errors import DegenerateConfigurationError, NonFiniteStateError
+
+    for bad in (np.nan, np.inf):
+        K = np.stack([np.eye(2), np.eye(2)])
+        K[1, 0, 1] = K[1, 1, 0] = bad
+        with pytest.raises(NonFiniteStateError, match="not finite") as info:
+            ad.check_pivots(K)
+        # still the singular-system error, for callers that catch that
+        assert isinstance(info.value, DegenerateConfigurationError)
+        assert np.isnan(info.value.ratio) and "pivot ratio" not in str(info.value)
+    with pytest.raises(DegenerateConfigurationError) as info:
+        ad.check_pivots(np.ones((2, 2)))
+    assert not isinstance(info.value, NonFiniteStateError)
 
 
 def _same_bits(x, y):

@@ -560,7 +560,7 @@ def test_every_numeric_failure_exits_2_without_traceback(monkeypatch):
     names = {cls.__name__ for cls in NumericFailure.__subclasses__()}
     assert names == {"IntegrationError", "DegenerateConfigurationError",
                      "FieldSingularityError", "GradientSingularityError", "GimbalLockError",
-                     "TrainingError", "RolloutDivergedError"}
+                     "TrainingError", "RolloutDivergedError", "NonFiniteStateError"}
     for cls in NumericFailure.__subclasses__():
         def fail(args, cls=cls):
             raise cls("boom")

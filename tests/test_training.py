@@ -8,7 +8,7 @@ from cartmech.bodies import BodySpec, assemble_mass_matrix
 from cartmech.dynamics import ZeroPotential, convert_flavor
 from cartmech.errors import ParameterDomainError, TrainingError
 from cartmech.integrators import Tolerances, integrate_adaptive
-from cartmech.models import build_model
+from cartmech.models import MODEL_KINDS, build_model
 from cartmech.states import LAGRANGIAN
 from cartmech.systems import System
 from cartmech.topology import SystemTopology
@@ -362,6 +362,53 @@ def test_degenerate_constraint_system_is_a_bad_step_with_its_reason():
     assert len(skipped) == 3
     assert all("degenerate" in m and "pivot ratio" in m for m in skipped)
     assert "degenerate" in str(info.value)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_first_order_step_gradients_match_the_graph_bitwise(kind):
+    # train() differentiates its loss once, on a tape that records no
+    # backward pass; its arrays are the graph's gradient values to the bit
+    from cartmech.systems import build_system
+    from test_models import lagrangian_batch
+
+    system = build_system("npendulum", n=2)
+    model = build_model(kind, system, hidden=(8, 8))
+    store = model.init_params(np.random.default_rng(6))
+    _, W = lagrangian_batch(system, np.random.default_rng(7), 4)
+    chunks = np.stack([W, 1.01 * W, 0.98 * W], axis=1)
+    names = store.names()
+    grads = {}
+    for graph in (True, False):
+        tape = ad.Tape(graph=graph)
+        leaves = store.leaves(tape)
+        loss = trajectory_loss_node(model, leaves, chunks)
+        forward = len(tape)
+        grads[graph] = ad.grad(loss, [leaves[name] for name in names])
+        assert (len(tape) == forward) is not graph
+    for name, node, array in zip(names, grads[True], grads[False]):
+        assert type(array) is np.ndarray, name
+        assert node.value.shape == array.shape and node.value.tobytes() == array.tobytes(), name
+
+
+def test_non_finite_state_is_a_bad_step_with_its_reason():
+    # a nan in the data reaches the multiplier system through the initial
+    # state: that is a state gone non-finite, not a degenerate geometry
+    from cartmech.systems import build_system
+    from test_models import lagrangian_batch
+
+    system = build_system("npendulum", n=2)
+    model = build_model("chnn", system, hidden=(8,))
+    _, W = lagrangian_batch(system, np.random.default_rng(5), 4)
+    chunks = np.stack([W] * 3, axis=1)
+    chunks[1, 0, 0] = np.nan
+    messages = []
+    with pytest.raises(TrainingError) as info:
+        train(model, chunks, TrainConfig(epochs=5, batch_size=4, max_bad_steps=2),
+              log=messages.append)
+    skipped = [m for m in messages if "step skipped" in m]
+    assert len(skipped) == 2
+    assert all("non-finite state" in m for m in skipped)
+    assert "non-finite state" in str(info.value)
 
 
 def test_train_and_evaluate_look_up_the_names_a_tracer_replaces(monkeypatch):
