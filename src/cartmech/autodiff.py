@@ -38,15 +38,9 @@ step's graph, never two.
 """
 from __future__ import annotations
 
-import math
-import struct
-
 import numpy as np
 
-from .errors import DegenerateConfigurationError, FormatError, NonFiniteStateError, ShapeError
-
-CHECKPOINT_MAGIC = b"CMK1"
-CHECKPOINT_VERSION = 1
+from .errors import DegenerateConfigurationError, NonFiniteStateError, ShapeError
 
 
 class Tape:
@@ -709,71 +703,3 @@ def finite_difference_check(f, grad_fn, x: np.ndarray, h: float = 1e-5) -> float
     denom = np.maximum(1e-8, np.maximum(np.abs(fd), np.abs(analytic)))
     return float(np.max(np.abs(fd - analytic) / denom))
 
-
-# -- checkpoints --------------------------------------------------------------
-
-def save_checkpoint(store: ParamStore, path) -> None:
-    """Write parameters: magic, version, name table, then name/shape/float64 data."""
-    with open(path, "wb") as fh:
-        names = store.names()
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(names)))
-        for name in names:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        for name in names:
-            value = np.asarray(store[name], dtype="<f8")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", value.ndim))
-            fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            fh.write(value.tobytes())
-
-
-def load_checkpoint(path) -> ParamStore:
-    """Parameters written by save_checkpoint; a malformed file raises FormatError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a CMK1 checkpoint")
-    at = 4
-
-    def take(size: int) -> bytes:
-        nonlocal at
-        if at + size > len(raw):
-            raise FormatError(f"{path}: truncated at byte {len(raw)}, needs {at + size}")
-        at += size
-        return raw[at - size:at]
-
-    def uints(count: int) -> tuple[int, ...]:
-        return struct.unpack(f"<{count}I", take(4 * count))
-
-    def name() -> str:
-        try:
-            return take(uints(1)[0]).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: parameter name is not UTF-8") from None
-
-    version, count = uints(2)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    table = [name() for _ in range(count)]
-    if len(set(table)) != len(table):
-        raise FormatError(f"{path}: duplicate names in the name table")
-    store = ParamStore()
-    for expected in table:
-        found = name()
-        if found != expected:
-            raise FormatError(f"{path}: name table mismatch ({found!r} != {expected!r})")
-        shape = uints(uints(1)[0])
-        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-        try:
-            data = data.reshape(shape)
-        except ValueError:  # empty, but the other sizes are past numpy's limits
-            raise FormatError(f"{path}: parameter {found!r} has impossible shape {shape}") from None
-        store.add(found, data)
-    if at != len(raw):
-        raise FormatError(f"{path}: trailing bytes")
-    return store

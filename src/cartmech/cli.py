@@ -21,12 +21,14 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import autodiff as ad
+from .autodiff import ParamStore
 from .dataset import (
     export_metrics_csv,
     export_trajectory_csv,
     generate_dataset,
+    load_checkpoint,
     load_dataset,
+    save_checkpoint,
     save_dataset,
 )
 from .dynamics import convert_flavor
@@ -152,15 +154,19 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(**cfg["train"])
 
 
-def _load_checkpoint_for(model, path) -> ad.ParamStore:
-    """The checkpoint at path; FormatError unless its parameter names are the
-    ones model.init_params creates (shapes are checked where they are used)."""
-    store = ad.load_checkpoint(path)
-    want = set(model.init_params(np.random.default_rng(0)).names())
-    have = set(store.names())
-    if have != want:
+def _load_checkpoint_for(model, path) -> ParamStore:
+    """The checkpoint at path; FormatError unless its parameter names and
+    each parameter's shape are the ones model.init_params creates."""
+    store = load_checkpoint(path)
+    want = model.init_params(np.random.default_rng(0))
+    have, need = set(store.names()), set(want.names())
+    if have != need:
         raise FormatError(f"{path}: not a {model.kind} checkpoint for this system "
-                          f"(missing {sorted(want - have)}, unexpected {sorted(have - want)})")
+                          f"(missing {sorted(need - have)}, unexpected {sorted(have - need)})")
+    for name, value in want.items():
+        if store[name].shape != value.shape:
+            raise FormatError(f"{path}: parameter {name!r} has shape {store[name].shape}, "
+                              f"the {model.kind} model needs {value.shape}")
     return store
 
 
@@ -264,7 +270,7 @@ def cmd_ablate(args) -> int:
     model = _model_from_config(cfg, system)
     result = train(model, train_ds.states, _train_config(cfg), log=_log)
     if args.checkpoint_out:
-        ad.save_checkpoint(result.store, args.checkpoint_out)
+        save_checkpoint(result.store, args.checkpoint_out)
     print(f"disabled_constraints {sorted(system.topology.disabled)}")
     # metrics run against the full system so the missing constraint shows up
     # as violation, not as a smaller phi vector

@@ -1,4 +1,11 @@
-"""Ground-truth datasets: adaptive integration, chunking, persistence, CSV.
+"""Ground-truth datasets, and the package's on-disk formats.
+
+Generation: adaptive integration and chunking.  Persistence: dataset
+directories and CMK1 parameter checkpoints.  Both binaries are read through
+one bounded reader, whose FormatError names the file and the byte offset;
+a dataset with no rows, fewer than two times or states of the wrong width
+for its system raises FormatError when it is loaded.  Export: CSV
+trajectories and metric curves.
 
 Trajectories are integrated in Hamiltonian form and stored as (x, xdot)
 states, since learned models must never see momenta computed with the true
@@ -13,10 +20,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autodiff import ParamStore
 from .dynamics import convert_flavor
 from .errors import FormatError, IntegrationError, ParameterDomainError, finite_positive
 from .integrators import Tolerances, integrate_adaptive
@@ -24,6 +33,8 @@ from .states import LAGRANGIAN
 from .systems import System, system_from_dict, system_to_dict
 
 FORMAT_VERSION = 1
+CHECKPOINT_MAGIC = b"CMK1"
+CHECKPOINT_VERSION = 1
 CHUNK_STATES = 5  # 4 steps per training chunk
 RETRIES = 3  # redraws of a row whose integration fails
 TRAIN, TEST = "train", "test"
@@ -119,7 +130,47 @@ def generate_dataset(system: System, n_traj: int, steps: int = 100,
                    times, convert_flavor(system.context(), states, LAGRANGIAN))
 
 
-# -- persistence (JSON manifest + raw little-endian payload) --------------------------
+# -- persistence: dataset directories and CMK1 checkpoints -----------------------------
+#
+# A dataset is a directory: manifest.json, then payload.bin holding times and
+# states as raw little-endian float64 in C order.  A checkpoint is one file:
+# magic, version and name count, the name table, then each parameter's name,
+# rank, shape and float64 data.  Both are read through one bounded _Reader.
+
+class _Reader:
+    """Little-endian reads from one file's bytes that never run past its end;
+    every FormatError names the file and the byte offset of the failed read."""
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            self.path, self.raw = path, memoryview(fh.read())
+        self.at = self.start = 0
+
+    def fail(self, message: str) -> FormatError:
+        return FormatError(f"{self.path}: byte {self.start}: {message}")
+
+    def take(self, size: int) -> memoryview:
+        self.start = self.at
+        if self.at + size > len(self.raw):
+            raise self.fail(f"truncated: needs {size} bytes, {len(self.raw) - self.at} left")
+        self.at += size
+        return self.raw[self.start:self.at]
+
+    def uints(self, count: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", self.take(4 * count))
+
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        data = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            return data.reshape(shape)
+        except ValueError:  # empty, but the other sizes are past numpy's limits
+            raise self.fail(f"impossible shape {shape}") from None
+
+    def end(self) -> None:
+        self.start = self.at
+        if self.at != len(self.raw):
+            raise self.fail(f"{len(self.raw) - self.at} trailing bytes")
+
 
 def save_dataset(dataset: Dataset, directory) -> None:
     os.makedirs(directory, exist_ok=True)
@@ -159,7 +210,9 @@ def _shape(manifest: dict, key: str, where: str) -> tuple[int, ...]:
 
 
 def load_dataset(directory) -> Dataset:
-    """A dataset written by save_dataset; a malformed manifest or payload raises FormatError."""
+    """A dataset written by save_dataset; FormatError unless the manifest and
+    payload are well formed, the manifest's system builds, and the states are
+    (N, T, 2dn) with at least one row of at least two times."""
     path = os.path.join(directory, "manifest.json")
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -179,6 +232,9 @@ def load_dataset(directory) -> Dataset:
     if len(t_shape) != 2 or len(s_shape) != 3 or s_shape[:2] != t_shape:
         raise FormatError(f"{path}: times_shape {list(t_shape)} and states_shape "
                           f"{list(s_shape)} are not (N, T) and (N, T, D)")
+    if t_shape[0] < 1 or t_shape[1] < 2:
+        raise FormatError(f"{path}: states_shape {list(s_shape)} needs N >= 1 rows "
+                          f"of T >= 2 times")
     tolerances = _entry(manifest, "tolerances", dict, path)
     try:
         tol = Tolerances(float(_entry(tolerances, "rtol", (int, float), path)),
@@ -189,17 +245,69 @@ def load_dataset(directory) -> Dataset:
     system_spec = _entry(manifest, "system", dict, path)
     if system_spec.get("dt") != dt:
         raise FormatError(f"{path}: dt {dt!r} disagrees with system.dt {system_spec.get('dt')!r}")
+    try:
+        dn = system_from_dict(system_spec).topology.dn
+    except ValueError as err:  # SchemaError and ParameterDomainError among them
+        raise FormatError(f"{path}: {err}") from None
+    if s_shape[2] != 2 * dn:
+        raise FormatError(f"{path}: states_shape {list(s_shape)} has D = {s_shape[2]}, "
+                          f"but its system's states have 2dn = {2 * dn}")
     split = _entry(manifest, "split", str, path)
     seed = _entry(manifest, "seed", int, path)
-    n_t = math.prod(t_shape)
-    expected = 8 * (n_t + math.prod(s_shape))
-    with open(os.path.join(directory, "payload.bin"), "rb") as fh:
-        raw = fh.read()
-    if len(raw) != expected:
-        raise FormatError(f"{directory}: payload has {len(raw)} bytes, expected {expected}")
-    times = np.frombuffer(raw[:8 * n_t], dtype="<f8").reshape(t_shape)
-    states = np.frombuffer(raw[8 * n_t:], dtype="<f8").reshape(s_shape)
+    payload = _Reader(os.path.join(directory, "payload.bin"))
+    times, states = payload.floats(t_shape), payload.floats(s_shape)
+    payload.end()
     return Dataset(system_spec, dt, split, seed, tol, times, states)
+
+
+def save_checkpoint(store: ParamStore, path) -> None:
+    """Write parameters: magic, version, name table, then name/shape/float64 data."""
+    with open(path, "wb") as fh:
+        names = store.names()
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(names)))
+        for name in names:
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+        for name in names:
+            value = np.asarray(store[name], dtype="<f8")
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<I", value.ndim))
+            fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
+            fh.write(value.tobytes())
+
+
+def load_checkpoint(path) -> ParamStore:
+    """Parameters written by save_checkpoint; a malformed file raises FormatError."""
+    reader = _Reader(path)
+
+    def name() -> str:
+        try:
+            return str(reader.take(reader.uints(1)[0]), "utf-8")
+        except UnicodeDecodeError:
+            raise reader.fail("parameter name is not UTF-8") from None
+
+    if reader.take(4) != CHECKPOINT_MAGIC:
+        raise reader.fail("not a CMK1 checkpoint")
+    version, count = reader.uints(2)
+    if version != CHECKPOINT_VERSION:
+        raise reader.fail(f"unsupported checkpoint version {version}")
+    table = []
+    for _ in range(count):
+        table.append(name())
+        if table[-1] in table[:-1]:
+            raise reader.fail(f"duplicate name {table[-1]!r} in the name table")
+    store = ParamStore()
+    for expected in table:
+        found = name()
+        if found != expected:
+            raise reader.fail(f"name table mismatch ({found!r} != {expected!r})")
+        store.add(found, reader.floats(reader.uints(reader.uints(1)[0])))
+    reader.end()
+    return store
 
 
 # -- CSV export -----------------------------------------------------------------------

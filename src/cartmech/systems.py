@@ -4,8 +4,9 @@ Five ground-truth systems share one recipe: a topology of point masses or
 extended bodies, a block-diagonal mass model, a potential with value and grad
 of positions (..., d, n) with any leading batch axes (value has shape (...),
 a scalar for one (d, n) matrix), and a seeded sampler that embeds
-generalized coordinates so every sampled state satisfies Phi = 0 and
-Phid = 0 by construction.
+joint angles or a rotation so every sampled state satisfies Phi = 0 and
+Phid = 0 by construction.  The reference dynamics in angle coordinates are
+in oracles; tests call them directly.
 """
 from __future__ import annotations
 
@@ -31,19 +32,7 @@ from .errors import (
     check_like,
     finite_positive,
 )
-from .oracles import (
-    gyroscope_embed,
-    gyroscope_mass_matrix,
-    gyroscope_oracle_dynamics,
-    gyroscope_oracle_energy,
-    pendulum_angles,
-    pendulum_embed,
-    pendulum_mass_matrix,
-    pendulum_oracle_dynamics,
-    pendulum_oracle_energy,
-    rotation_zxz,
-    skew,
-)
+from .oracles import pendulum_embed, rotation_zxz, skew
 from .states import HAMILTONIAN, flatten_matrix
 from .topology import SystemTopology
 
@@ -477,75 +466,6 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(Q) < 0.0:
         Q[:, 2] = -Q[:, 2]
     return Q
-
-
-# -- generalized-coordinate oracles and embeddings -----------------------------------
-
-@dataclass(frozen=True)
-class GeneralizedOracle:
-    """Reference dynamics in generalized coordinates w = (q, p)."""
-
-    dynamics: Callable = field(repr=False, default=None)
-    energy: Callable = field(repr=False, default=None)
-    mass_matrix: Callable = field(repr=False, default=None)
-    to_cartesian: Callable = field(repr=False, default=None)
-
-
-def generalized_oracle(system: System) -> GeneralizedOracle:
-    """Joint-angle oracle for pendulum chains, Euler-angle oracle for the gyroscope."""
-    cfg = system.config
-    if system.name == "npendulum":
-        m, l, g = cfg.masses, cfg.lengths, cfg.gravity
-
-        def to_cart(w):
-            q, p = w[:cfg.n], w[cfg.n:]
-            qdot = np.linalg.solve(pendulum_mass_matrix(q, m, l), p)
-            return _pendulum_state(cfg, system.mass, q, qdot)
-
-        return GeneralizedOracle(
-            dynamics=lambda w: pendulum_oracle_dynamics(w[:cfg.n], w[cfg.n:], m, l, g),
-            energy=lambda w: pendulum_oracle_energy(w[:cfg.n], w[cfg.n:], m, l, g),
-            mass_matrix=lambda q: pendulum_mass_matrix(q, m, l),
-            to_cartesian=to_cart)
-    if system.name == "gyroscope":
-        if tuple(cfg.pivot_offset) != (0.0, 0.0, -1.0):
-            raise ValueError("the Euler-angle oracle assumes pivot offset (0, 0, -1)")
-
-        def to_cart(w):
-            q, p = w[:3], w[3:]
-            qdot = np.linalg.solve(
-                gyroscope_mass_matrix(q[1], q[2], cfg.mass, cfg.moments), p)
-            X, Xdot = gyroscope_embed(q, qdot)
-            return _flat_state(X, velocity_to_momentum(Xdot, system.mass))
-
-        return GeneralizedOracle(
-            dynamics=lambda w: gyroscope_oracle_dynamics(
-                w[:3], w[3:], cfg.mass, cfg.moments, cfg.gravity),
-            energy=lambda w: gyroscope_oracle_energy(
-                w[:3], w[3:], cfg.mass, cfg.moments, cfg.gravity),
-            mass_matrix=lambda q: gyroscope_mass_matrix(
-                q[1], q[2], cfg.mass, cfg.moments),
-            to_cartesian=to_cart)
-    raise ValueError(f"no generalized-coordinate oracle for system {system.name!r}")
-
-
-def embed_generalized(system: System, q, qdot) -> np.ndarray:
-    """Generalized coordinates and rates to a flat Hamiltonian Cartesian state."""
-    if system.name == "npendulum":
-        return _pendulum_state(system.config, system.mass, q, qdot)
-    if system.name == "gyroscope":
-        X, Xdot = gyroscope_embed(q, qdot)
-        return _flat_state(X, velocity_to_momentum(Xdot, system.mass))
-    raise ValueError(f"no generalized-coordinate embedding for system {system.name!r}")
-
-
-def generalized_coordinates(system: System, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q, qdot) recovered from a flat Hamiltonian state (pendulum chains only)."""
-    if system.name != "npendulum":
-        raise ValueError(f"no angle chart for system {system.name!r}")
-    X, P = system.context().split(z)
-    V = P @ system.mass.inverse
-    return pendulum_angles(X, V, system.config.lengths)
 
 
 # -- registry -------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .dataset import save_checkpoint
 from .errors import (DegenerateConfigurationError, NonFiniteStateError, ParameterDomainError,
                      TrainingError)
 from .integrators import rollout_fixed
@@ -131,8 +132,9 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
     then keep their values and nothing else.
     """
     chunks = np.asarray(chunks, dtype=float)
-    if chunks.ndim != 3:
-        raise ParameterDomainError(f"chunks must be (N, T, D), got {chunks.shape}")
+    if chunks.ndim != 3 or chunks.shape[0] < 1 or chunks.shape[1] < 2:
+        raise ParameterDomainError(f"chunks must be (N, T, D) with N >= 1 rows of "
+                                   f"T >= 2 times, got {chunks.shape}")
     store = model.init_params(np.random.default_rng([config.seed, 0]))
     shuffle_rng = np.random.default_rng([config.seed, 1])
     optimizer = AdamW(store, weight_decay=config.weight_decay)
@@ -179,9 +181,9 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
         if log is not None:
             log(f"epoch {epoch}: loss {mean_loss:.6g} lr {lr_t:.3g}")
         if checkpoint_dir and config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
-            ad.save_checkpoint(store, os.path.join(checkpoint_dir, f"epoch_{epoch + 1:05d}.cmk"))
+            save_checkpoint(store, os.path.join(checkpoint_dir, f"epoch_{epoch + 1:05d}.cmk"))
     if checkpoint_dir:
-        ad.save_checkpoint(store, os.path.join(checkpoint_dir, "final.cmk"))
+        save_checkpoint(store, os.path.join(checkpoint_dir, "final.cmk"))
     return TrainResult(store=store, history=np.array(history), bad_steps=bad_total)
 
 

@@ -9,11 +9,10 @@ from cartmech.autodiff import (
     Tape,
     finite_difference_check,
     grad,
-    load_checkpoint,
     mlp_apply,
     mlp_init,
-    save_checkpoint,
 )
+from cartmech.dataset import load_checkpoint, save_checkpoint
 from cartmech.errors import FormatError, ShapeError
 from reference_fields import input_gradient
 

@@ -7,12 +7,13 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cartmech import cli
-from cartmech.dataset import load_dataset
+from cartmech import autodiff as ad, cli
+from cartmech.dataset import load_checkpoint, load_dataset, save_checkpoint, save_dataset
 
 
 def run_cli(*args):
@@ -157,13 +158,12 @@ def test_evaluate_writes_metrics_with_footer(workdir, tmp_path):
 
 
 def test_evaluate_matches_library_api(workdir, tmp_path):
-    import cartmech.autodiff as ad
     from cartmech.metrics import evaluate_model
     from cartmech.models import build_model
 
     ds = load_dataset(workdir / "data" / "test")
     model = build_model("chnn", ds.system(), hidden=(8, 8))
-    store = ad.load_checkpoint(workdir / "run" / "final.cmk")
+    store = load_checkpoint(workdir / "run" / "final.cmk")
     result = evaluate_model(model, store, ds, horizon=3.0)
     rc, out, err = run_cli("evaluate", *TINY,
                            "--checkpoint", str(workdir / "run" / "final.cmk"),
@@ -347,19 +347,16 @@ def test_bad_hidden_widths_exit_1_naming_hidden(workdir, tmp_path):
 def _heavy_checkpoint(workdir, tmp_path):
     """The trained chnn with body 0 made 1e34 times heavier: its multiplier
     system K = DPhi M^-1 DPhi^T is degenerate on every state."""
-    from cartmech import autodiff as ad
-
-    store = ad.load_checkpoint(workdir / "run" / "final.cmk")
+    store = load_checkpoint(workdir / "run" / "final.cmk")
     store["mass.log_m0"] = np.full(store["mass.log_m0"].shape, 80.0)
     path = tmp_path / "heavy.cmk"
-    ad.save_checkpoint(store, path)
+    save_checkpoint(store, path)
     return path
 
 
 def _diverging_checkpoint(tmp_path):
     """A two-pendulum hnn2d with tenfold Cholesky weights, whose rollout from
     the first test state overflows within a few steps."""
-    from cartmech import autodiff as ad
     from cartmech.models import build_model
     from cartmech.systems import build_system
 
@@ -369,7 +366,7 @@ def _diverging_checkpoint(tmp_path):
         if name.startswith("cholesky.w"):
             store[name] = 10.0 * store[name]
     path = tmp_path / "diverging.cmk"
-    ad.save_checkpoint(store, path)
+    save_checkpoint(store, path)
     return path
 
 
@@ -404,19 +401,42 @@ def _corrupt_dataset(workdir, tmp_path):
 def _mismatched_checkpoints(workdir, tmp_path):
     """A two-pendulum node checkpoint, and the trained chnn checkpoint
     without potential.b1 and without mass.log_m1."""
-    from cartmech import autodiff as ad
     from cartmech.models import build_model
     from cartmech.systems import build_system
 
     node = build_model("node", build_system("npendulum", n=2), hidden=(8, 8))
     paths = [tmp_path / "node.cmk"]
-    ad.save_checkpoint(node.init_params(np.random.default_rng(0)), paths[0])
-    store = ad.load_checkpoint(workdir / "run" / "final.cmk")
+    save_checkpoint(node.init_params(np.random.default_rng(0)), paths[0])
+    store = load_checkpoint(workdir / "run" / "final.cmk")
     for name in ("potential.b1", "mass.log_m1"):
         paths.append(tmp_path / f"no_{name}.cmk")
-        ad.save_checkpoint(ad.ParamStore({k: v for k, v in store.items() if k != name}),
-                           paths[-1])
+        save_checkpoint(ad.ParamStore({k: v for k, v in store.items() if k != name}),
+                        paths[-1])
     return paths
+
+
+def _reshaped_checkpoints(workdir, tmp_path):
+    """The trained chnn checkpoint with one parameter replaced by zeros of a
+    shape that broadcasts against the right one: (name, shape, right shape,
+    path)."""
+    out = []
+    for name, shape in (("potential.b0", (1,)), ("potential.b0", ()),
+                        ("mass.log_m0", (1,)), ("potential.b1", (1, 1))):
+        store = load_checkpoint(workdir / "run" / "final.cmk")
+        params = {k: np.zeros(shape) if k == name else v for k, v in store.items()}
+        path = tmp_path / f"{name}_{len(shape)}.cmk"
+        save_checkpoint(ad.ParamStore(params), path)
+        out.append((name, shape, store[name].shape, path))
+    return out
+
+
+def _dataset_cut(workdir, tmp_path, rows, times, width):
+    """The test split cut to states[:rows, :times, :width]."""
+    ds = load_dataset(workdir / "data" / "test")
+    path = tmp_path / f"cut_{rows}_{times}_{width}"
+    save_dataset(replace(ds, times=ds.times[:rows, :times],
+                         states=ds.states[:rows, :times, :width]), path)
+    return path
 
 
 def _dataset_with(workdir, tmp_path, key, value):
@@ -512,6 +532,16 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         (evaluate(no_b1, data / "test"), 1, "potential.b1"),
         (simulate(no_m1), 1, "mass.log_m1"),
         (evaluate(no_m1, data / "test"), 1, "mass.log_m1"),
+        # checkpoints with a parameter of the wrong shape, it and both shapes named
+        *((cmd, 1, name, str(shape), str(want))
+          for name, shape, want, path in _reshaped_checkpoints(workdir, tmp_path)
+          for cmd in (simulate(path), evaluate(path, data / "test"))),
+        # datasets with no rows, fewer than two times, or states of the wrong
+        # width for their system, each shape shown
+        *((cmd, 1, "states_shape", str(shape))
+          for shape in ([0, 11, 8], [2, 0, 8], [2, 1, 8], [2, 11, 3])
+          for cut in [_dataset_cut(workdir, tmp_path, *shape)]
+          for cmd in (train(cut), evaluate(good_ckpt, cut), export(cut))),
         # a dataset whose dt is not finite and positive
         (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", 0.0)), 1, "dt", "0.0"),
         (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", -0.03)), 1, "dt", "-0.03"),
@@ -535,7 +565,6 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
 
 
 def test_evaluate_rolls_out_with_the_training_substeps(workdir):
-    from cartmech import autodiff as ad
     from cartmech.metrics import evaluate_model
     from cartmech.models import build_model
 
@@ -547,7 +576,7 @@ def test_evaluate_rolls_out_with_the_training_substeps(workdir):
     assert rc == 0, err
     ds = load_dataset(test_dir)
     model = build_model("chnn", ds.system(), hidden=(8, 8))
-    result = evaluate_model(model, ad.load_checkpoint(ckpt), ds, horizon=3.0, substeps=2)
+    result = evaluate_model(model, load_checkpoint(ckpt), ds, horizon=3.0, substeps=2)
     assert out.splitlines() == [f"gm_rel_err {result.gm_rel_err:.17g}",
                                 f"gm_energy_err {result.gm_energy_err:.17g}",
                                 f"gm_phi_rmse {result.gm_phi_rmse:.17g}"]
@@ -590,7 +619,6 @@ def test_import_loads_no_cli_and_simulate_takes_only_its_config(capsys):
 
 
 def test_simulate_rolls_out_with_the_training_substeps(workdir, tmp_path):
-    from cartmech import autodiff as ad
     from cartmech.models import build_model
     from cartmech.systems import build_system
 
@@ -603,6 +631,6 @@ def test_simulate_rolls_out_with_the_training_substeps(workdir, tmp_path):
         assert rc == 0, err
     truth, one, two = (np.loadtxt(p, delimiter=",", skiprows=1) for p in paths)
     model = build_model("chnn", build_system("npendulum", n=2), hidden=(8, 8))
-    want = model.rollout(ad.load_checkpoint(ckpt), truth[0, 1:], truth[:, 0], substeps=2)[0]
+    want = model.rollout(load_checkpoint(ckpt), truth[0, 1:], truth[:, 0], substeps=2)[0]
     assert np.array_equal(two[:, 1:], want)
     assert not np.array_equal(one, two)

@@ -1,18 +1,20 @@
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cartmech.autodiff import load_checkpoint, save_checkpoint
 from cartmech.dataset import (
     CHUNK_STATES,
     Dataset,
     export_metrics_csv,
     export_trajectory_csv,
     generate_dataset,
+    load_checkpoint,
     load_dataset,
+    save_checkpoint,
     save_dataset,
     trajectory_columns,
 )
@@ -122,6 +124,45 @@ def test_load_rejects_missing_or_ill_typed_manifest_entries(tmp_path):
     (tmp_path / "manifest.json").write_text("[1, 2")
     with pytest.raises(FormatError):
         load_dataset(tmp_path)
+
+
+def test_load_rejects_datasets_no_subcommand_can_use(tmp_path):
+    # no rows, fewer than two times, or states that are not the system's 2dn
+    # wide: each named by its shape
+    ds = small_train(2, seed=9)
+    for rows, times, width in ((0, 5, 8), (2, 0, 8), (2, 1, 8), (2, 5, 3)):
+        directory = tmp_path / f"{rows}_{times}_{width}"
+        save_dataset(replace(ds, times=ds.times[:rows, :times],
+                             states=ds.states[:rows, :times, :width]), directory)
+        with pytest.raises(FormatError, match=re.escape(f"[{rows}, {times}, {width}]")):
+            load_dataset(directory)
+    # the system's own errors, with their text, as a FormatError
+    directory = tmp_path / "bad_system"
+    save_dataset(replace(ds, system_spec=dict(ds.system_spec, n="x")), directory)
+    with pytest.raises(FormatError, match="system.n"):
+        load_dataset(directory)
+    save_dataset(replace(ds, system_spec=dict(ds.system_spec, masses=[1.0, -1.0])), directory)
+    with pytest.raises(FormatError, match="masses"):
+        load_dataset(directory)
+
+
+def test_format_errors_name_the_byte(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model("chnn", build_system("npendulum", n=2), hidden=(3,))
+                    .init_params(np.random.default_rng(0)), ckpt)
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:4] + b"\x02" + raw[5:])
+    with pytest.raises(FormatError, match=f"{re.escape(str(ckpt))}: byte 4: unsupported "
+                                          "checkpoint version 2"):
+        load_checkpoint(ckpt)
+    ckpt.write_bytes(raw[:100])
+    with pytest.raises(FormatError, match="byte 94: truncated: needs 12 bytes, 6 left"):
+        load_checkpoint(ckpt)
+    save_dataset(small_train(1, seed=4), tmp_path / "ds")
+    payload = tmp_path / "ds" / "payload.bin"
+    payload.write_bytes(payload.read_bytes() + b"\x00")  # after 5 + 40 floats
+    with pytest.raises(FormatError, match="byte 360: 1 trailing bytes"):
+        load_dataset(tmp_path / "ds")
 
 
 def poisoned(system, bad_draws):

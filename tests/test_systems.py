@@ -8,20 +8,28 @@ from cartmech.constraints import phi, phidot
 from cartmech.dynamics import (
     DynamicsContext,
     constrained_dynamics,
+    convert_flavor,
     energy,
     unconstrained_dynamics,
 )
 from cartmech.errors import FieldSingularityError, GradientSingularityError, ParameterDomainError
 from cartmech.integrators import Tolerances, integrate_adaptive
+from cartmech.oracles import (
+    gyroscope_embed,
+    gyroscope_mass_matrix,
+    gyroscope_oracle_dynamics,
+    gyroscope_oracle_energy,
+    pendulum_embed,
+    pendulum_mass_matrix,
+    pendulum_oracle_dynamics,
+)
+from cartmech.states import HAMILTONIAN, LAGRANGIAN, flatten_matrix
 from cartmech.systems import (
     LinearGravity,
     SpringChain,
     _rigid_body_state,
     build_system,
     dipole_field,
-    embed_generalized,
-    generalized_coordinates,
-    generalized_oracle,
     system_from_dict,
     system_names,
     system_to_dict,
@@ -38,6 +46,30 @@ def _split_velocity(system, z):
 def _flow(system):
     ctx = system.context()
     return lambda z: constrained_dynamics(ctx, z)
+
+
+def _hamiltonian_state(system, X, V):
+    """The flat Hamiltonian state of positions X and velocities V."""
+    z = np.concatenate([flatten_matrix(X), flatten_matrix(V)])
+    return convert_flavor(system.context(LAGRANGIAN), z, HAMILTONIAN)
+
+
+def _chain_state(system, q, qdot):
+    return _hamiltonian_state(system, *pendulum_embed(q, qdot, system.config.lengths))
+
+
+def _assert_positions_track(system, z0, oracle, w0, positions, bound):
+    """Integrate the Cartesian flow from z0 and the oracle from w0 over one
+    second, and check that their positions stay within bound."""
+    t_eval = np.linspace(0.0, 1.0, 21)
+    cart = integrate_adaptive(_flow(system), z0, 1.0,
+                              t_eval=t_eval, tol=Tolerances(1e-9, 1e-11))
+    gen = integrate_adaptive(oracle, w0, 1.0, t_eval=t_eval,
+                             tol=Tolerances(1e-9, 1e-11))
+    dn = system.topology.dn
+    dev = max(np.abs(zc[:dn] - flatten_matrix(positions(wo))).max()
+              for zc, wo in zip(cart.states, gen.states))
+    assert dev < bound
 
 
 # -- registry and configs --------------------------------------------------------
@@ -108,7 +140,7 @@ def test_sampler_deterministic_per_seed():
 
 def test_single_pendulum_hangs_at_rest():
     system = build_system("npendulum", n=1)
-    z = embed_generalized(system, [0.0], [0.0])
+    z = _chain_state(system, [0.0], [0.0])
     assert np.allclose(z, [0.0, -1.0, 0.0, 0.0], atol=1e-15)
     assert np.abs(system.dynamics(z)).max() < 1e-14
 
@@ -124,56 +156,31 @@ def test_pendulum_unconstrained_force_pattern():
     assert np.allclose(force[1], [-1.7, -3.4, -0.85], atol=1e-15)
 
 
+def _chain_matches_oracle(q0, qd0):
+    n = len(q0)
+    system = build_system("npendulum", n=n)
+    m, l, g = system.config.masses, system.config.lengths, system.config.gravity
+    w0 = np.concatenate([q0, pendulum_mass_matrix(q0, m, l) @ qd0])
+    _assert_positions_track(system, _chain_state(system, q0, qd0),
+                            lambda w: pendulum_oracle_dynamics(w[:n], w[n:], m, l, g), w0,
+                            lambda w: pendulum_embed(w[:n], np.zeros(n), l)[0], 1e-4)
+
+
 def test_two_pendulum_matches_closed_form_trajectory():
-    system = build_system("npendulum", n=2)
-    oracle = generalized_oracle(system)
-    q0, qd0 = np.array([0.8, -0.4]), np.array([0.3, 0.5])
-    w0 = np.concatenate([q0, oracle.mass_matrix(q0) @ qd0])
-    t_eval = np.linspace(0.0, 1.0, 21)
-    cart = integrate_adaptive(_flow(system), oracle.to_cartesian(w0), 1.0,
-                              t_eval=t_eval, tol=Tolerances(1e-9, 1e-11))
-    gen = integrate_adaptive(oracle.dynamics, w0, 1.0, t_eval=t_eval,
-                             tol=Tolerances(1e-9, 1e-11))
-    dn = system.topology.dn
-    dev = max(np.abs(zc[:dn] - oracle.to_cartesian(wo)[:dn]).max()
-              for zc, wo in zip(cart.states, gen.states))
-    assert dev < 1e-4
+    _chain_matches_oracle(np.array([0.8, -0.4]), np.array([0.3, 0.5]))
 
 
 def test_three_pendulum_matches_generalized_oracle():
-    system = build_system("npendulum", n=3)
-    oracle = generalized_oracle(system)
-    q0, qd0 = np.array([0.8, -0.4, 0.2]), np.array([0.3, 0.5, -0.2])
-    w0 = np.concatenate([q0, oracle.mass_matrix(q0) @ qd0])
-    t_eval = np.linspace(0.0, 1.0, 21)
-    cart = integrate_adaptive(_flow(system), oracle.to_cartesian(w0), 1.0,
-                              t_eval=t_eval, tol=Tolerances(1e-9, 1e-11))
-    gen = integrate_adaptive(oracle.dynamics, w0, 1.0, t_eval=t_eval,
-                             tol=Tolerances(1e-9, 1e-11))
-    dn = system.topology.dn
-    dev = max(np.abs(zc[:dn] - oracle.to_cartesian(wo)[:dn]).max()
-              for zc, wo in zip(cart.states, gen.states))
-    assert dev < 1e-4
+    _chain_matches_oracle(np.array([0.8, -0.4, 0.2]), np.array([0.3, 0.5, -0.2]))
 
 
 def test_hanging_two_pendulum_embedding():
     system = build_system("npendulum", n=2)
-    z = embed_generalized(system, [0.0, 0.0], [0.0, 0.0])
+    z = _chain_state(system, [0.0, 0.0], [0.0, 0.0])
     X, P = system.context().split(z)
     assert np.allclose(X[:, 0], [0.0, -1.0], atol=1e-15)
     assert np.allclose(X[:, 1], [0.0, -2.0], atol=1e-15)
     assert np.abs(P).max() == 0.0
-
-
-def test_generalized_coordinates_roundtrip():
-    system = build_system("npendulum", n=3, lengths=(1.0, 0.5, 1.5))
-    rng = np.random.default_rng(8)
-    q, qdot = rng.uniform(-np.pi, np.pi, 3), rng.normal(size=3)
-    q2, qd2 = generalized_coordinates(system, embed_generalized(system, q, qdot))
-    assert np.abs(q - q2).max() < 1e-12
-    assert np.abs(qdot - qd2).max() < 1e-12
-    with pytest.raises(ValueError):
-        generalized_coordinates(build_system("rotor"), np.zeros(24))
 
 
 # -- coupled pendulums ----------------------------------------------------------------
@@ -295,27 +302,14 @@ def test_gyroscope_unit_mass_inverse_display():
 
 def test_gyroscope_matches_euler_oracle_trajectory():
     system = build_system("gyroscope")
-    oracle = generalized_oracle(system)
+    mass, moments, g = system.config.mass, system.config.moments, system.config.gravity
     q0, qd0 = np.array([0.3, 0.25, 0.1]), np.array([0.2, 0.1, 18.0])
-    w0 = np.concatenate([q0, oracle.mass_matrix(q0) @ qd0])
-    assert abs(oracle.energy(w0) - system.energy(oracle.to_cartesian(w0))) < 1e-10
-    t_eval = np.linspace(0.0, 1.0, 21)
-    cart = integrate_adaptive(_flow(system), oracle.to_cartesian(w0), 1.0,
-                              t_eval=t_eval, tol=Tolerances(1e-9, 1e-11))
-    gen = integrate_adaptive(oracle.dynamics, w0, 1.0, t_eval=t_eval,
-                             tol=Tolerances(1e-9, 1e-11))
-    dn = system.topology.dn
-    dev = max(np.abs(zc[:dn] - oracle.to_cartesian(wo)[:dn]).max()
-              for zc, wo in zip(cart.states, gen.states))
-    assert dev < 1e-3
-
-
-def test_oracle_requires_default_pivot():
-    tilted = build_system("gyroscope", pivot_offset=(0.0, 0.1, -1.0))
-    with pytest.raises(ValueError):
-        generalized_oracle(tilted)
-    with pytest.raises(ValueError):
-        generalized_oracle(build_system("magnet"))
+    w0 = np.concatenate([q0, gyroscope_mass_matrix(q0[1], q0[2], mass, moments) @ qd0])
+    z0 = _hamiltonian_state(system, *gyroscope_embed(q0, qd0))
+    assert abs(gyroscope_oracle_energy(q0, w0[3:], mass, moments, g) - system.energy(z0)) < 1e-10
+    _assert_positions_track(system, z0,
+                            lambda w: gyroscope_oracle_dynamics(w[:3], w[3:], mass, moments, g),
+                            w0, lambda w: gyroscope_embed(w[:3], np.zeros(3))[0], 1e-3)
 
 
 # -- rotor -------------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import cartmech.autodiff as ad
 from cartmech.bodies import BodySpec, assemble_mass_matrix
+from cartmech.dataset import load_checkpoint
 from cartmech.dynamics import ZeroPotential, convert_flavor
 from cartmech.errors import ParameterDomainError, TrainingError
 from cartmech.integrators import Tolerances, integrate_adaptive
@@ -332,6 +333,16 @@ def test_train_config_validation():
                 TrainConfig(**{name: value})
 
 
+def test_train_rejects_chunks_without_rows_or_steps(tmp_path):
+    # no rows gave a nan history, and fewer than two times no step at all
+    model = build_model("node", free_particle_system(), hidden=(4,))
+    chunks = free_particle_chunks(np.random.default_rng(9), 3)
+    for bad in (chunks[:0], chunks[:, :1], chunks[:, :0], chunks[0]):
+        with pytest.raises(ParameterDomainError, match=r"N >= 1 rows of T >= 2 times"):
+            train(model, bad, TrainConfig(epochs=1), checkpoint_dir=tmp_path)
+    assert not (tmp_path / "final.cmk").exists()
+
+
 def test_checkpoints_written_at_cadence(tmp_path):
     system = free_particle_system()
     model = build_model("node", system, hidden=(4,))
@@ -340,7 +351,7 @@ def test_checkpoints_written_at_cadence(tmp_path):
     result = train(model, chunks, cfg, checkpoint_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["epoch_00002.cmk", "epoch_00004.cmk", "final.cmk"]
-    final = ad.load_checkpoint(tmp_path / "final.cmk")
+    final = load_checkpoint(tmp_path / "final.cmk")
     for name in result.store.names():
         np.testing.assert_array_equal(final[name], result.store[name])
 
