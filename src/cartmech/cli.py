@@ -21,7 +21,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .autodiff import ParamStore
 from .dataset import (
     export_metrics_csv,
     export_trajectory_csv,
@@ -32,8 +31,7 @@ from .dataset import (
     save_dataset,
 )
 from .dynamics import convert_flavor
-from .errors import (CartmechError, FormatError, NumericFailure, SchemaError, check_like,
-                     finite_positive)
+from .errors import CartmechError, NumericFailure, SchemaError, check_like, finite_positive
 from .integrators import Tolerances, integrate_adaptive
 from .metrics import constraint_rmse_curve, energy_error, evaluate_model
 from .models import MODEL_KINDS, build_model
@@ -154,22 +152,6 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(**cfg["train"])
 
 
-def _load_checkpoint_for(model, path) -> ParamStore:
-    """The checkpoint at path; FormatError unless its parameter names and
-    each parameter's shape are the ones model.init_params creates."""
-    store = load_checkpoint(path)
-    want = model.init_params(np.random.default_rng(0))
-    have, need = set(store.names()), set(want.names())
-    if have != need:
-        raise FormatError(f"{path}: not a {model.kind} checkpoint for this system "
-                          f"(missing {sorted(need - have)}, unexpected {sorted(have - need)})")
-    for name, value in want.items():
-        if store[name].shape != value.shape:
-            raise FormatError(f"{path}: parameter {name!r} has shape {store[name].shape}, "
-                              f"the {model.kind} model needs {value.shape}")
-    return store
-
-
 # -- subcommands ----------------------------------------------------------------------
 
 def cmd_print_config(args) -> int:
@@ -208,7 +190,7 @@ def cmd_simulate(args) -> int:
     truth = convert_flavor(system.context(), traj.states, LAGRANGIAN)
     if args.checkpoint:
         model = _model_from_config(cfg, system)
-        store = _load_checkpoint_for(model, args.checkpoint)
+        store = load_checkpoint(args.checkpoint)
         states = model.rollout(store, truth[0], t_eval, substeps=cfg["train"]["substeps"])[0]
     else:
         states = truth
@@ -225,7 +207,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args)
     ds = load_dataset(args.data)
-    system = ds.system()
+    system = ds.system
     model = _model_from_config(cfg, system)
     os.makedirs(args.out, exist_ok=True)
     result = train(model, ds.states, _train_config(cfg), checkpoint_dir=args.out, log=_log)
@@ -249,8 +231,8 @@ def _run_evaluation(cfg: dict, model, store, dataset, out_path) -> None:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args)
     ds = load_dataset(args.dataset)
-    model = _model_from_config(cfg, ds.system())
-    store = _load_checkpoint_for(model, args.checkpoint)
+    model = _model_from_config(cfg, ds.system)
+    store = load_checkpoint(args.checkpoint)
     _run_evaluation(cfg, model, store, ds, args.out)
     return 0
 
@@ -266,7 +248,7 @@ def cmd_ablate(args) -> int:
         indices = [int(tok) for tok in args.disable.split(",") if tok.strip() != ""]
     except ValueError:
         raise SchemaError(f"--disable wants comma-separated indices, got {args.disable!r}") from None
-    system = disable_system_constraints(train_ds.system(), indices)
+    system = disable_system_constraints(train_ds.system, indices)
     model = _model_from_config(cfg, system)
     result = train(model, train_ds.states, _train_config(cfg), log=_log)
     if args.checkpoint_out:
@@ -283,7 +265,7 @@ def cmd_export(args) -> int:
     if not 0 <= args.index < len(ds):
         raise SchemaError(f"--index {args.index} outside 0..{len(ds) - 1}")
     export_trajectory_csv(args.out, ds.times[args.index], ds.states[args.index],
-                          ds.system().topology.dim)
+                          ds.system.topology.dim)
     print(f"rows {ds.times.shape[1]}")
     return 0
 

@@ -1,24 +1,29 @@
 """Holonomic constraints and their analytic Jacobians.
 
-Four declarable forms, all reducing to two compiled row kinds:
+Four declarable forms, compiled into two row kinds:
 
-* Link / Rigidity: one row fixing a squared distance, phi = |x_i - x_j|^2 - s.
-  Rigidity rows (all point pairs inside one extended body) are auto-populated
-  at topology construction.
-* Joint / Axis: d affine rows matching a body-frame point (X c_tilde) or axis
-  direction (X Delta u) across two bodies, or pinning one to a world anchor.
+* Link / Rigidity: one distance row, phi = |X e + c|^2 - s, with e the
+  point-difference vector (+1, -1 or 0 per point), c the anchor offset and s
+  the squared length.  Rigidity rows (all point pairs inside one extended
+  body) are auto-populated at topology construction.
+* Joint / Axis: an affine block (g, const) of d rows X g - const, matching a
+  body-frame point (X c_tilde) or axis direction (X Delta u) across two
+  bodies, or pinning one to a world anchor.
 
-Anchors are virtual fixed points and contribute zero Jacobian columns.
+Anchors are virtual fixed points: they enter c and const, and contribute zero
+Jacobian columns.
 
 Every row is at most quadratic in x, so DPhi is affine in x:
-vec(DPhi)(x) = A x + b.  ConstraintSet builds (A, b) once, on construction,
-and that map is the one constraint Jacobian: DPhi(x) is (A x + b) reshaped to
-(C, dn), and because A stacks the symmetric Hessians of the rows, D_x phidot
-at velocity xdot is (A xdot) reshaped the same way.
-ConstraintSet.dphi and dphidot_x compute both from flat positions or
-velocities with leading batch axes, as arrays or as tape nodes.  The
-velocity-level constraint is phidot = DPhi(X) vec(Xdot), and the first-order
-system Psi = (phi, phidot) has the block Jacobian
+vec(DPhi)(x) = A x + b, written in closed form from the rows on
+construction.  A distance row has A_r = 2 (e e^T kron I_d) and
+b_r = 2 (e kron c); an affine block has A = 0 and b = g kron I_d.  That map
+is the one constraint Jacobian: DPhi(x) is (A x + b) reshaped to (C, dn),
+and because A stacks the symmetric Hessians of the rows, D_x phidot at
+velocity xdot is (A xdot) reshaped the same way.  ConstraintSet.dphi and
+dphidot_x compute both from flat positions or velocities with leading batch
+axes, as arrays or as tape nodes.  The velocity-level constraint is
+phidot = DPhi(X) vec(Xdot) = 2 (X e + c).(Xdot e) or Xdot g, and the
+first-order system Psi = (phi, phidot) has the block Jacobian
     DPsi = [[DPhi, 0], [D_x phidot, D_p phidot]],
 with D_p phidot = DPhi contracted with M^-1 through Xdot = P M^-1.
 
@@ -91,120 +96,90 @@ class Axis:
     u_b: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class _QuadRow:
-    row: int
-    i: int        # global point index, -1 when fixed
-    j: int
-    pi: np.ndarray  # fixed world position (used when index is -1)
-    pj: np.ndarray
-    target: float
-
-
-@dataclass(frozen=True)
-class _AffineBlock:
-    row: int
-    coeff: np.ndarray  # (n_points,) sparse coefficients g with rows = X g - const
-    const: np.ndarray  # (d,)
-
-
 class ConstraintSet:
-    """Compiled, enabled constraint rows of one topology."""
+    """Compiled, enabled constraint rows of one topology, in one form.
+
+    A distance row (Link, Rigidity) is a point-difference vector e (+1, -1
+    or 0 per point), an anchor offset c and a target s, with
+    phi = |X e + c|^2 - s.  An affine block (Joint, Axis) is (g, const), with
+    d rows X g - const.  The rows' DPhi map (A, b) is written from these in
+    closed form: a distance row has A_r = 2 (e e^T kron I_d) and
+    b_r = 2 (e kron c), an affine block has A = 0 and b = g kron I_d.
+    Every index a declaration names is range-checked, and a bad one raises
+    ShapeError naming the constraint.
+    """
 
     def __init__(self, topology):
-        d = topology.dim
-        quads: list[_QuadRow] = []
-        blocks: list[_AffineBlock] = []
+        d, n = topology.dim, topology.n_points
+        dist_rows, es, offsets, targets = [], [], [], []
+        blocks = []  # (first row, g, const)
         row = 0
         for k, con in enumerate(topology.all_constraints):
             if k in topology.disabled:
                 continue
-            if isinstance(con, Link):
-                i, pi = _resolve_ref(topology, con.a)
-                j, pj = _resolve_ref(topology, con.b)
-                if i == j and i >= 0:
-                    raise ShapeError(f"link {k} connects a point to itself")
-                quads.append(_QuadRow(row, i, j, pi, pj, float(con.length) ** 2))
-                row += 1
-            elif isinstance(con, Rigidity):
-                off = topology.body_offset(con.body)
-                a, b = con.pair
-                quads.append(_QuadRow(row, off + a, off + b, np.zeros(d), np.zeros(d), con.sq_dist))
+            if isinstance(con, (Link, Rigidity)):
+                e = np.zeros(n)
+                if isinstance(con, Link):
+                    if not (con.a.is_anchor or con.b.is_anchor) and con.a.index == con.b.index:
+                        raise ShapeError(f"link constraint {k} connects a point to itself")
+                    c = _link_end(topology, con.a, k, e, 1.0) - _link_end(topology, con.b, k, e, -1.0)
+                    target = float(con.length) ** 2
+                else:
+                    off = topology.body_offset(con.body)
+                    e[off + con.pair[0]], e[off + con.pair[1]] = 1.0, -1.0
+                    c, target = np.zeros(d), con.sq_dist
+                dist_rows.append(row)
+                es.append(e)
+                offsets.append(c)
+                targets.append(target)
                 row += 1
             elif isinstance(con, Joint):
-                g = np.zeros(topology.n_points)
-                body_a = topology.bodies[con.body_a]
-                sl = topology.body_slice(con.body_a)
-                g[sl] = body_point_coeffs(body_a, con.c_a)
+                g = np.zeros(n)
+                body_a = topology.bodies[_checked(con.body_a, len(topology.bodies), "body", k)]
+                g[topology.body_slice(con.body_a)] = body_point_coeffs(body_a, con.c_a)
                 if con.body_b is not None:
-                    body_b = topology.bodies[con.body_b]
+                    body_b = topology.bodies[_checked(con.body_b, len(topology.bodies), "body", k)]
                     g[topology.body_slice(con.body_b)] -= body_point_coeffs(body_b, con.c_b)
                     const = np.zeros(d)
                 elif con.anchor is not None:
-                    const = np.asarray(topology.anchors[con.anchor], dtype=float)
+                    const = topology.anchors[_checked(con.anchor, len(topology.anchors), "anchor", k)]
                 else:
-                    raise ShapeError(f"joint {k} needs body_b or anchor")
-                blocks.append(_AffineBlock(row, g, const))
+                    raise ShapeError(f"joint constraint {k} needs body_b or anchor")
+                blocks.append((row, g, const))
                 row += d
             elif isinstance(con, Axis):
-                g = np.zeros(topology.n_points)
+                g = np.zeros(n)
                 for body_idx, u, sign in ((con.body_a, con.u_a, 1.0), (con.body_b, con.u_b, -1.0)):
-                    body = topology.bodies[body_idx]
+                    body = topology.bodies[_checked(body_idx, len(topology.bodies), "body", k)]
                     if body.ndim == 0:
                         raise ShapeError(f"axis constraint {k} references point mass body {body_idx}")
                     u = np.asarray(u, dtype=float)
                     if u.size != body.ndim:
                         raise ShapeError(f"axis vector of constraint {k} has wrong length")
                     g[topology.body_slice(body_idx)] += sign * (delta_matrix(body.ndim) @ u)
-                blocks.append(_AffineBlock(row, g, np.zeros(d)))
+                blocks.append((row, g, np.zeros(d)))
                 row += d
             else:
-                raise ShapeError(f"unknown constraint type {type(con).__name__}")
+                raise ShapeError(f"constraint {k} has unknown type {type(con).__name__}")
         self.dim = d
-        self.n_points = topology.n_points
+        self.n_points = n
         self.n_rows = row
-        self.quads = tuple(quads)
-        self.blocks = tuple(blocks)
-        # Gathered index/position arrays for vectorized evaluation.
-        self._q_rows = np.array([q.row for q in quads], dtype=int)
-        self._q_i = np.array([q.i for q in quads], dtype=int)
-        self._q_j = np.array([q.j for q in quads], dtype=int)
-        self._q_pi = np.array([q.pi for q in quads]).reshape(len(quads), d).T
-        self._q_pj = np.array([q.pj for q in quads]).reshape(len(quads), d).T
-        self._q_target = np.array([q.target for q in quads])
-        self._A, self._b = self._build_affine_maps()
-        self._jacobian_shape = (row, d * topology.n_points)
-        self._offset = self._b.reshape(self._jacobian_shape)
-
-    def endpoint_positions(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(..., d, n_quads) world positions of both endpoints of every quad row."""
-        U = np.where(self._q_i >= 0, X[..., :, self._q_i], self._q_pi)
-        W = np.where(self._q_j >= 0, X[..., :, self._q_j], self._q_pj)
-        return U, W
-
-    def endpoint_velocities(self, Xdot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dU = np.where(self._q_i >= 0, Xdot[..., :, self._q_i], 0.0)
-        dW = np.where(self._q_j >= 0, Xdot[..., :, self._q_j], 0.0)
-        return dU, dW
-
-    def affine_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with vec(DPhi)(x) = A x + b, row-major vec over (row, column),
-        built once with the constraint set."""
-        return self._A, self._b
-
-    def _build_affine_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """DPhi is affine in x (quadratic phi rows are linear, joint/axis rows
-        are constant), so extracting it from the analytic Jacobian on basis
-        states is exact."""
-        d, n = self.dim, self.n_points
-        dn = d * n
-        base = _jacobian_phi_raw(self, np.zeros((d, n)))
-        A = np.empty((self.n_rows * dn, dn))
-        for m in range(dn):
-            e = np.zeros(dn)
-            e[m] = 1.0
-            A[:, m] = (_jacobian_phi_raw(self, unflatten_matrix(e, d)) - base).ravel()
-        return A, base.ravel()
+        self._dist_rows = np.array(dist_rows, dtype=int)
+        self._E = np.array(es).reshape(len(es), n).T           # (n, R) columns e
+        self._c = np.array(offsets).reshape(len(es), d).T      # (d, R) columns c
+        self._s = np.array(targets)
+        self._blocks = tuple(blocks)
+        # + 0.0 turns the -0.0 products with e's zeros into +0.0
+        A = np.zeros((row, d * n, d * n))
+        b = np.zeros((row, d * n))
+        for r, e, c in zip(dist_rows, es, offsets):
+            A[r] = 2.0 * np.kron(np.outer(e, e), np.eye(d)) + 0.0
+            b[r] = 2.0 * np.kron(e, c) + 0.0
+        for r, g, _ in blocks:
+            b[r:r + d] = np.kron(g, np.eye(d))
+        self._A = A.reshape(row * d * n, d * n)
+        self._jacobian_shape = (row, d * n)
+        self._offset = b
 
     def dphidot_x(self, xdot):
         """D_x phidot (..., C, dn) at flat velocities xdot (..., dn), arrays or
@@ -218,12 +193,19 @@ class ConstraintSet:
         return self.dphidot_x(x) + self._offset
 
 
-def _resolve_ref(topology, ref: PointRef) -> tuple[int, np.ndarray]:
+def _checked(index: int, count: int, what: str, k: int) -> int:
+    """index, unless it is outside 0..count-1: then ShapeError naming constraint k."""
+    if not 0 <= index < count:
+        raise ShapeError(f"{what} index {index} of constraint {k} out of range")
+    return index
+
+
+def _link_end(topology, ref: PointRef, k: int, e: np.ndarray, sign: float) -> np.ndarray:
+    """Add a link end to e with sign; its fixed position, zeros for a point."""
     if ref.is_anchor:
-        return -1, np.asarray(topology.anchors[ref.index], dtype=float)
-    if not 0 <= ref.index < topology.n_points:
-        raise ShapeError(f"point index {ref.index} out of range")
-    return ref.index, np.zeros(topology.dim)
+        return topology.anchors[_checked(ref.index, len(topology.anchors), "anchor", k)]
+    e[_checked(ref.index, topology.n_points, "point", k)] += sign
+    return np.zeros(topology.dim)
 
 
 def auto_rigidity(bodies) -> list[Rigidity]:
@@ -246,36 +228,15 @@ def auto_rigidity(bodies) -> list[Rigidity]:
 def phi(topology, X: np.ndarray) -> np.ndarray:
     """Constraint values (..., C) at positions (..., d, n).
 
-    Evaluated from the geometry (|u - w|^2 - s and X g - const), not from the
-    affine Jacobian map, so that map can be checked against it.
+    Evaluated from the rows' geometry (|X e + c|^2 - s and X g - const), not
+    from the affine Jacobian map, so that map can be checked against it.
     """
     cs = topology.constraint_set
     out = np.zeros(X.shape[:-2] + (cs.n_rows,))
-    if cs.quads:
-        U, W = cs.endpoint_positions(X)
-        out[..., cs._q_rows] = ((U - W) ** 2).sum(axis=-2) - cs._q_target
-    for blk in cs.blocks:
-        out[..., blk.row:blk.row + cs.dim] = X @ blk.coeff - blk.const
+    out[..., cs._dist_rows] = ((X @ cs._E + cs._c) ** 2).sum(axis=-2) - cs._s
+    for row, g, const in cs._blocks:
+        out[..., row:row + cs.dim] = X @ g - const
     return out
-
-
-def _jacobian_phi_raw(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
-    """Row-by-row DPhi; only _build_affine_maps calls it, to build (A, b)."""
-    d = cs.dim
-    J = np.zeros((cs.n_rows, d * cs.n_points))
-    if cs.quads:
-        U, W = cs.endpoint_positions(X)
-        diff = 2.0 * (U - W)
-        for k, q in enumerate(cs.quads):
-            if q.i >= 0:
-                J[q.row, q.i * d:(q.i + 1) * d] += diff[:, k]
-            if q.j >= 0:
-                J[q.row, q.j * d:(q.j + 1) * d] -= diff[:, k]
-    eye = np.eye(d)
-    for blk in cs.blocks:
-        for p in np.nonzero(blk.coeff)[0]:
-            J[blk.row:blk.row + d, p * d:(p + 1) * d] = blk.coeff[p] * eye
-    return J
 
 
 def jacobian_phi(topology, X: np.ndarray) -> np.ndarray:
@@ -285,15 +246,12 @@ def jacobian_phi(topology, X: np.ndarray) -> np.ndarray:
 
 def phidot(topology, X: np.ndarray, Xdot: np.ndarray) -> np.ndarray:
     """Velocity-level constraint DPhi(X) vec(Xdot), shape (..., C), written
-    out from the geometry like phi."""
+    out from the geometry like phi: 2 (X e + c).(Xdot e) and Xdot g."""
     cs = topology.constraint_set
     out = np.zeros(X.shape[:-2] + (cs.n_rows,))
-    if cs.quads:
-        U, W = cs.endpoint_positions(X)
-        dU, dW = cs.endpoint_velocities(Xdot)
-        out[..., cs._q_rows] = 2.0 * ((U - W) * (dU - dW)).sum(axis=-2)
-    for blk in cs.blocks:
-        out[..., blk.row:blk.row + cs.dim] = Xdot @ blk.coeff
+    out[..., cs._dist_rows] = 2.0 * ((X @ cs._E + cs._c) * (Xdot @ cs._E)).sum(axis=-2)
+    for row, g, _ in cs._blocks:
+        out[..., row:row + cs.dim] = Xdot @ g
     return out
 
 

@@ -22,6 +22,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,9 @@ class Dataset:
             raise ValueError(f"subset size {n} outside 1..{len(self)}")
         return replace(self, times=self.times[:n], states=self.states[:n])
 
+    @cached_property
     def system(self) -> System:
+        """The system system_spec describes, built once per dataset."""
         return system_from_dict(self.system_spec)
 
 
@@ -245,19 +248,20 @@ def load_dataset(directory) -> Dataset:
     system_spec = _entry(manifest, "system", dict, path)
     if system_spec.get("dt") != dt:
         raise FormatError(f"{path}: dt {dt!r} disagrees with system.dt {system_spec.get('dt')!r}")
-    try:
-        dn = system_from_dict(system_spec).topology.dn
-    except ValueError as err:  # SchemaError and ParameterDomainError among them
-        raise FormatError(f"{path}: {err}") from None
-    if s_shape[2] != 2 * dn:
-        raise FormatError(f"{path}: states_shape {list(s_shape)} has D = {s_shape[2]}, "
-                          f"but its system's states have 2dn = {2 * dn}")
     split = _entry(manifest, "split", str, path)
     seed = _entry(manifest, "seed", int, path)
     payload = _Reader(os.path.join(directory, "payload.bin"))
     times, states = payload.floats(t_shape), payload.floats(s_shape)
     payload.end()
-    return Dataset(system_spec, dt, split, seed, tol, times, states)
+    dataset = Dataset(system_spec, dt, split, seed, tol, times, states)
+    try:
+        dn = dataset.system.topology.dn
+    except ValueError as err:  # SchemaError and ParameterDomainError among them
+        raise FormatError(f"{path}: {err}") from None
+    if s_shape[2] != 2 * dn:
+        raise FormatError(f"{path}: states_shape {list(s_shape)} has D = {s_shape[2]}, "
+                          f"but its system's states have 2dn = {2 * dn}")
+    return dataset
 
 
 def save_checkpoint(store: ParamStore, path) -> None:

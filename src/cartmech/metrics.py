@@ -128,4 +128,4 @@ def evaluate_model(model, store, dataset, horizon: float | None = None,
         times = times[:keep]
         states = states[:, :keep]
     preds = model.rollout(store, states[:, 0], times, substeps=substeps)
-    return evaluate_rollout(dataset.system(), preds, states, times)
+    return evaluate_rollout(dataset.system, preds, states, times)

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .bodies import apply_on_points, block_diag, mass_blocks
 from .dynamics import constrained_hamiltonian_field, constrained_lagrangian_field
-from .errors import ParameterDomainError, RolloutDivergedError
+from .errors import ParameterDomainError, RolloutDivergedError, ShapeError
 from .oracles import pendulum_angles, pendulum_embed
 from .states import unflatten_matrix
 
@@ -63,14 +63,29 @@ class DynamicsModel:
         """Cartesian (B, 2dn) states to the raw input of to_state_node."""
         return xv
 
+    def check_params(self, store: ad.ParamStore) -> None:
+        """ShapeError unless the store's parameter names and each parameter's
+        shape are the ones init_params creates."""
+        want = self.init_params(np.random.default_rng(0))
+        have, need = set(store.names()), set(want.names())
+        if have != need:
+            raise ShapeError(f"parameters do not fit the {self.kind} model of this system "
+                             f"(missing {sorted(need - have)}, unexpected {sorted(have - need)})")
+        for name, value in want.items():
+            if store[name].shape != value.shape:
+                raise ShapeError(f"parameter {name!r} has shape {store[name].shape}, "
+                                 f"the {self.kind} model needs {value.shape}")
+
     def rollout(self, store: ad.ParamStore, xv0: np.ndarray, times,
                 substeps: int = 1) -> np.ndarray:
         """Cartesian predictions (B, T, 2dn) from Cartesian initial states, on
         the store's arrays.  The states of all T times are decoded in one
-        call, time-major.  RolloutDivergedError names the first trajectory
-        and time that are not finite."""
+        call, time-major.  check_params vets the store first;
+        RolloutDivergedError names the first trajectory and time that are
+        not finite."""
         from .integrators import rollout_fixed
 
+        self.check_params(store)
         params = self.bind(dict(store.items()))
         xv0 = np.atleast_2d(np.asarray(xv0, dtype=float))
         times = np.asarray(times, dtype=float)

@@ -348,8 +348,7 @@ def _pendulum_state(cfg: NPendulumConfig, mass: MassModel, q, qdot) -> np.ndarra
     return _flat_state(X, velocity_to_momentum(V, mass))
 
 
-def build_n_pendulum(config: NPendulumConfig | None = None, **overrides) -> System:
-    cfg = config or NPendulumConfig(**overrides)
+def build_n_pendulum(cfg: NPendulumConfig) -> System:
     bodies = tuple(BodySpec.point(m) for m in cfg.masses)
     links = [Link(anchor(0), point(0), cfg.lengths[0])]
     links += [Link(point(i - 1), point(i), cfg.lengths[i]) for i in range(1, cfg.n)]
@@ -365,8 +364,7 @@ def build_n_pendulum(config: NPendulumConfig | None = None, **overrides) -> Syst
     return System("npendulum", cfg, topology, mass, potential, sampler)
 
 
-def build_coupled_pendulums(config: CoupledConfig | None = None, **overrides) -> System:
-    cfg = config or CoupledConfig(**overrides)
+def build_coupled_pendulums(cfg: CoupledConfig) -> System:
     bodies = tuple(BodySpec.point(m) for m in cfg.masses)
     pivot = np.asarray(cfg.pivot)
     anchors = tuple((k + 1.0) * pivot for k in range(cfg.n))
@@ -393,8 +391,7 @@ def build_coupled_pendulums(config: CoupledConfig | None = None, **overrides) ->
     return System("coupled", cfg, topology, mass, potential, sampler)
 
 
-def build_magnet_pendulum(config: MagnetConfig | None = None, **overrides) -> System:
-    cfg = config or MagnetConfig(**overrides)
+def build_magnet_pendulum(cfg: MagnetConfig) -> System:
     bodies = (BodySpec.point(cfg.mass),)
     topology = SystemTopology(
         3, bodies, (Link(anchor(0), point(0), cfg.length),), anchors=(np.zeros(3),))
@@ -424,8 +421,7 @@ def _rigid_body_state(mass: MassModel, R: np.ndarray, x_cm, v_cm,
     return _flat_state(X, velocity_to_momentum(Xdot, mass))
 
 
-def build_gyroscope(config: GyroscopeConfig | None = None, **overrides) -> System:
-    cfg = config or GyroscopeConfig(**overrides)
+def build_gyroscope(cfg: GyroscopeConfig) -> System:
     bodies = (BodySpec.rigid(cfg.mass, cfg.moments),)
     joint = Joint(body_a=0, c_a=cfg.pivot_offset, anchor=0)
     topology = SystemTopology(3, bodies, (joint,), anchors=(np.zeros(3),))
@@ -444,8 +440,7 @@ def build_gyroscope(config: GyroscopeConfig | None = None, **overrides) -> Syste
     return System("gyroscope", cfg, topology, mass, potential, sampler)
 
 
-def build_rotor(config: RotorConfig | None = None, **overrides) -> System:
-    cfg = config or RotorConfig(**overrides)
+def build_rotor(cfg: RotorConfig) -> System:
     bodies = (BodySpec.rigid(cfg.mass, cfg.moments),)
     topology = SystemTopology(3, bodies)
     mass = assemble_mass_matrix(bodies)

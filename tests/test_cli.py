@@ -162,7 +162,7 @@ def test_evaluate_matches_library_api(workdir, tmp_path):
     from cartmech.models import build_model
 
     ds = load_dataset(workdir / "data" / "test")
-    model = build_model("chnn", ds.system(), hidden=(8, 8))
+    model = build_model("chnn", ds.system, hidden=(8, 8))
     store = load_checkpoint(workdir / "run" / "final.cmk")
     result = evaluate_model(model, store, ds, horizon=3.0)
     rc, out, err = run_cli("evaluate", *TINY,
@@ -575,7 +575,7 @@ def test_evaluate_rolls_out_with_the_training_substeps(workdir):
     rc, out, err = run_cli(*args, "--set", "train.substeps=2")
     assert rc == 0, err
     ds = load_dataset(test_dir)
-    model = build_model("chnn", ds.system(), hidden=(8, 8))
+    model = build_model("chnn", ds.system, hidden=(8, 8))
     result = evaluate_model(model, load_checkpoint(ckpt), ds, horizon=3.0, substeps=2)
     assert out.splitlines() == [f"gm_rel_err {result.gm_rel_err:.17g}",
                                 f"gm_energy_err {result.gm_energy_err:.17g}",

@@ -45,7 +45,7 @@ def test_train_split_shapes_and_chunk_alignment():
 
 def test_generated_states_stay_on_manifold():
     ds = small_train(4, seed=2)
-    system = ds.system()
+    system = ds.system
     flat = ds.states.reshape(-1, ds.states.shape[-1])
     assert np.sqrt(np.mean(constraint_rmse_curve(system, flat) ** 2)) < 1e-6
 

@@ -100,6 +100,27 @@ def test_evaluate_model_needs_a_finite_positive_horizon(horizon):
     assert evaluate_model(model, store, dataset, horizon=0.06).times.size == 3
 
 
+@pytest.mark.parametrize("name, shape", [("potential.b0", (1,)), ("potential.b0", ()),
+                                         ("mass.log_m0", (1,)), ("mass.log_m1", None)])
+def test_evaluate_model_rejects_parameters_that_do_not_fit(name, shape):
+    # a b0 of shape (1,) broadcasts, and evaluate_model used to score it
+    from cartmech.autodiff import ParamStore
+    from cartmech.dataset import generate_dataset
+    from cartmech.metrics import evaluate_model
+    from cartmech.models import build_model
+
+    system = build_system("npendulum", n=2)
+    dataset = generate_dataset(system, 1, steps=5, seed=0, split="test")
+    model = build_model("chnn", system, hidden=(4,))
+    store = model.init_params(np.random.default_rng(0))
+    params = {k: v if k != name else np.zeros(shape) for k, v in store.items()
+              if k != name or shape is not None}
+    named = [name] if shape is None else [name, str(shape), str(store[name].shape)]
+    with pytest.raises(ShapeError) as info:
+        evaluate_model(model, ParamStore(params), dataset)
+    assert all(part in str(info.value) for part in named)
+
+
 def test_finite_rollout_with_overflowing_scores_raises_naming_trajectory_and_time():
     # tenfold Cholesky weights: the hnn2d rollout stays finite (up to ~1e181)
     # but its scores overflow on the last sample, t = 0.3; evaluate_model
