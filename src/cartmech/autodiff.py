@@ -1,7 +1,9 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
-Nodes hold eagerly computed numpy values; every operation appends one node
-recording its kind and parents.  grad() runs a single reverse-topological
+Nodes hold eagerly computed numpy values.  An operation with a node among its
+operands appends one node recording its kind and parents; its array operands
+stay arrays among those parents, and only a parent that is a node leading to
+a requested input gets an adjoint.  grad() runs a single reverse-topological
 sweep and, on a graph tape (the default), emits each primitive's backward
 pass as new forward nodes, so gradients are themselves differentiable (second
 order comes from calling grad on a graph that already contains a gradient,
@@ -25,11 +27,10 @@ has the operators +, * and @ and the method .reshape(shape), each recording
 the op its function form records: the constraint Jacobians,
 bodies.apply_on_points and RK4 are written with them, and numpy runs the
 same expressions in C on arrays, without a Python call per op.  Node sets
-__array_ufunc__ = None, so numpy hands `array @ node` to the node.  Scalars
-are 0-d arrays.  Broadcasting works where numpy allows it; backward passes
-sum the broadcast axes away.  The one linear solve, spd_solve, is for SPD
-systems and carries the package's one degeneracy test (check_pivots, a
-Cholesky pivot ratio).
+__array_ufunc__ = None, so numpy hands `array @ node` to the node.
+Broadcasting works where numpy allows it; backward passes sum the broadcast
+axes away.  The one linear solve, spd_solve, is for SPD systems and carries
+the package's one degeneracy test (check_pivots, a Cholesky pivot ratio).
 
 Tape.clear() frees the graph even while some of its nodes are still
 referenced: each node keeps its value and drops its parents and saved
@@ -125,22 +126,19 @@ def _value(a):
 
 
 def _record(op, fn, operands, extra=None):
-    """fn of the operands' values as an `op` node of their tape (arrays among
-    them become constants), or the plain result when none is a node."""
+    """fn of the operands' values as an `op` node of their tape, with the
+    operands as its parents (arrays stay arrays), or the plain result when
+    none is a node."""
     for a in operands:
         if isinstance(a, Node):
-            tape = a.tape
-            break
-    else:
-        return fn(*operands)
-    nodes = tuple([a if isinstance(a, Node) else tape.constant(a) for a in operands])
-    return tape._append(fn(*[n.value for n in nodes]), op, nodes, extra)
+            return a.tape._append(fn(*[_value(b) for b in operands]), op, tuple(operands), extra)
+    return fn(*operands)
 
 
 def fused(op, forward, operands):
     """A composite function as one node: forward(*values) -> (value, saved).
     With a node among the operands, value becomes one `op` node of their tape
-    (arrays among them become constants) that keeps saved for op's rule (see
+    (arrays among its parents stay arrays) that keeps saved for op's rule (see
     define_vjp); otherwise it stays the plain value.  Returns (value, saved).
     """
     for a in operands:
@@ -268,16 +266,15 @@ def spd_solve(K, B):
 #
 # A rule maps (out, args, extra, g, need) to one contribution per parent: the
 # node's output, its parents and saved extra, the output adjoint g, and
-# need[i], whether parent i leads to a requested input (a rule may return
-# None for a parent that does not).  On a graph=False tape out, args and g
-# are arrays, where the ad ops and _adjoint record nothing.
+# need[i], whether parent i is a node that leads to a requested input (a rule
+# may return None for a parent that does not; an array parent never does).
+# On a graph=False tape out, args and g are arrays, where the ad ops and
+# _adjoint record nothing.
 
 def _adjoint(value, op, g, args, extra=None):
-    """A closed-form adjoint: an `op` node of g's tape with parents (g, *args)
-    when g is a node, the array itself when g is one."""
-    if not isinstance(g, Node):
-        return value
-    return g.tape._append(value, op, (g, *args), extra)
+    """A closed-form adjoint: an `op` node with parents (g, *args) when any of
+    them is a node, the array itself when none is."""
+    return _record(op, lambda *_: value, (g, *args), extra)
 
 
 def _unbroadcast(g, shape: tuple):
@@ -390,11 +387,11 @@ def grad(output: Node, wrt) -> list:
     """Adjoints of a scalar output for each node in wrt; zeros when unused.
 
     The backward pass visits nodes in reverse creation order (a valid reverse
-    topological order) exactly once.  Each rule is told which parents lead to
-    a requested input and builds only their adjoints.  On a graph tape (the
-    default) it emits the adjoint math as tape nodes, which can be
-    differentiated again; on a graph=False tape it returns numpy arrays with
-    the same bits, and the tape does not grow.
+    topological order) exactly once.  Each rule is told which parents are
+    nodes that lead to a requested input and builds only their adjoints.  On
+    a graph tape (the default) it emits the adjoint math as tape nodes, which
+    can be differentiated again; on a graph=False tape it returns numpy
+    arrays with the same bits, and the tape does not grow.
     """
     if output.value.size != 1:
         raise ShapeError(f"grad needs a scalar output, got shape {output.value.shape}")
@@ -413,13 +410,9 @@ def grad(output: Node, wrt) -> list:
         needs[i] = 1
     for i in range(floor, limit):
         node = nodes[i]
-        if node.parents and not needs[i]:
-            parent = node.parents[0]
-            if node.op == "narrow" and parent.op == "concat" and parent.idx not in wrt_ids:
-                needs[i] = _narrowed_blocks_need(node, needs)
-                continue
+        if not needs[i]:
             for p in node.parents:
-                if needs[p.idx]:
+                if isinstance(p, Node) and needs[p.idx]:
                     needs[i] = 1
                     break
     seed = np.ones(output.value.shape)
@@ -435,11 +428,11 @@ def grad(output: Node, wrt) -> list:
         rule = _VJP.get(node.op)
         if rule is None:
             raise NotImplementedError(f"op {node.op!r} has no backward rule: it cannot be differentiated")
-        args = node.parents if graph else [p.value for p in node.parents]
-        contribs = rule(node if graph else node.value, args, node.extra, g,
-                        [needs[p.idx] for p in node.parents])
-        for parent, contrib in zip(node.parents, contribs):
-            if contrib is None or not needs[parent.idx]:
+        args = node.parents if graph else [_value(p) for p in node.parents]
+        need = [isinstance(p, Node) and needs[p.idx] for p in node.parents]
+        contribs = rule(node if graph else node.value, args, node.extra, g, need)
+        for parent, contrib, wanted in zip(node.parents, contribs, need):
+            if contrib is None or not wanted:
                 continue
             seen = adjoint.get(parent.idx)
             adjoint[parent.idx] = contrib if seen is None else add(seen, contrib)
@@ -447,18 +440,6 @@ def grad(output: Node, wrt) -> list:
     if graph:
         return [tape.constant(np.zeros(w.value.shape)) if g is None else g for g, w in zip(grads, wrt)]
     return [np.zeros(w.value.shape) if g is None else np.asarray(g) for g, w in zip(grads, wrt)]
-
-
-def _narrowed_blocks_need(node: Node, needs) -> int:
-    """Whether a narrow of a concat reads a block that needs an adjoint."""
-    axis, start, length, _ = node.extra
-    joined = node.parents[0]
-    concat_axis, sizes = joined.extra
-    if (axis - concat_axis) % joined.value.ndim:
-        return needs[joined.idx]
-    ends = np.cumsum(sizes)
-    return int(any(needs[block.idx] for block, end, size in zip(joined.parents, ends, sizes)
-                   if end - size < start + length and start < end))
 
 
 # -- parameters and networks --------------------------------------------------
@@ -530,7 +511,7 @@ def _times_transpose(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _mlp_backward(weights: list, hidden: list, g: np.ndarray) -> tuple:
     """(slopes, deltas, errs) of the backward pass for the output cotangent g,
-    on arrays and, kept for second order, on nodes alike."""
+    all arrays; an `mlp_vjp` node keeps them for its second order."""
     slopes = []
     for h in hidden:
         s = h * h
@@ -550,11 +531,11 @@ def mlp_pullback(params: dict, x, prefix: str = "mlp"):
     closed-form backward pass, with no tape.  With a node among x and the
     parameters, y is one `mlp` node for any depth, keeping the hidden
     activations, and pullback(g) records one `mlp_vjp` node on any tape, as
-    grad() does on a graph tape (an array g becomes a constant).  That node
-    is differentiable once more in closed form: a JVP in the cotangent and a
-    Hessian-vector product in x and in every parameter.  Those second-order outputs, and the parameter
-    adjoints of the `mlp` node, are plain numpy: differentiating them again
-    raises NotImplementedError.
+    grad() does on a graph tape (an array g stays an array among its
+    parents).  That node is differentiable once more in closed form: a JVP in
+    the cotangent and a Hessian-vector product in x and in every parameter.
+    Those second-order outputs, and the parameter adjoints of the `mlp` node,
+    are plain numpy: differentiating them again raises NotImplementedError.
     """
     n_layers = sum(1 for name in params if name.startswith(f"{prefix}.w"))
     if not n_layers:
@@ -584,7 +565,6 @@ def mlp_pullback(params: dict, x, prefix: str = "mlp"):
     need_x = (1,) + (0,) * (2 * n_layers)
 
     def pullback(g):
-        g = g if isinstance(g, Node) else node.tape.constant(g)
         return _vjp_mlp(node, node.parents, hidden, g, need_x)[0]
 
     return node, pullback
@@ -601,7 +581,7 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 def _vjp_mlp(out, args, hidden, g, need):
     """x-adjoint as an `mlp_vjp` node; parameter adjoints from the same pass
-    (all arrays, for an array g)."""
+    (all arrays when g and args are)."""
     weights = [_value(w) for w in args[1::2]]
     slopes, deltas, errs = _mlp_backward(weights, hidden, _value(g))
     grads = [None] * len(args)

@@ -120,10 +120,6 @@ class MassModel:
     matrix: np.ndarray
     inverse: np.ndarray
 
-    @property
-    def n_points(self) -> int:
-        return self.matrix.shape[0]
-
 
 def assemble_mass_matrix(bodies) -> MassModel:
     """Block-diagonal M and its closed-form inverse for a list of BodySpec."""

@@ -41,8 +41,7 @@ from .training import TrainConfig, train, write_history
 
 DEFAULT_CONFIG = {
     "system": {"kind": "npendulum"},
-    "data": {"n_traj": 200, "steps": 100, "dt": 0.03, "rtol": 1e-7, "atol": 1e-9,
-             "seed": 0},
+    "data": {"n_traj": 200, "steps": 100, "dt": 0.03, **asdict(Tolerances()), "seed": 0},
     "model": {"kind": "chnn", "hidden": [256, 256, 256]},
     "train": asdict(TrainConfig()),
     "eval": {"horizon": 3.0, "n_test": 20, "seed": 1000000},

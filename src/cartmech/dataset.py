@@ -101,7 +101,7 @@ def _integrate_rows(system: System, rngs: list, steps: int, tol: Tolerances,
 
 
 def generate_dataset(system: System, n_traj: int, steps: int = 100,
-                     tolerances: Tolerances = Tolerances(1e-7, 1e-9), seed: int = 0,
+                     tolerances: Tolerances = Tolerances(), seed: int = 0,
                      split: str = TRAIN, log=None) -> Dataset:
     """Integrate n_traj sampled initial conditions and package them.
 

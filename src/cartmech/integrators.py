@@ -21,7 +21,6 @@ import numpy as np
 from .errors import IntegrationError, finite_positive
 
 # Dormand-Prince 5(4) tableau.
-DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -156,19 +155,18 @@ class _Active:
             setattr(self, name, value[mask])
 
 
-def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tolerances(),
+def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerances(),
                        max_steps: int = 1_000_000) -> Trajectory:
     """Integrate dz/dt = f(z) from t=0 to t=t_span with Dormand-Prince 5(4).
 
-    z0 is one state (N,) or a batch (B, N).  t_eval requests dense output at
-    specific times inside [0, t_span]; when omitted, the accepted step points
-    are returned (one state only).
+    z0 is one state (N,) or a batch (B, N).  The result holds the dense
+    output at the times t_eval, increasing inside [0, t_span].
 
     One state: f is called with (N,) states, and step underflow, a non-finite
     state or an exhausted step budget raise IntegrationError with the time
     and the accepted step count.
 
-    A batch needs t_eval.  f is called with the (R, N) rows still running and
+    A batch: f is called with the (R, N) rows still running and
     must treat each row on its own.  Every row keeps its own t, step size, PI
     controller state, accept/reject decision, dense output and step counts,
     and leaves the active set when it reaches t_span or fails; a failure ends
@@ -184,12 +182,9 @@ def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tole
     single = z0.ndim == 1
     if t_span <= 0:
         raise ValueError("t_span must be positive")
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.size and (t_eval[0] < 0 or t_eval[-1] > t_span * (1 + 1e-12) or np.any(np.diff(t_eval) < 0)):
-            raise ValueError("t_eval must be increasing inside [0, t_span]")
-    elif not single:
-        raise ValueError("a batch of initial states needs t_eval")
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.size and (t_eval[0] < 0 or t_eval[-1] > t_span * (1 + 1e-12) or np.any(np.diff(t_eval) < 0)):
+        raise ValueError("t_eval must be increasing inside [0, t_span]")
 
     def field(rows):
         out = f(rows[0] if single else rows)
@@ -199,15 +194,14 @@ def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tole
 
     z0 = np.atleast_2d(z0)
     n_rows, size = z0.shape
-    n_eval = 0 if t_eval is None else t_eval.size
-    n_start = 0 if t_eval is None else int(np.searchsorted(t_eval, 0.0, side="right"))
+    n_eval = t_eval.size
+    n_start = int(np.searchsorted(t_eval, 0.0, side="right"))
     out = np.full((n_rows, n_eval, size), np.nan)
     out[:, :n_start] = z0[:, None]
     n_accepted = np.zeros(n_rows, dtype=int)
     n_rejected = np.zeros(n_rows, dtype=int)
     n_emitted = np.zeros(n_rows, dtype=int)
     failures: list = [None] * n_rows
-    steps = [(0.0, z0[0])] if t_eval is None else None
 
     a = _Active(rows=np.arange(n_rows), t=np.zeros(n_rows), h=np.zeros(n_rows),
                 err_prev=np.ones(n_rows), z=z0.copy(), f_now=np.zeros_like(z0),
@@ -292,16 +286,11 @@ def integrate_adaptive(f, z0, t_span: float, t_eval=None, tol: Tolerances = Tole
         a.h = a.h * np.where(accept, grow, shrink)
         a.n_acc = a.n_acc + accept
         attempts += 1
-        if steps is not None and accept[0]:
-            steps.append((float(a.t[0]), a.z[0]))
 
     if not single:
         out[[r for r, err in enumerate(failures) if err is not None]] = np.nan
         return Trajectory(t_eval.copy(), out, n_accepted, n_rejected, tuple(failures))
     if failures[0] is not None:
         raise failures[0]
-    if steps is not None:
-        return Trajectory(np.array([p[0] for p in steps]), np.stack([p[1] for p in steps]),
-                          int(n_accepted[0]), int(n_rejected[0]))
     done = n_emitted[0]
     return Trajectory(t_eval[:done].copy(), out[0, :done], int(n_accepted[0]), int(n_rejected[0]))

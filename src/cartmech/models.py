@@ -34,7 +34,7 @@ class DynamicsModel:
 
     kind = "base"
 
-    def __init__(self, system, hidden=(256, 256, 256)):
+    def __init__(self, system, hidden):
         self.system = system
         self.hidden = tuple(int(h) for h in hidden)
         if not all(h >= 1 for h in self.hidden):
@@ -131,7 +131,7 @@ class _ConstrainedModel(DynamicsModel):
     network (a known potential's gradient, say); the default is the
     network's."""
 
-    def __init__(self, system, hidden=(256, 256, 256), grad_potential=None):
+    def __init__(self, system, hidden, grad_potential=None):
         super().__init__(system, hidden)
         topo = system.topology
         self.dn = topo.dn
@@ -205,7 +205,7 @@ class NODE(DynamicsModel):
 class _AngularModel(DynamicsModel):
     """Shared angle chart for the pendulum-chain baselines."""
 
-    def __init__(self, system, hidden=(256, 256, 256)):
+    def __init__(self, system, hidden):
         if system.name != "npendulum":
             raise ValueError(f"{self.kind} requires a pendulum chain, got {system.name!r}")
         super().__init__(system, hidden)
@@ -258,7 +258,7 @@ class HNN2D(_AngularModel):
 
     kind = "hnn2d"
 
-    def __init__(self, system, hidden=(256, 256, 256)):
+    def __init__(self, system, hidden):
         super().__init__(system, hidden)
         N = self.n_angles
         pairs = [(i, j) for i in range(N) for j in range(i + 1)]

@@ -29,6 +29,7 @@ from .errors import (
     FieldSingularityError,
     GradientSingularityError,
     ParameterDomainError,
+    SchemaError,
     check_like,
     finite_positive,
 )
@@ -478,9 +479,22 @@ def system_names() -> list[str]:
     return sorted(SYSTEM_BUILDERS)
 
 
+def _finite(value) -> bool:
+    """Whether every number in value, nested lists included, is a finite
+    float; an integer too large for one is not."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def build_system(kind: str, **params) -> System:
     """The system `kind` from its config's defaults and params.  A value
-    without its default's type raises SchemaError naming system.<key>."""
+    without its default's type raises SchemaError naming system.<key>, and so
+    does a nan or infinite number anywhere in a value that passes the
+    config's own domain checks."""
     check_like("system.kind", kind, "npendulum")
     try:
         cfg_cls, builder = SYSTEM_BUILDERS[kind]
@@ -492,7 +506,11 @@ def build_system(kind: str, **params) -> System:
         raise ValueError(f"unknown {kind} parameters {bad}; known: {sorted(defaults)}")
     for key, value in params.items():
         check_like(f"system.{key}", value, defaults[key])
-    return builder(cfg_cls(**params))
+    cfg = cfg_cls(**params)
+    for key, value in params.items():
+        if not _finite(value):
+            raise SchemaError(f"system.{key}: expected finite numbers, got {value!r}")
+    return builder(cfg)
 
 
 def _jsonify(value):

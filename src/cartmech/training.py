@@ -85,7 +85,7 @@ def trajectory_loss_node(model, leaves: dict, chunks: np.ndarray,
     tape = next(iter(leaves.values())).tape
     leaves = model.bind(leaves)
     times = model.system.dt * np.arange(T)
-    w0 = model.to_state_node(leaves, tape.constant(model.encode(chunks[:, 0])))
+    w0 = model.to_state_node(leaves, model.encode(chunks[:, 0]))
     states = rollout_fixed(lambda w: model.dynamics_node(leaves, w), w0, times,
                            substeps=substeps)
     pred = model.decode_node(leaves, ad.concat(states[1:], axis=0))

@@ -325,6 +325,21 @@ def test_non_finite_learning_rate_or_decay_exits_1_and_writes_nothing(workdir, t
     assert "final_loss" not in stdout and not (out / "final.cmk").exists()
 
 
+@pytest.mark.parametrize("settings", [
+    ("system.angle_range=1e400",),
+    ("system.gravity=NaN",),
+    ("system.kind=magnet", "system.magnet_moments=[[0,0,NaN],[0,0,1]]"),
+    ("system.gravity=1" + "0" * 400,),  # an integer beyond the floats
+])
+def test_non_finite_system_parameter_exits_1_naming_its_key(settings):
+    # before any sampling or integration, so no overflow and no numeric failure
+    key = settings[-1].split("=")[0]
+    for command in ("simulate", "print-config"):
+        rc, stdout, err = run_cli(command, *[arg for s in settings for arg in ("--set", s)])
+        assert rc == 1, err
+        assert key in err and "finite" in err and not stdout
+
+
 def test_bad_hidden_widths_exit_1_naming_hidden(workdir, tmp_path):
     for widths in ("[0]", "[-3]", "[8,0]"):
         rc, _, err = run_cli("train", *TINY, "--set", f"model.hidden={widths}",

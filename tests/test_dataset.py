@@ -144,6 +144,12 @@ def test_load_rejects_datasets_no_subcommand_can_use(tmp_path):
     save_dataset(replace(ds, system_spec=dict(ds.system_spec, masses=[1.0, -1.0])), directory)
     with pytest.raises(FormatError, match="masses"):
         load_dataset(directory)
+    # JSON's NaN is read as a float, and no system parameter may hold one
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["system"] = dict(ds.system_spec, gravity=float("nan"))
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="system.gravity"):
+        load_dataset(directory)
 
 
 def test_format_errors_name_the_byte(tmp_path):

@@ -71,7 +71,7 @@ def test_adaptive_matches_fixed_on_nonlinear_system():
 def test_adaptive_detects_blowup():
     # z' = z^2 from z=1 blows up at t=1; the step size must underflow.
     with pytest.raises(IntegrationError):
-        integrate_adaptive(lambda z: z ** 2, np.array([1.0]), 1.5)
+        integrate_adaptive(lambda z: z ** 2, np.array([1.0]), 1.5, t_eval=np.array([1.5]))
 
 
 def test_adaptive_rejects_bad_t_eval():
@@ -81,7 +81,7 @@ def test_adaptive_rejects_bad_t_eval():
 
 def test_adaptive_requires_array_dynamics():
     with pytest.raises(TypeError):
-        integrate_adaptive(lambda z: [float(z[0])], np.array([1.0]), 1.0)
+        integrate_adaptive(lambda z: [float(z[0])], np.array([1.0]), 1.0, t_eval=np.array([1.0]))
 
 
 @pytest.mark.parametrize("name, params, n_rows", [("npendulum", {"n": 2}, 6), ("gyroscope", {}, 3)])
@@ -116,8 +116,6 @@ def test_batch_row_failures_stay_on_their_row():
     alone = integrate_adaptive(f, np.array([0.2]), 1.5, t_eval=t_eval)
     assert np.array_equal(batch.states[1], alone.states)
     assert batch.n_accepted[1] == alone.n_accepted
-    with pytest.raises(ValueError):
-        integrate_adaptive(f, np.array([[0.2], [0.3]]), 1.5)  # a batch needs t_eval
 
 
 def test_step_budget_ends_only_the_rows_that_exhaust_it():

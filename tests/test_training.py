@@ -105,6 +105,25 @@ def test_constant_model_loss_is_mean_l1_displacement():
     np.testing.assert_allclose(float(loss.value), expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_loss_tape_has_no_input_node_but_the_parameters_and_the_truth(kind):
+    # the encoded initial states and every array operand stay arrays among
+    # their nodes' parents instead of becoming input nodes of the tape
+    from cartmech.systems import build_system
+
+    system = build_system("npendulum", n=2)
+    model = build_model(kind, system, hidden=(8,))
+    ctx = system.context()
+    W0 = np.stack([convert_flavor(ctx, z, LAGRANGIAN)
+                   for z in system.sample(np.random.default_rng(6), 3)])
+    tape = ad.Tape(graph=False)
+    leaves = model.init_params(np.random.default_rng(7)).leaves(tape)
+    trajectory_loss_node(model, leaves, np.repeat(W0[:, None], 3, axis=1))
+    inputs = [node for node in tape.nodes if node.op is None]
+    assert len(inputs) == len(leaves) + 1
+    assert all(node is leaf for node, leaf in zip(inputs, leaves.values()))
+
+
 def test_loss_gradient_matches_finite_differences():
     system = free_particle_system()
     model = build_model("node", system, hidden=(8,))
