@@ -201,10 +201,12 @@ def concat(parts, axis: int = 0):
 
 
 def narrow(a, axis: int, start: int, length: int):
-    shape = np.shape(_value(a))
-    index = tuple(slice(start, start + length) if i == axis % len(shape) else slice(None)
-                  for i in range(len(shape)))
-    return _record("narrow", lambda v: v[index], (a,), (axis, start, length, shape[axis]))
+    value = _value(a)
+    axis %= value.ndim
+    index = (slice(None),) * axis + (slice(start, start + length),)
+    if not isinstance(a, Node):
+        return value[index]
+    return a.tape._append(value[index], "narrow", (a,), (axis, start, length, value.shape[axis]))
 
 
 def reshape(a, shape):
@@ -467,9 +469,6 @@ class ParamStore:
             raise ShapeError(f"shape change for parameter {name!r}")
         self._params[name] = np.asarray(value, dtype=float)
 
-    def __contains__(self, name):
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -649,18 +648,18 @@ _VJP["mlp_vjp"] = _vjp_mlp_vjp
 
 
 def define_vjp(op: str, rule) -> None:
-    """Register the closed-form VJP of a fused op.  rule(args, saved, g, need)
-    takes the operands' values, what the forward saved and the output adjoint
-    g, all arrays, and returns one array per operand (None where need says
-    no), in the broadcast shape.  Each is summed to its operand's shape; on a
+    """Register the closed-form VJP of a fused op.  rule(args, saved, g) takes
+    the operands' values, what the forward saved and the output adjoint g,
+    all arrays, and returns one array per operand, in the broadcast shape.
+    Each that the backward pass needs is summed to its operand's shape; on a
     graph tape it is recorded as an `{op}_adjoint` node, which has no rule, so
     it cannot be differentiated again."""
     adjoint_op = f"{op}_adjoint"
 
     def vjp(out, args, saved, g, need):
         values = [_value(a) for a in args]
-        return [None if a is None else _adjoint(_unbroadcast(a, value.shape), adjoint_op, g, args)
-                for a, value in zip(rule(values, saved, _value(g), need), values)]
+        return [_adjoint(_unbroadcast(a, value.shape), adjoint_op, g, args) if wanted else None
+                for a, value, wanted in zip(rule(values, saved, _value(g)), values, need)]
 
     _VJP[op] = vjp
 

@@ -34,7 +34,7 @@ from .dynamics import convert_flavor
 from .errors import CartmechError, NumericFailure, SchemaError, check_like, finite_positive
 from .integrators import Tolerances, integrate_adaptive
 from .metrics import constraint_rmse_curve, energy_error, evaluate_model
-from .models import MODEL_KINDS, build_model
+from .models import DEFAULT_HIDDEN, MODEL_KINDS, build_model
 from .states import LAGRANGIAN
 from .systems import build_system, disable_system_constraints, system_to_dict
 from .training import TrainConfig, train, write_history
@@ -42,7 +42,7 @@ from .training import TrainConfig, train, write_history
 DEFAULT_CONFIG = {
     "system": {"kind": "npendulum"},
     "data": {"n_traj": 200, "steps": 100, "dt": 0.03, **asdict(Tolerances()), "seed": 0},
-    "model": {"kind": "chnn", "hidden": [256, 256, 256]},
+    "model": {"kind": "chnn", "hidden": list(DEFAULT_HIDDEN)},
     "train": asdict(TrainConfig()),
     "eval": {"horizon": 3.0, "n_test": 20, "seed": 1000000},
 }

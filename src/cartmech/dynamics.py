@@ -21,19 +21,21 @@ Lagrangian flavor works on (vec(X), vec(V)) with the acceleration
 
 Each flavor is written once, as constrained_{hamiltonian,lagrangian}_field,
 from five inputs: the (n, n) matrix M^-1 (applied on the point index with
-bodies.apply_on_points), grad V, v, G and D.  The ground truth below calls
-them with arrays (G and D from the constraint set's affine map, M^-1 the
-mass model's); CHNN and CLNN call them with tape nodes (their learned M^-1).
-Either way one numpy forward function per flavor does the work, so a field
-evaluation on arrays costs its numpy work alone.  On the tape the field is
-one fused node that keeps the forward's intermediates, and its VJP is
-written in closed form below: one more solve with the stored K and a few
-stacked products, recorded as one adjoint op (first order only; the second
-order of training lives in the learned potential's mlp_vjp).  The forward's
-solve, autodiff.spd_solve, carries the one degeneracy test: a Cholesky
-pivot ratio of the SPD K (DegenerateConfigurationError below
-autodiff.PIVOT_RATIO_LIMIT).  The 2C x 2C matrix has determinant det(K)^2,
-so the test on K covers the full system.
+bodies.apply_on_points), grad V, v, G and D, and so are the flows around
+them (hamiltonian_flow, lagrangian_flow) and the flavor change.  The ground
+truth below calls them with arrays (its mass, grad V on flat positions);
+CHNN and CLNN call them with tape nodes (their learned mass, their
+potential's pullback).  Either way one numpy forward function per flavor
+does the work, so a field evaluation on arrays costs its numpy work alone.
+On the tape the field is one fused node that keeps the forward's
+intermediates, and its VJP is written in closed form below: one more solve
+with the stored K and a few stacked products, recorded as one adjoint op
+(first order only; the second order of training lives in the learned
+potential's mlp_vjp).  The forward's solve, autodiff.spd_solve, carries the
+one degeneracy test: a Cholesky pivot ratio of the SPD K
+(DegenerateConfigurationError below autodiff.PIVOT_RATIO_LIMIT).  The
+2C x 2C matrix has determinant det(K)^2, so the test on K covers the full
+system.
 
 Every field takes flat states with leading batch axes, (..., 2dn) ->
 (..., 2dn); a single state (2dn,) is the case without them.  The batch is
@@ -82,6 +84,10 @@ class DynamicsContext:
         dn = z.shape[-1] // 2
         return unflatten_matrix(z[..., :dn], self.dim), unflatten_matrix(z[..., dn:], self.dim)
 
+    def grad_potential(self, x: np.ndarray) -> np.ndarray:
+        """grad_x V at flat positions x (..., dn), flat like x."""
+        return flatten_matrix(self.potential.grad(unflatten_matrix(x, self.dim)))
+
 
 def _col(x):
     """Rows (..., c) as column stacks (..., c, 1), one matrix product per row."""
@@ -110,7 +116,7 @@ def _hamiltonian_forward(Minv, grad_V, v, G, D):
     return _flat(xdot, pdot), (H, K, W, lam1, lam2)
 
 
-def _hamiltonian_vjp(args, saved, g, need):
+def _hamiltonian_vjp(args, saved, g):
     """Reverse of _hamiltonian_forward for the adjoint g = (a, b) of (xdot, pdot).
 
     Back through xdot = v + H^T lam2 and pdot = -grad V - G^T lam1 - D^T lam2,
@@ -129,19 +135,12 @@ def _hamiltonian_vjp(args, saved, g, need):
     K_bar = -(R @ W.mT)
     r0, r1 = R[..., :1], R[..., 1:2]
     E_bar = R[..., 2:] - R[..., 2:].mT
-    out = [None] * 5
-    if need[0] or need[3]:
-        H_bar = lam2 @ a.mT - r1 @ grad_V.mT + E_bar.mT @ D + K_bar.mT @ G
-        out[0] = _points_adjoint(H_bar, G, len(Minv))
-    if need[1]:
-        out[1] = (-b - H.mT @ r1)[..., 0]
-    if need[2]:
-        out[2] = (a + G.mT @ r0 + D.mT @ r1)[..., 0]
-    if need[3]:
-        out[3] = r0 @ v.mT - lam1 @ b.mT + K_bar @ H + apply_on_points(Minv.mT, H_bar)
-    if need[4]:
-        out[4] = r1 @ v.mT - lam2 @ b.mT + E_bar @ H
-    return out
+    H_bar = lam2 @ a.mT - r1 @ grad_V.mT + E_bar.mT @ D + K_bar.mT @ G
+    return (_points_adjoint(H_bar, G, len(Minv)),
+            (-b - H.mT @ r1)[..., 0],
+            (a + G.mT @ r0 + D.mT @ r1)[..., 0],
+            r0 @ v.mT - lam1 @ b.mT + K_bar @ H + apply_on_points(Minv.mT, H_bar),
+            r1 @ v.mT - lam2 @ b.mT + E_bar @ H)
 
 
 def _lagrangian_forward(Minv, grad_V, v, G, D):
@@ -155,7 +154,7 @@ def _lagrangian_forward(Minv, grad_V, v, G, D):
     return minv_f - (Ht @ lam).reshape(minv_f.shape), (lam, H, K, minv_f)
 
 
-def _lagrangian_vjp(args, saved, g, need):
+def _lagrangian_vjp(args, saved, g):
     """Reverse of _lagrangian_forward for the adjoint g of xddot: back through
     xddot = M^-1 f - H^T lam, lam = K^-1 (G M^-1 f + D v) (adjoint
     r = K^-1 lambar, Kbar = -r lam^T), K = G H^T, H = G M^-T and
@@ -166,20 +165,12 @@ def _lagrangian_vjp(args, saved, g, need):
     r = np.linalg.solve(K, -(H @ a))
     K_bar = -(r @ lam.mT)
     f_bar = g + (G.mT @ r)[..., 0]
-    out = [None] * 5
-    if need[0] or need[3]:
-        H_bar = K_bar.mT @ G - lam @ a.mT
-    if need[0]:
-        out[0] = _points_adjoint(H_bar, G, len(Minv)) - _points_adjoint(f_bar, grad_V, len(Minv))
-    if need[1]:
-        out[1] = -apply_on_points(Minv.mT, f_bar)
-    if need[2]:
-        out[2] = (D.mT @ r)[..., 0]
-    if need[3]:
-        out[3] = r @ _col(minv_f).mT + K_bar @ H + apply_on_points(Minv.mT, H_bar)
-    if need[4]:
-        out[4] = r @ _col(v).mT
-    return out
+    H_bar = K_bar.mT @ G - lam @ a.mT
+    return (_points_adjoint(H_bar, G, len(Minv)) - _points_adjoint(f_bar, grad_V, len(Minv)),
+            -apply_on_points(Minv.mT, f_bar),
+            (D.mT @ r)[..., 0],
+            r @ _col(minv_f).mT + K_bar @ H + apply_on_points(Minv.mT, H_bar),
+            r @ _col(v).mT)
 
 
 def _points_adjoint(out_bar, w, n: int):
@@ -233,14 +224,34 @@ def unconstrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
     return symplectic_apply(grad_hamiltonian(ctx, z))
 
 
+def hamiltonian_flow(cs, Minv, grad_V, z):
+    """zdot at flat states z = (x, p) (..., 2dn): v = M^-1 p, then the field,
+    for the constraint set cs, the (n, n) M^-1 and grad_V(x) -> grad_x V."""
+    dn = z.shape[-1] // 2
+    x, p = ad.narrow(z, -1, 0, dn), ad.narrow(z, -1, dn, dn)
+    v = apply_on_points(Minv, p)
+    return constrained_hamiltonian_field(Minv, grad_V(x), v, cs.dphi(x), cs.dphidot_x(v))
+
+
+def lagrangian_flow(cs, Minv, grad_V, w):
+    """(v, xddot) at flat states w = (x, v); the inputs are hamiltonian_flow's."""
+    dn = w.shape[-1] // 2
+    x, v = ad.narrow(w, -1, 0, dn), ad.narrow(w, -1, dn, dn)
+    xddot, _ = constrained_lagrangian_field(Minv, grad_V(x), v, cs.dphi(x), cs.dphidot_x(v))
+    return ad.concat([v, xddot], axis=-1)
+
+
+def change_flavor(M, z):
+    """(x, M z) at flat states (x, z), the (n, n) M on the point index."""
+    dn = z.shape[-1] // 2
+    x, w = ad.narrow(z, -1, 0, dn), ad.narrow(z, -1, dn, dn)
+    return ad.concat([x, apply_on_points(M, w)], axis=-1)
+
+
 def constrained_hamiltonian_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
     """zdot = J (grad H + DPsi^T lambda); identical to P J grad H."""
-    z = np.asarray(z, dtype=float)
-    X, P = ctx.split(z)
-    v = flatten_matrix(P @ ctx.mass.inverse)
-    cs = ctx.topology.constraint_set
-    return constrained_hamiltonian_field(ctx.mass.inverse.T, flatten_matrix(ctx.potential.grad(X)), v,
-                                         cs.dphi(z[..., :v.shape[-1]]), cs.dphidot_x(v))
+    return hamiltonian_flow(ctx.topology.constraint_set, ctx.mass.inverse.T, ctx.grad_potential,
+                            np.asarray(z, dtype=float))
 
 
 def projection_matrix(dpsi: np.ndarray) -> np.ndarray:
@@ -272,27 +283,19 @@ def constrained_lagrangian_dynamics(ctx: DynamicsContext, X: np.ndarray,
 
 def constrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
     """Flavor dispatch z -> zdot for integrator callbacks, per row of (..., 2dn)."""
-    if ctx.flavor == HAMILTONIAN:
-        return constrained_hamiltonian_dynamics(ctx, z)
-    z = np.asarray(z, dtype=float)
-    X, V = ctx.split(z)
-    xddot, _ = constrained_lagrangian_dynamics(ctx, X, V)
-    return np.concatenate([z[..., z.shape[-1] // 2:], flatten_matrix(xddot)], axis=-1)
+    flow = hamiltonian_flow if ctx.flavor == HAMILTONIAN else lagrangian_flow
+    return flow(ctx.topology.constraint_set, ctx.mass.inverse.T, ctx.grad_potential,
+                np.asarray(z, dtype=float))
 
 
 def convert_flavor(ctx: DynamicsContext, z: np.ndarray, to: str) -> np.ndarray:
     """Map flat states (..., 2dn) between (x, p) and (x, v) using the context's mass."""
     z = np.asarray(z, dtype=float)
+    if to not in (HAMILTONIAN, LAGRANGIAN):
+        raise ValueError(f"unknown flavor {to!r}")
     if to == ctx.flavor:
         return z.copy()
-    if to == LAGRANGIAN:
-        M = ctx.mass.inverse
-    elif to == HAMILTONIAN:
-        M = ctx.mass.matrix
-    else:
-        raise ValueError(f"unknown flavor {to!r}")
-    X, Z = ctx.split(z)
-    return np.concatenate([flatten_matrix(X), flatten_matrix(Z @ M)], axis=-1)
+    return change_flavor((ctx.mass.inverse if to == LAGRANGIAN else ctx.mass.matrix).T, z)
 
 
 def energy(ctx: DynamicsContext, z: np.ndarray):

@@ -78,9 +78,6 @@ class Trajectory:
     n_rejected: int = 0
     failures: tuple = ()
 
-    def __len__(self):
-        return len(self.times)
-
 
 def rk4_step(f, z, h: float):
     """One classical Runge-Kutta step; works on arrays and on tape nodes."""
@@ -160,7 +157,8 @@ def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerance
     """Integrate dz/dt = f(z) from t=0 to t=t_span with Dormand-Prince 5(4).
 
     z0 is one state (N,) or a batch (B, N).  The result holds the dense
-    output at the times t_eval, increasing inside [0, t_span].
+    output at the times t_eval, increasing inside [0, t_span]; a last point
+    up to t_span * (1 + 1e-12) comes from the step that reaches t_span.
 
     One state: f is called with (N,) states, and step underflow, a non-finite
     state or an exhausted step budget raise IntegrationError with the time
@@ -200,7 +198,6 @@ def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerance
     out[:, :n_start] = z0[:, None]
     n_accepted = np.zeros(n_rows, dtype=int)
     n_rejected = np.zeros(n_rows, dtype=int)
-    n_emitted = np.zeros(n_rows, dtype=int)
     failures: list = [None] * n_rows
 
     a = _Active(rows=np.arange(n_rows), t=np.zeros(n_rows), h=np.zeros(n_rows),
@@ -216,7 +213,7 @@ def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerance
             return
         for i in np.flatnonzero(mask):
             r = a.rows[i]
-            n_accepted[r], n_emitted[r] = a.n_acc[i], a.eval_idx[i]
+            n_accepted[r] = a.n_acc[i]
             n_rejected[r] = attempts - a.n_acc[i]
             if reason is not None:
                 failures[r] = IntegrationError(f"{reason} at t={a.t[i]:.6g}", t=float(a.t[i]),
@@ -262,8 +259,10 @@ def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerance
         accept = err_norm <= 1.0
 
         if n_eval:
-            # quartic dense output at every t_eval point inside each accepted step
-            reach = t_eval.searchsorted(a.t + a.h * (1 + 1e-12), side="right")
+            # quartic dense output at every t_eval point inside each accepted
+            # step; the one reaching t_span (h clamped to it) takes all left
+            reach = np.where(a.h >= t_span - a.t, n_eval,
+                             t_eval.searchsorted(a.t + a.h * (1 + 1e-12), side="right"))
             end = np.where(accept, np.maximum(reach, a.eval_idx), a.eval_idx)
             count = end - a.eval_idx
             if np.count_nonzero(count):
@@ -292,5 +291,4 @@ def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerance
         return Trajectory(t_eval.copy(), out, n_accepted, n_rejected, tuple(failures))
     if failures[0] is not None:
         raise failures[0]
-    done = n_emitted[0]
-    return Trajectory(t_eval[:done].copy(), out[0, :done], int(n_accepted[0]), int(n_rejected[0]))
+    return Trajectory(t_eval.copy(), out[0], int(n_accepted[0]), int(n_rejected[0]))

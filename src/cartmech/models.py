@@ -7,23 +7,24 @@ runs on the tape (training: one tape per loss) and on plain arrays
 (evaluation: no tape at all).  Input gradients of the networks come from
 autodiff.mlp_pullback, which is the numpy backward pass on arrays.  CHNN and
 CLNN keep the system's known constraints, learn per-body masses plus an MLP
-potential, and use the ground truth's own mass blocks and constrained
-fields; NODE learns the flat vector field; HNN2D learns a Hamiltonian in
-joint angles with a Cholesky-parametrized inverse mass (pendulum chains
-only), and its field is that Hamiltonian's gradient written out around the
-pullbacks of its two networks.  Data is Cartesian (x, xdot), so each model
-converts into and out of its own state; the angle models decode through the
-ground truth's chain embedding.  A rollout or a loss binds once and decodes
-all of its states in one batched call, so CHNN and CLNN build their learned
-mass once per rollout or loss, and nothing built from a state is kept.
+potential, build that mass from the ground truth's own mass blocks and run
+its own constrained flows and flavor change; NODE learns the flat vector
+field; HNN2D learns a Hamiltonian in joint angles with a
+Cholesky-parametrized inverse mass (pendulum chains only), and its field is
+that Hamiltonian's gradient written out around the pullbacks of its two
+networks.  Data is Cartesian (x, xdot), so each model converts into and out
+of its own state; the angle models decode through the ground truth's chain
+embedding.  A rollout or a loss binds once and decodes all of its states in
+one batched call, so CHNN and CLNN build their learned mass once per
+rollout or loss, and nothing built from a state is kept.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .bodies import apply_on_points, block_diag, mass_blocks
-from .dynamics import constrained_hamiltonian_field, constrained_lagrangian_field
+from .bodies import block_diag, mass_blocks
+from .dynamics import change_flavor, hamiltonian_flow, lagrangian_flow
 from .errors import ParameterDomainError, RolloutDivergedError, ShapeError
 from .oracles import pendulum_angles, pendulum_embed
 from .states import unflatten_matrix
@@ -150,12 +151,6 @@ class _ConstrainedModel(DynamicsModel):
         """The leaves plus the learned (M, M^-1) under "mass"."""
         return {**leaves, "mass": _mass_nodes(leaves, self.system.topology.bodies)}
 
-    def _field(self, field, leaves: dict, Minv, x, v):
-        """A constrained field at positions x and velocities v, with grad V
-        from the potential's pullback (no tape on arrays)."""
-        cs = self._constraints
-        return field(Minv, self._grad_potential(leaves, x), v, cs.dphi(x), cs.dphidot_x(v))
-
 
 class CHNN(_ConstrainedModel):
     """Constrained Hamiltonian model in (x, p): the projected flow of H = T(p) + V(x)."""
@@ -163,19 +158,14 @@ class CHNN(_ConstrainedModel):
     kind = "chnn"
 
     def dynamics_node(self, leaves: dict, z):
-        _, Minv = leaves["mass"]
-        x, p = ad.narrow(z, 1, 0, self.dn), ad.narrow(z, 1, self.dn, self.dn)
-        return self._field(constrained_hamiltonian_field, leaves, Minv, x, apply_on_points(Minv, p))
+        return hamiltonian_flow(self._constraints, leaves["mass"][1],
+                                lambda x: self._grad_potential(leaves, x), z)
 
     def to_state_node(self, leaves: dict, raw):
-        M, _ = leaves["mass"]
-        v = ad.narrow(raw, 1, self.dn, self.dn)
-        return ad.concat([ad.narrow(raw, 1, 0, self.dn), apply_on_points(M, v)], axis=1)
+        return change_flavor(leaves["mass"][0], raw)
 
     def decode_node(self, leaves: dict, w):
-        _, Minv = leaves["mass"]
-        p = ad.narrow(w, 1, self.dn, self.dn)
-        return ad.concat([ad.narrow(w, 1, 0, self.dn), apply_on_points(Minv, p)], axis=1)
+        return change_flavor(leaves["mass"][1], w)
 
 
 class CLNN(_ConstrainedModel):
@@ -184,9 +174,8 @@ class CLNN(_ConstrainedModel):
     kind = "clnn"
 
     def dynamics_node(self, leaves: dict, w):
-        x, v = ad.narrow(w, 1, 0, self.dn), ad.narrow(w, 1, self.dn, self.dn)
-        xddot, _ = self._field(constrained_lagrangian_field, leaves, leaves["mass"][1], x, v)
-        return ad.concat([v, xddot], axis=1)
+        return lagrangian_flow(self._constraints, leaves["mass"][1],
+                               lambda x: self._grad_potential(leaves, x), w)
 
 
 class NODE(DynamicsModel):
@@ -331,7 +320,10 @@ _MODEL_CLASSES = {
 }
 
 
-def build_model(kind: str, system, hidden=(256, 256, 256),
+DEFAULT_HIDDEN = (256, 256, 256)
+
+
+def build_model(kind: str, system, hidden=DEFAULT_HIDDEN,
                 grad_potential=None) -> DynamicsModel:
     try:
         cls = _MODEL_CLASSES[kind]

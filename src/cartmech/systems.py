@@ -11,6 +11,7 @@ in oracles; tests call them directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
 from typing import Callable
@@ -185,8 +186,8 @@ class SumPotential:
 
 def _chain_masses_and_lengths(cfg) -> None:
     """Check a chain config's n and fill in unit masses and lengths (n each)."""
-    if cfg.n < 1:
-        raise ParameterDomainError(f"need at least one pendulum, got n={cfg.n}")
+    if not 1 <= cfg.n <= sys.maxsize:  # beyond, (1.0,) * n overflows
+        raise ParameterDomainError(f"n must be 1 to {sys.maxsize} pendulums, got {cfg.n}")
     for name in ("masses", "lengths"):
         values = finite_positive(name, getattr(cfg, name) or (1.0,) * cfg.n)
         if len(values) != cfg.n:
@@ -231,6 +232,9 @@ class CoupledConfig:
         object.__setattr__(self, "pivot", tuple(float(v) for v in self.pivot))
         if len(self.pivot) != 3:
             raise ParameterDomainError("pivot must be a 3-vector")
+        if not math.isfinite(sum(v * v for v in self.pivot)):  # springs square |pivot|
+            raise ParameterDomainError(
+                f"pivot must have a finite squared norm, got {list(self.pivot)}")
         rest = self.rest_length or float(np.linalg.norm(self.pivot))
         object.__setattr__(self, "rest_length", finite_positive("rest_length", (rest,))[0])
         finite_positive("spring_k", (self.spring_k,))

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -338,6 +339,22 @@ def test_non_finite_system_parameter_exits_1_naming_its_key(settings):
         rc, stdout, err = run_cli(command, *[arg for s in settings for arg in ("--set", s)])
         assert rc == 1, err
         assert key in err and "finite" in err and not stdout
+
+
+@pytest.mark.parametrize("settings,name", [
+    (("system.kind=coupled", "system.pivot=[NaN,0,0]"), "pivot"),
+    (("system.kind=coupled", "system.pivot=[1e200,1e200,0]"), "pivot"),
+    (("system.n=1" + "0" * 400,), "n"),  # more pendulums than an index holds
+])
+def test_out_of_domain_system_parameter_exits_1_naming_it_without_warning(settings, name):
+    # not the rest length derived from the pivot, numpy's overflow warning or
+    # an OverflowError traceback
+    for command in ("simulate", "print-config"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, stdout, err = run_cli(command, *[arg for s in settings for arg in ("--set", s)])
+        assert rc == 1, err
+        assert f"system: {name} must" in err and not stdout
 
 
 def test_bad_hidden_widths_exit_1_naming_hidden(workdir, tmp_path):

@@ -79,6 +79,18 @@ def test_adaptive_rejects_bad_t_eval():
         integrate_adaptive(lambda z: z, np.array([1.0]), 1.0, t_eval=np.array([0.5, 2.0]))
 
 
+def test_last_t_eval_point_up_to_the_span_tolerance_is_emitted():
+    # t_eval may end up to t_span * (1 + 1e-12); the step reaching t_span emits it
+    t_eval = [0.0, 0.5, 1.0 + 5e-13]
+    single = integrate_adaptive(lambda z: -z, np.array([1.0]), 1.0, t_eval)
+    assert single.states.shape == (3, 1) and np.array_equal(single.times, t_eval)
+    batch = integrate_adaptive(lambda z: -z, np.array([[1.0], [2.0]]), 1.0, t_eval)
+    assert batch.failures == (None, None)
+    assert single.states.tobytes() == batch.states[0].tobytes()
+    np.testing.assert_allclose(batch.states[:, -1, 0], [math.exp(-1.0), 2.0 * math.exp(-1.0)],
+                               rtol=1e-7)
+
+
 def test_adaptive_requires_array_dynamics():
     with pytest.raises(TypeError):
         integrate_adaptive(lambda z: [float(z[0])], np.array([1.0]), 1.0, t_eval=np.array([1.0]))

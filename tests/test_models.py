@@ -9,7 +9,7 @@ from cartmech.metrics import constraint_rmse_curve
 from cartmech.models import MODEL_KINDS, _mass_nodes, build_model
 from cartmech.training import trajectory_loss_node
 from cartmech.oracles import pendulum_embed
-from cartmech.states import LAGRANGIAN
+from cartmech.states import HAMILTONIAN, LAGRANGIAN
 from cartmech.systems import build_system
 
 
@@ -97,6 +97,32 @@ def test_clnn_plugin_matches_ground_truth(name, kwargs):
     ctx_l = system.context(LAGRANGIAN)
     ref = np.stack([constrained_dynamics(ctx_l, w) for w in W])
     np.testing.assert_allclose(out, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["npendulum", "coupled", "magnet"])
+def test_constrained_models_run_the_ground_truth_flows_bit_for_bit(name):
+    # unit masses are the learned ones at initialization (exp 0 = 1), so with
+    # the system's own grad V each model is the system's flow, bit for bit
+    system = build_system(name)
+    ctx, ctx_l = system.context(), system.context(LAGRANGIAN)
+    Z = system.sample(np.random.default_rng(9), 6)
+    W = convert_flavor(ctx, Z, LAGRANGIAN)
+
+    def grad_V(leaves, x):  # an array on the tape too
+        return ctx.grad_potential(getattr(x, "value", x))
+
+    models = {kind: build_model(kind, system, hidden=(8,), grad_potential=grad_V)
+              for kind in ("chnn", "clnn")}
+    checks = [("chnn", "dynamics_node", Z, system.dynamics(Z)),
+              ("chnn", "to_state_node", W, convert_flavor(ctx_l, W, HAMILTONIAN)),
+              ("chnn", "decode_node", Z, W),
+              ("clnn", "dynamics_node", W, constrained_dynamics(ctx_l, W))]
+    for kind, method, states, want in checks:
+        model = models[kind]
+        store = model.init_params(np.random.default_rng(0))
+        on_arrays = getattr(model, method)(model.bind(dict(store.items())), states)
+        assert on_arrays.tobytes() == want.tobytes(), (kind, method)
+        assert eval_node(model, store, method, states).tobytes() == want.tobytes(), (kind, method)
 
 
 def test_chnn_zero_potential_zero_momentum_is_stationary():
@@ -222,7 +248,7 @@ def test_hidden_widths_below_one_are_rejected_by_name(kind):
 def test_constrained_loss_records_one_field_node_per_field_call(kind, monkeypatch):
     from reference_fields import reference_hamiltonian_field, reference_lagrangian_field
 
-    from cartmech import models
+    from cartmech import dynamics
     from cartmech.dataset import generate_dataset
 
     system = build_system("npendulum", n=2)
@@ -241,8 +267,8 @@ def test_constrained_loss_records_one_field_node_per_field_call(kind, monkeypatc
     loss, grads, ops = loss_and_grads()
     op = {"chnn": "hamiltonian_field", "clnn": "lagrangian_field"}[kind]
     assert ops.count(op) == 16 and "spd_solve" not in ops
-    monkeypatch.setattr(models, "constrained_hamiltonian_field", reference_hamiltonian_field)
-    monkeypatch.setattr(models, "constrained_lagrangian_field", reference_lagrangian_field)
+    monkeypatch.setattr(dynamics, "constrained_hamiltonian_field", reference_hamiltonian_field)
+    monkeypatch.setattr(dynamics, "constrained_lagrangian_field", reference_lagrangian_field)
     ref_loss, ref_grads, ref_ops = loss_and_grads()
     assert ref_ops.count("spd_solve") == 16 and op not in ref_ops
     assert loss.tobytes() == ref_loss.tobytes()
