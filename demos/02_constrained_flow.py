@@ -12,7 +12,6 @@ from cartmech import LAGRANGIAN, Tolerances, build_system, convert_flavor, integ
 from cartmech.constraints import jacobian_psi
 from cartmech.dynamics import (
     constrained_dynamics,
-    constrained_hamiltonian_dynamics,
     constrained_lagrangian_dynamics,
     grad_hamiltonian,
     projection_matrix,
@@ -27,7 +26,7 @@ def main():
     z = system.sample(np.random.default_rng(1))
 
     free = unconstrained_dynamics(ctx, z)
-    constrained = constrained_hamiltonian_dynamics(ctx, z)
+    constrained = constrained_dynamics(ctx, z)
     dpsi = jacobian_psi(system.topology, z, system.mass)
     P = projection_matrix(dpsi)
     projected = P @ symplectic_apply(grad_hamiltonian(ctx, z))

@@ -9,7 +9,6 @@ from .bodies import BodySpec, assemble_mass_matrix
 from .dataset import Dataset, generate_dataset, load_dataset, save_dataset
 from .dynamics import (
     constrained_dynamics,
-    constrained_hamiltonian_dynamics,
     constrained_lagrangian_dynamics,
     convert_flavor,
     energy,
@@ -80,7 +79,6 @@ __all__ = [
     "build_model",
     "build_system",
     "constrained_dynamics",
-    "constrained_hamiltonian_dynamics",
     "constrained_lagrangian_dynamics",
     "constraint_rmse_curve",
     "convert_flavor",

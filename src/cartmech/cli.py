@@ -179,7 +179,11 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args)
     system = _system_from_config(cfg)
     (horizon,) = finite_positive("eval.horizon", (cfg["eval"]["horizon"],))
-    steps = int(round(horizon / system.dt))
+    count = horizon / system.dt
+    if not np.isfinite(count):
+        raise SchemaError(f"eval.horizon: {horizon:g} s is not a finite number of "
+                          f"{system.dt:g} s steps")
+    steps = int(round(count))
     if steps < 1:
         raise SchemaError("eval.horizon must cover at least one step")
     t_eval = system.dt * np.arange(steps + 1)

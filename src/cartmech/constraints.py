@@ -1,14 +1,14 @@
 """Holonomic constraints and their analytic Jacobians.
 
-Four declarable forms, compiled into two row kinds:
+Two declarable forms, Link and Joint, plus the auto-populated Rigidity,
+compiled into two row kinds:
 
 * Link / Rigidity: one distance row, phi = |X e + c|^2 - s, with e the
   point-difference vector (+1, -1 or 0 per point), c the anchor offset and s
   the squared length.  Rigidity rows (all point pairs inside one extended
   body) are auto-populated at topology construction.
-* Joint / Axis: an affine block (g, const) of d rows X g - const, matching a
-  body-frame point (X c_tilde) or axis direction (X Delta u) across two
-  bodies, or pinning one to a world anchor.
+* Joint: an affine block (g, const) of d rows X g - const, pinning a
+  body-frame point (X c_tilde) of one body to a world anchor.
 
 Anchors are virtual fixed points: they enter c and const, and contribute zero
 Jacobian columns.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import apply_inverse_mass, body_point_coeffs, delta_matrix
+from .bodies import apply_inverse_mass, body_point_coeffs
 from .errors import ShapeError
 from .states import flatten_matrix, unflatten_matrix
 
@@ -77,23 +77,11 @@ class Rigidity:
 
 @dataclass(frozen=True)
 class Joint:
-    """Pin body-frame point c_a of body_a to c_b of body_b, or to a world anchor."""
+    """Pin body-frame point c_a of body_a to a world anchor."""
 
     body_a: int
     c_a: tuple[float, ...]
-    body_b: int | None = None
-    c_b: tuple[float, ...] = ()
-    anchor: int | None = None
-
-
-@dataclass(frozen=True)
-class Axis:
-    """Match the body-frame direction u_a of body_a with u_b of body_b."""
-
-    body_a: int
-    u_a: tuple[float, ...]
-    body_b: int
-    u_b: tuple[float, ...]
+    anchor: int
 
 
 class ConstraintSet:
@@ -101,7 +89,7 @@ class ConstraintSet:
 
     A distance row (Link, Rigidity) is a point-difference vector e (+1, -1
     or 0 per point), an anchor offset c and a target s, with
-    phi = |X e + c|^2 - s.  An affine block (Joint, Axis) is (g, const), with
+    phi = |X e + c|^2 - s.  An affine block (Joint) is (g, const), with
     d rows X g - const.  The rows' DPhi map (A, b) is written from these in
     closed form: a distance row has A_r = 2 (e e^T kron I_d) and
     b_r = 2 (e kron c), an affine block has A = 0 and b = g kron I_d.
@@ -135,29 +123,10 @@ class ConstraintSet:
                 row += 1
             elif isinstance(con, Joint):
                 g = np.zeros(n)
-                body_a = topology.bodies[_checked(con.body_a, len(topology.bodies), "body", k)]
-                g[topology.body_slice(con.body_a)] = body_point_coeffs(body_a, con.c_a)
-                if con.body_b is not None:
-                    body_b = topology.bodies[_checked(con.body_b, len(topology.bodies), "body", k)]
-                    g[topology.body_slice(con.body_b)] -= body_point_coeffs(body_b, con.c_b)
-                    const = np.zeros(d)
-                elif con.anchor is not None:
-                    const = topology.anchors[_checked(con.anchor, len(topology.anchors), "anchor", k)]
-                else:
-                    raise ShapeError(f"joint constraint {k} needs body_b or anchor")
+                body = topology.bodies[_checked(con.body_a, len(topology.bodies), "body", k)]
+                g[topology.body_slice(con.body_a)] = body_point_coeffs(body, con.c_a)
+                const = topology.anchors[_checked(con.anchor, len(topology.anchors), "anchor", k)]
                 blocks.append((row, g, const))
-                row += d
-            elif isinstance(con, Axis):
-                g = np.zeros(n)
-                for body_idx, u, sign in ((con.body_a, con.u_a, 1.0), (con.body_b, con.u_b, -1.0)):
-                    body = topology.bodies[_checked(body_idx, len(topology.bodies), "body", k)]
-                    if body.ndim == 0:
-                        raise ShapeError(f"axis constraint {k} references point mass body {body_idx}")
-                    u = np.asarray(u, dtype=float)
-                    if u.size != body.ndim:
-                        raise ShapeError(f"axis vector of constraint {k} has wrong length")
-                    g[topology.body_slice(body_idx)] += sign * (delta_matrix(body.ndim) @ u)
-                blocks.append((row, g, np.zeros(d)))
                 row += d
             else:
                 raise ShapeError(f"constraint {k} has unknown type {type(con).__name__}")

@@ -248,12 +248,6 @@ def change_flavor(M, z):
     return ad.concat([x, apply_on_points(M, w)], axis=-1)
 
 
-def constrained_hamiltonian_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
-    """zdot = J (grad H + DPsi^T lambda); identical to P J grad H."""
-    return hamiltonian_flow(ctx.topology.constraint_set, ctx.mass.inverse.T, ctx.grad_potential,
-                            np.asarray(z, dtype=float))
-
-
 def projection_matrix(dpsi: np.ndarray) -> np.ndarray:
     """P = I - J DPsi^T [DPsi J DPsi^T]^-1 DPsi for a (2C, 2dn) constraint Jacobian.
 
@@ -282,7 +276,11 @@ def constrained_lagrangian_dynamics(ctx: DynamicsContext, X: np.ndarray,
 
 
 def constrained_dynamics(ctx: DynamicsContext, z: np.ndarray) -> np.ndarray:
-    """Flavor dispatch z -> zdot for integrator callbacks, per row of (..., 2dn)."""
+    """Flavor dispatch z -> zdot for integrator callbacks, per row of (..., 2dn).
+
+    The Hamiltonian flow is zdot = J (grad H + DPsi^T lambda), identical to
+    P J grad H; the Lagrangian one is (v, xddot).
+    """
     flow = hamiltonian_flow if ctx.flavor == HAMILTONIAN else lagrangian_flow
     return flow(ctx.topology.constraint_set, ctx.mass.inverse.T, ctx.grad_potential,
                 np.asarray(z, dtype=float))

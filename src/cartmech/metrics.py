@@ -123,8 +123,9 @@ def evaluate_model(model, store, dataset, horizon: float | None = None,
     states = dataset.states
     if horizon is not None:
         (horizon,) = finite_positive("horizon", (horizon,))
-        keep = int(round(horizon / dataset.dt)) + 1
-        keep = max(2, min(keep, times.size))
+        # clamped before rounding, so a horizon of infinitely many steps
+        # scores the whole set like any horizon longer than it
+        keep = max(2, int(round(min(horizon / dataset.dt, times.size - 1))) + 1)
         times = times[:keep]
         states = states[:, :keep]
     preds = model.rollout(store, states[:, 0], times, substeps=substeps)

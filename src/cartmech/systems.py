@@ -7,6 +7,10 @@ a scalar for one (d, n) matrix), and a seeded sampler that embeds
 joint angles or a rotation so every sampled state satisfies Phi = 0 and
 Phid = 0 by construction.  The reference dynamics in angle coordinates are
 in oracles; tests call them directly.
+
+A config holds a system's physical parameters and dt, nothing else: the
+initial-state draws are constants in each builder's sampler, and the coupled
+springs' rest length is |pivot|.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from .bodies import (
     velocity_to_momentum,
 )
 from .constraints import Joint, Link, anchor, point
-from .dynamics import DynamicsContext, ZeroPotential, constrained_hamiltonian_dynamics, energy
+from .dynamics import DynamicsContext, ZeroPotential, constrained_dynamics, energy
 from .errors import (
     FieldSingularityError,
     GradientSingularityError,
@@ -204,8 +208,6 @@ class NPendulumConfig:
     lengths: tuple = ()
     gravity: float = 1.0
     dt: float = 0.03
-    angle_range: float = math.pi
-    rate_std: float = 0.5
 
     def __post_init__(self):
         _chain_masses_and_lengths(self)
@@ -221,22 +223,19 @@ class CoupledConfig:
     lengths: tuple = ()
     spring_k: float = 1.0
     pivot: tuple = (1.0, 0.0, 0.0)
-    rest_length: float = 0.0  # 0 means |pivot|
     gravity: float = 1.0
     dt: float = 0.03
-    angle_range: float = math.pi
-    rate_std: float = 0.5
 
     def __post_init__(self):
         _chain_masses_and_lengths(self)
         object.__setattr__(self, "pivot", tuple(float(v) for v in self.pivot))
         if len(self.pivot) != 3:
             raise ParameterDomainError("pivot must be a 3-vector")
-        if not math.isfinite(sum(v * v for v in self.pivot)):  # springs square |pivot|
+        # |pivot| is the springs' rest length, so its square must neither
+        # overflow nor underflow
+        if not 0.0 < sum(v * v for v in self.pivot) < math.inf:
             raise ParameterDomainError(
-                f"pivot must have a finite squared norm, got {list(self.pivot)}")
-        rest = self.rest_length or float(np.linalg.norm(self.pivot))
-        object.__setattr__(self, "rest_length", finite_positive("rest_length", (rest,))[0])
+                f"pivot must have a finite, positive squared norm, got {list(self.pivot)}")
         finite_positive("spring_k", (self.spring_k,))
         finite_positive("dt", (self.dt,))
 
@@ -252,8 +251,6 @@ class MagnetConfig:
     magnet_moments: tuple = ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
     gravity: float = 1.0
     dt: float = 0.03
-    polar_max: float = math.pi / 3.0
-    speed_std: float = 0.2
 
     def __post_init__(self):
         finite_positive("mass", (self.mass,))
@@ -271,18 +268,12 @@ class GyroscopeConfig:
 
     mass: float = 1.0
     moments: tuple = (0.05, 0.05, 0.09)
-    pivot_offset: tuple = (0.0, 0.0, -1.0)
     gravity: float = 1.0
     dt: float = 0.03
-    tilt_max: float = 0.3
-    spin_mean: float = 20.0
-    spin_std: float = 2.0
 
     def __post_init__(self):
         finite_positive("mass", (self.mass,))
         object.__setattr__(self, "moments", finite_positive("moments", self.moments))
-        object.__setattr__(self, "pivot_offset",
-                           tuple(float(v) for v in self.pivot_offset))
         finite_positive("dt", (self.dt,))
 
 
@@ -293,7 +284,6 @@ class RotorConfig:
     mass: float = 1.0
     moments: tuple = (0.03, 0.05, 0.09)
     dt: float = 0.03
-    spin_bias: float = 3.0
 
     def __post_init__(self):
         finite_positive("mass", (self.mass,))
@@ -338,7 +328,7 @@ class System:
         return energy(self._hamiltonian, z)
 
     def dynamics(self, z: np.ndarray) -> np.ndarray:
-        return constrained_hamiltonian_dynamics(self._hamiltonian, z)
+        return constrained_dynamics(self._hamiltonian, z)
 
 
 def disable_system_constraints(system: System, indices) -> System:
@@ -348,9 +338,9 @@ def disable_system_constraints(system: System, indices) -> System:
 
 # -- builders ----------------------------------------------------------------------
 
-def _pendulum_state(cfg: NPendulumConfig, mass: MassModel, q, qdot) -> np.ndarray:
-    X, V = pendulum_embed(q, qdot, cfg.lengths)
-    return _flat_state(X, velocity_to_momentum(V, mass))
+def _chain_angles(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Joint angles uniform on [-pi, pi) and rates N(0, 0.5^2), n each."""
+    return rng.uniform(-math.pi, math.pi, n), rng.normal(0.0, 0.5, n)
 
 
 def build_n_pendulum(cfg: NPendulumConfig) -> System:
@@ -362,9 +352,8 @@ def build_n_pendulum(cfg: NPendulumConfig) -> System:
     potential = LinearGravity(cfg.masses, axis=1, g=cfg.gravity)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        q = rng.uniform(-cfg.angle_range, cfg.angle_range, cfg.n)
-        qdot = rng.normal(0.0, cfg.rate_std, cfg.n)
-        return _pendulum_state(cfg, mass, q, qdot)
+        X, V = pendulum_embed(*_chain_angles(rng, cfg.n), cfg.lengths)
+        return _flat_state(X, velocity_to_momentum(V, mass))
 
     return System("npendulum", cfg, topology, mass, potential, sampler)
 
@@ -377,12 +366,11 @@ def build_coupled_pendulums(cfg: CoupledConfig) -> System:
     topology = SystemTopology(3, bodies, links, anchors=anchors)
     mass = assemble_mass_matrix(bodies)
     springs = SpringChain([(k, k + 1) for k in range(cfg.n - 1)],
-                          k=cfg.spring_k, rest=cfg.rest_length)
+                          k=cfg.spring_k, rest=float(np.linalg.norm(pivot)))
     potential = SumPotential(LinearGravity(cfg.masses, axis=1, g=cfg.gravity), springs)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        q = rng.uniform(-cfg.angle_range, cfg.angle_range, cfg.n)
-        qdot = rng.normal(0.0, cfg.rate_std, cfg.n)
+        q, qdot = _chain_angles(rng, cfg.n)
         azim = rng.uniform(0.0, 2.0 * math.pi, cfg.n)
         l = np.asarray(cfg.lengths)
         # each bob swings in its own vertical plane; the state stays tangent
@@ -405,12 +393,12 @@ def build_magnet_pendulum(cfg: MagnetConfig) -> System:
     potential = SumPotential(LinearGravity((cfg.mass,), axis=2, g=cfg.gravity), dipoles)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        theta = rng.uniform(0.0, cfg.polar_max)
+        theta = rng.uniform(0.0, math.pi / 3.0)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         x = cfg.length * np.array([math.sin(theta) * math.cos(phi),
                                    math.sin(theta) * math.sin(phi),
                                    -math.cos(theta)])
-        v = rng.normal(0.0, cfg.speed_std, 3)
+        v = rng.normal(0.0, 0.2, 3)
         v -= (v @ x) * x / (cfg.length ** 2)
         return _flat_state(x[:, None], velocity_to_momentum(v[:, None], mass))
 
@@ -428,18 +416,21 @@ def _rigid_body_state(mass: MassModel, R: np.ndarray, x_cm, v_cm,
 
 def build_gyroscope(cfg: GyroscopeConfig) -> System:
     bodies = (BodySpec.rigid(cfg.mass, cfg.moments),)
-    joint = Joint(body_a=0, c_a=cfg.pivot_offset, anchor=0)
+    # the center of mass sits one unit along body axis 3 from the pivot, as
+    # oracles.gyroscope_inertia assumes
+    pivot = (0.0, 0.0, -1.0)
+    joint = Joint(body_a=0, c_a=pivot, anchor=0)
     topology = SystemTopology(3, bodies, (joint,), anchors=(np.zeros(3),))
     mass = assemble_mass_matrix(bodies)
     potential = LinearGravity((cfg.mass, 0.0, 0.0, 0.0), axis=2, g=cfg.gravity)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        tilt = rng.uniform(0.0, cfg.tilt_max)
+        tilt = rng.uniform(0.0, 0.3)
         R = rotation_zxz(rng.uniform(0.0, 2.0 * math.pi), tilt,
                          rng.uniform(0.0, 2.0 * math.pi))
-        omega_body = np.array([0.0, 0.0, rng.normal(cfg.spin_mean, cfg.spin_std)])
-        x_cm = -R @ np.asarray(cfg.pivot_offset)
-        v_cm = -R @ skew(omega_body) @ np.asarray(cfg.pivot_offset)
+        omega_body = np.array([0.0, 0.0, rng.normal(20.0, 2.0)])
+        x_cm = -R @ np.asarray(pivot)
+        v_cm = -R @ skew(omega_body) @ np.asarray(pivot)
         return _rigid_body_state(mass, R, x_cm, v_cm, omega_body)
 
     return System("gyroscope", cfg, topology, mass, potential, sampler)
@@ -454,7 +445,7 @@ def build_rotor(cfg: RotorConfig) -> System:
         R = _random_rotation(rng)
         omega_body = rng.normal(0.0, 1.0, 3)
         mid = int(np.argsort(cfg.moments)[1])
-        omega_body[mid] += cfg.spin_bias * math.copysign(1.0, omega_body[mid])
+        omega_body[mid] += 3.0 * math.copysign(1.0, omega_body[mid])
         return _rigid_body_state(mass, R, np.zeros(3), np.zeros(3), omega_body)
 
     return System("rotor", cfg, topology, mass, ZeroPotential(), sampler)

@@ -29,7 +29,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     substeps: int = 1
     seed: int = 0
-    checkpoint_every: int = 0  # 0: only the final checkpoint
     max_bad_steps: int = 10
 
     def __post_init__(self):
@@ -39,8 +38,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "lr", "substeps", "max_bad_steps"):
             if getattr(self, name) <= 0:
                 raise ParameterDomainError(f"{name} must be positive")
-        if self.weight_decay < 0 or self.checkpoint_every < 0:
-            raise ParameterDomainError("weight_decay and checkpoint_every must be >= 0")
+        if self.weight_decay < 0:
+            raise ParameterDomainError("weight_decay must be >= 0")
 
 
 def cosine_lr(epoch: int, config: TrainConfig) -> float:
@@ -180,8 +179,6 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
         history.append((float(epoch), mean_loss, lr_t))
         if log is not None:
             log(f"epoch {epoch}: loss {mean_loss:.6g} lr {lr_t:.3g}")
-        if checkpoint_dir and config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
-            save_checkpoint(store, os.path.join(checkpoint_dir, f"epoch_{epoch + 1:05d}.cmk"))
     if checkpoint_dir:
         save_checkpoint(store, os.path.join(checkpoint_dir, "final.cmk"))
     return TrainResult(store=store, history=np.array(history), bad_steps=bad_total)

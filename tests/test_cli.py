@@ -65,6 +65,41 @@ def test_print_config_resolves_system_defaults():
     assert "dt" not in doc["system"]
 
 
+SYSTEM_KEYS = {
+    "npendulum": {"n", "masses", "lengths", "gravity", "dt"},
+    "coupled": {"n", "masses", "lengths", "spring_k", "pivot", "gravity", "dt"},
+    "magnet": {"mass", "length", "strength", "magnet_positions", "magnet_moments",
+               "gravity", "dt"},
+    "gyroscope": {"mass", "moments", "gravity", "dt"},
+    "rotor": {"mass", "moments", "dt"},
+}
+RUN_KEYS = {
+    "data": {"n_traj", "steps", "dt", "rtol", "atol", "seed"},
+    "model": {"kind", "hidden"},
+    "train": {"epochs", "batch_size", "lr", "weight_decay", "substeps", "seed",
+              "max_bad_steps"},
+    "eval": {"horizon", "n_test", "seed"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEM_KEYS))
+def test_configuration_holds_exactly_the_settable_keys(kind):
+    # the initial-state draws are fixed in the samplers, not settable
+    from dataclasses import fields
+
+    from cartmech.systems import build_system, system_to_dict
+    from cartmech.training import TrainConfig
+
+    assert set(system_to_dict(build_system(kind))) == SYSTEM_KEYS[kind] | {"kind"}
+    rc, out, err = run_cli("print-config", "--set", f"system.kind={kind}")
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert set(doc["system"]) == SYSTEM_KEYS[kind] - {"dt"} | {"kind"}
+    assert {section: set(doc[section]) for section in RUN_KEYS} == RUN_KEYS
+    assert set(doc) == set(RUN_KEYS) | {"system"}
+    assert {f.name for f in fields(TrainConfig)} == RUN_KEYS["train"]
+
+
 def test_unknown_key_reports_dotted_path():
     rc, _, err = run_cli("print-config", "--set", "data.bogus=1")
     assert rc == 1
@@ -288,23 +323,25 @@ def test_truncated_checkpoint_exits_1_without_traceback(workdir, tmp_path):
 
 
 def test_field_singularity_exits_2_without_traceback(tmp_path):
-    # a magnet right below the pivot and a bead that starts at the bottom of
-    # the sphere: the first field evaluation is at the dipole
+    # one magnet where the first train trajectory's bead starts (data.seed 0,
+    # trajectory 0): the first field evaluation is at the dipole
+    from cartmech.systems import build_system
+
+    bead = build_system("magnet").sample(np.random.default_rng([0, 0]))[:3]
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cartmech.cli", "generate",
          "--set", "system.kind=magnet",
-         "--set", "system.magnet_positions=[[0.0,0.0,-1.0]]",
+         "--set", f"system.magnet_positions={json.dumps([bead.tolist()])}",
          "--set", "system.magnet_moments=[[0.0,0.0,1.0]]",
-         "--set", "system.polar_max=0.0",
          "--set", "data.n_traj=1", "--set", "data.steps=5", "--set", "eval.n_test=1",
          "--out", str(tmp_path / "D")],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "numeric failure" in proc.stderr
+    assert "numeric failure: pendulum within 1e-06 of the magnet" in proc.stderr
 
 
 def test_bad_arguments_exit_1_not_2():
@@ -327,7 +364,7 @@ def test_non_finite_learning_rate_or_decay_exits_1_and_writes_nothing(workdir, t
 
 
 @pytest.mark.parametrize("settings", [
-    ("system.angle_range=1e400",),
+    ("system.gravity=1e400",),
     ("system.gravity=NaN",),
     ("system.kind=magnet", "system.magnet_moments=[[0,0,NaN],[0,0,1]]"),
     ("system.gravity=1" + "0" * 400,),  # an integer beyond the floats
@@ -345,6 +382,8 @@ def test_non_finite_system_parameter_exits_1_naming_its_key(settings):
     (("system.kind=coupled", "system.pivot=[NaN,0,0]"), "pivot"),
     (("system.kind=coupled", "system.pivot=[1e200,1e200,0]"), "pivot"),
     (("system.n=1" + "0" * 400,), "n"),  # more pendulums than an index holds
+    (("system.kind=coupled", "system.pivot=[1e-200,0,0]"), "pivot"),  # |pivot|^2 underflows
+    (("system.kind=coupled", "system.pivot=[0,0,0]"), "pivot"),
 ])
 def test_out_of_domain_system_parameter_exits_1_naming_it_without_warning(settings, name):
     # not the rest length derived from the pivot, numpy's overflow warning or
@@ -549,6 +588,10 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         (("simulate", "--set", "data.rtol=NaN"), 1, "rtol", "nan"),
         (("simulate", "--set", "eval.horizon=1e400"), 1, "eval.horizon", "inf"),
         (("simulate", "--set", "eval.horizon=NaN"), 1, "eval.horizon", "nan"),
+        # finite, but horizon / dt overflows: simulate refuses it, evaluate
+        # scores the whole test set
+        (("simulate", "--set", "eval.horizon=1e307"), 1, "eval.horizon", "1e+307", "finite"),
+        ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=1e307"), 0),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=1e400"), 1, "horizon", "inf"),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=NaN"), 1, "horizon", "nan"),
         ((*evaluate(good_ckpt, data / "test"), "--set", "eval.horizon=0"), 1, "horizon", "0.0"),

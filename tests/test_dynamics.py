@@ -14,7 +14,6 @@ from cartmech.dynamics import (
     constrained_dynamics,
     constrained_hamiltonian_field,
     constrained_lagrangian_field,
-    constrained_hamiltonian_dynamics,
     constrained_lagrangian_dynamics,
     convert_flavor,
     energy,
@@ -66,7 +65,7 @@ def hanging_state(n=1):
 def test_hanging_equilibrium_and_multiplier():
     ctx = pendulum_ctx(1)
     z = hanging_state(1)
-    zdot = constrained_hamiltonian_dynamics(ctx, z)
+    zdot = constrained_dynamics(ctx, z)
     np.testing.assert_allclose(zdot, 0.0, atol=1e-12)
     X, V = ctx.split(z)
     _, lam = constrained_lagrangian_dynamics(ctx, X, V)
@@ -81,7 +80,7 @@ def test_horizontal_release():
     ctx = pendulum_ctx(1)
     X = np.array([[1.0], [0.0]])
     z = np.concatenate([flatten_matrix(X), np.zeros(2)])
-    zdot = constrained_hamiltonian_dynamics(ctx, z)
+    zdot = constrained_dynamics(ctx, z)
     np.testing.assert_allclose(zdot, [0.0, 0.0, 0.0, -1.0], atol=1e-12)
 
 
@@ -94,7 +93,7 @@ def test_circular_motion_centripetal():
         xddot, _ = constrained_lagrangian_dynamics(ctx, X, V)
         np.testing.assert_allclose(xddot, [[0.0], [v * v]], atol=1e-10)
         z = np.concatenate([flatten_matrix(X), flatten_matrix(V)])
-        zdot = constrained_hamiltonian_dynamics(ctx, z)  # m = 1: p = v
+        zdot = constrained_dynamics(ctx, z)  # m = 1: p = v
         np.testing.assert_allclose(zdot[2:], [0.0, v * v], atol=1e-10)
 
 
@@ -108,7 +107,7 @@ def test_projection_is_idempotent_and_kills_constraint_drift():
         np.testing.assert_allclose(P @ P, P, atol=1e-9)
         zdot = P @ symplectic_apply(grad_hamiltonian(ctx, z))
         np.testing.assert_allclose(DPsi @ zdot, 0.0, atol=1e-9)
-        np.testing.assert_allclose(zdot, constrained_hamiltonian_dynamics(ctx, z), atol=1e-9)
+        np.testing.assert_allclose(zdot, constrained_dynamics(ctx, z), atol=1e-9)
 
 
 @pytest.mark.parametrize("name", system_names())
@@ -217,7 +216,7 @@ def test_degenerate_configuration_raises():
     ctx = pendulum_ctx(1)
     z = np.zeros(4)  # bob at the pivot: DPhi = 0
     with pytest.raises(DegenerateConfigurationError):
-        constrained_hamiltonian_dynamics(ctx, z)
+        constrained_dynamics(ctx, z)
 
 
 def test_convert_flavor_roundtrip():

@@ -100,6 +100,24 @@ def test_evaluate_model_needs_a_finite_positive_horizon(horizon):
     assert evaluate_model(model, store, dataset, horizon=0.06).times.size == 3
 
 
+def test_evaluate_model_horizon_of_infinitely_many_steps_scores_the_whole_set():
+    # horizon / dt overflows to inf; it scores every time, as any horizon
+    # longer than the set does
+    from cartmech.dataset import generate_dataset
+    from cartmech.metrics import evaluate_model
+    from cartmech.models import build_model
+
+    system = build_system("npendulum", n=2)
+    dataset = generate_dataset(system, 1, steps=5, seed=0, split="test")
+    model = build_model("node", system, hidden=(4,))
+    store = model.init_params(np.random.default_rng(0))
+    whole = evaluate_model(model, store, dataset)
+    for horizon in (1e307, 1.0):
+        result = evaluate_model(model, store, dataset, horizon=horizon)
+        np.testing.assert_array_equal(result.times, whole.times)
+        np.testing.assert_array_equal(result.rel_err, whole.rel_err)
+
+
 @pytest.mark.parametrize("name, shape", [("potential.b0", (1,)), ("potential.b0", ()),
                                          ("mass.log_m0", (1,)), ("mass.log_m1", None)])
 def test_evaluate_model_rejects_parameters_that_do_not_fit(name, shape):
