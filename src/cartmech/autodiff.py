@@ -10,14 +10,15 @@ order comes from calling grad on a graph that already contains a gradient,
 e.g. the input gradient of a learned potential).  On a graph=False tape it
 runs the same rules on the nodes' values and returns arrays with the graph's
 bits, appending nothing (training's backward pass).  The generic ops support
-any order.  The fused tanh MLP is one `mlp` node whose derivatives are
-written in closed form; mlp_pullback returns its output with a pullback for
-any output cotangent, which records the x-adjoint as one `mlp_vjp` node.  It
-supports exactly second order: its second-order outputs and parameter
-adjoints have no backward rule, and grad() raises NotImplementedError naming
-such an op.  fused() and define_vjp() let other modules record a composite
-function as one node with a closed-form first-order VJP (the constrained
-fields of dynamics); its adjoints have no rule either.
+any order.  The fused tanh MLP is one `mlp` node whose derivatives are written
+in closed form; mlp_pullback returns its output with a pullback for any output
+cotangent, which records the x-adjoint as one `mlp_vjp` node keeping the
+backward errors alone: its second order rebuilds the slopes and deltas from
+them, bit for bit.  The MLP supports exactly second order: its second-order
+outputs and parameter adjoints have no backward rule, and grad() raises
+NotImplementedError naming such an op.  fused() and define_vjp() let other
+modules record a composite function as one node with a closed-form first-order
+VJP (the constrained fields of dynamics); its adjoints have no rule either.
 
 Every op also takes plain arrays: with no node among its operands it returns
 the numpy result and records nothing, so the same code runs on arrays
@@ -509,17 +510,13 @@ def _times_transpose(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _mlp_backward(weights: list, hidden: list, g: np.ndarray) -> tuple:
-    """(slopes, deltas, errs) of the backward pass for the output cotangent g,
-    all arrays; an `mlp_vjp` node keeps them for its second order."""
-    slopes = []
-    for h in hidden:
-        s = h * h
-        slopes.append(np.subtract(1.0, s, out=s))
+    """(deltas, errs) of the backward pass for the output cotangent g, all
+    arrays; an `mlp_vjp` node keeps errs alone (see _vjp_mlp_vjp)."""
     deltas, errs = [g], []
     for k in range(len(weights) - 1, 0, -1):
         errs.insert(0, _times_transpose(deltas[0], weights[k]))
-        deltas.insert(0, errs[0] * slopes[k - 1])
-    return slopes, deltas, errs
+        deltas.insert(0, errs[0] * (1.0 - hidden[k - 1] * hidden[k - 1]))
+    return deltas, errs
 
 
 def mlp_pullback(params: dict, x, prefix: str = "mlp"):
@@ -556,7 +553,7 @@ def mlp_pullback(params: dict, x, prefix: str = "mlp"):
         weights = values[1::2]
 
         def pullback(g):
-            _, deltas, _ = _mlp_backward(weights, hidden, np.asarray(g, dtype=float))
+            deltas, _ = _mlp_backward(weights, hidden, np.asarray(g, dtype=float))
             return _times_transpose(deltas[0], weights[0])
 
         return y, pullback
@@ -579,14 +576,14 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def _vjp_mlp(out, args, hidden, g, need):
-    """x-adjoint as an `mlp_vjp` node; parameter adjoints from the same pass
-    (all arrays when g and args are)."""
+    """x-adjoint as an `mlp_vjp` node keeping (hidden, errs), hidden the `mlp`
+    node's own list; parameter adjoints from the same pass (arrays when g and args are)."""
     weights = [_value(w) for w in args[1::2]]
-    slopes, deltas, errs = _mlp_backward(weights, hidden, _value(g))
+    deltas, errs = _mlp_backward(weights, hidden, _value(g))
     grads = [None] * len(args)
     if need[0]:
         grads[0] = _adjoint(_times_transpose(deltas[0], weights[0]), "mlp_vjp", g, args,
-                            (hidden, slopes, deltas, errs))
+                            (hidden, errs))
     acts = [_value(args[0]), *hidden]
     for k, delta in enumerate(deltas):
         if need[1 + 2 * k]:
@@ -604,9 +601,11 @@ def _vjp_mlp_vjp(out, args, saved, u, need):
     The adjoint of W_k gathers (t_{k-1} s_k)^T delta_k (u^T delta_0 for k = 0)
     and, since delta_{k-1} = e_k s_k reads s_k = 1 - h_k^2, the adjoint
     -2 h_k t_{k-1} e_k of h_k flows back through the forward pass to x and
-    the parameters below layer k.
+    the parameters below layer k.  The node keeps (hidden, errs): s_k and
+    delta_k = e_k s_k are rebuilt bit for bit, and delta_{L-1} is g, args[0].
     """
-    hidden, slopes, deltas, errs = saved
+    hidden, errs = saved
+    slopes = [1.0 - h * h for h in hidden]
     weights = [_value(w) for w in args[2::2]]
     acts = [_value(args[1]), *hidden]
     n_layers = len(weights)
@@ -615,7 +614,8 @@ def _vjp_mlp_vjp(out, args, saved, u, need):
     tangents = [np.matmul(ebar, weights[0])]
     for k in range(n_layers):
         if need[2 + 2 * k]:
-            grads[2 + 2 * k] = _rows(ebar).T @ _rows(deltas[k])
+            delta = errs[k] * slopes[k] if k + 1 < n_layers else _value(args[0])
+            grads[2 + 2 * k] = _rows(ebar).T @ _rows(delta)
         if k + 1 < n_layers:
             ebar = tangents[k] * slopes[k]
             if k + 2 < n_layers or need[0]:

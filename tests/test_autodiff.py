@@ -368,7 +368,7 @@ def _composed_mlp(params, x, prefix="mlp"):
     return h
 
 
-MLP_DEPTHS = [(), (8,), (8, 8)]
+MLP_DEPTHS = [(), (8,), (8, 8), (8, 8, 8)]
 
 
 def _every_rule_loss(tape, vals):

@@ -267,6 +267,34 @@ def test_train_holds_one_step_graph_at_each_backward_pass(monkeypatch):
     assert counts == [counts[0]] * 6
 
 
+@pytest.mark.parametrize("kind", ["chnn", "hnn2d"])
+def test_mlp_vjp_nodes_keep_their_errors_and_share_the_mlp_hidden_list(kind):
+    # a training step's forward tape: each `mlp_vjp` node saves (hidden, errs),
+    # hidden being its `mlp` node's own list, one err per hidden layer; the
+    # second order rebuilds the slopes and deltas from them
+    from cartmech.systems import build_system
+    from test_models import lagrangian_batch
+
+    hidden = (8, 8)
+    system = build_system("npendulum", n=2)
+    model = build_model(kind, system, hidden=hidden)
+    _, W = lagrangian_batch(system, np.random.default_rng(5), 4)
+    tape = ad.Tape(graph=False)
+    store = model.init_params(np.random.default_rng(0))
+    trajectory_loss_node(model, store.leaves(tape), np.stack([W] * 3, axis=1))
+    mlps = [node for node in tape.nodes if node.op == "mlp"]
+    vjps = [node for node in tape.nodes if node.op == "mlp_vjp"]
+    assert vjps
+    for vjp in vjps:
+        (mlp,) = [m for m in mlps if len(m.parents) == len(vjp.parents) - 1
+                  and all(a is b for a, b in zip(m.parents, vjp.parents[1:]))]
+        assert len(vjp.extra) == 2
+        saved_hidden, errs = vjp.extra
+        assert saved_hidden is mlp.extra
+        assert len(errs) == len(hidden)
+        assert [e.shape for e in errs] == [h.shape for h in saved_hidden]
+
+
 def test_train_aborts_after_consecutive_bad_steps():
     class Exploding:
         def __init__(self, system):
@@ -362,7 +390,7 @@ def test_train_rejects_chunks_without_rows_or_steps(tmp_path):
     assert not (tmp_path / "final.cmk").exists()
 
 
-def test_checkpoints_written_at_cadence(tmp_path):
+def test_checkpoint_written_once_when_training_ends(tmp_path):
     system = free_particle_system()
     model = build_model("node", system, hidden=(4,))
     chunks = free_particle_chunks(np.random.default_rng(10), 8)
