@@ -22,10 +22,11 @@ VJP (the constrained fields of dynamics); its adjoints have no rule either.
 
 Every op also takes plain arrays: with no node among its operands it returns
 the numpy result and records nothing, so the same code runs on arrays
-(evaluation, ground truth) and on nodes (training).  On arrays the MLP's
-pullback is its numpy backward pass, so no evaluation opens a tape.  Node
-has the operators +, * and @ and the method .reshape(shape), each recording
-the op its function form records: the constraint Jacobians,
+(evaluation, ground truth) and on nodes (training).  fused() and the MLP's
+pullback are no exception: they run the same forward and backward code on
+both, which returns arrays when no operand is a node, so no evaluation opens
+a tape.  Node has the operators +, * and @ and the method .reshape(shape),
+each recording the op its function form records: the constraint Jacobians,
 bodies.apply_on_points and RK4 are written with them, and numpy runs the
 same expressions in C on arrays, without a Python call per op.  Node sets
 __array_ufunc__ = None, so numpy hands `array @ node` to the node.
@@ -142,11 +143,6 @@ def fused(op, forward, operands):
     (arrays among its parents stay arrays) that keeps saved for op's rule (see
     define_vjp); otherwise it stays the plain value.  Returns (value, saved).
     """
-    for a in operands:
-        if isinstance(a, Node):
-            break
-    else:
-        return forward(*operands)
     value, saved = forward(*[_value(a) for a in operands])
     return _record(op, lambda *_: value, operands, saved), saved
 
@@ -523,15 +519,15 @@ def mlp_pullback(params: dict, x, prefix: str = "mlp"):
     """(y, pullback): the tanh MLP on rows of x (linear final layer) and the
     map from an output cotangent g, shaped like y, to the adjoint of x.
 
-    On plain arrays both are numpy and nothing is recorded: pullback(g) is the
-    closed-form backward pass, with no tape.  With a node among x and the
-    parameters, y is one `mlp` node for any depth, keeping the hidden
-    activations, and pullback(g) records one `mlp_vjp` node on any tape, as
-    grad() does on a graph tape (an array g stays an array among its
-    parents).  That node is differentiable once more in closed form: a JVP in
-    the cotangent and a Hessian-vector product in x and in every parameter.
-    Those second-order outputs, and the parameter adjoints of the `mlp` node,
-    are plain numpy: differentiating them again raises NotImplementedError.
+    y is one `mlp` node for any depth, keeping the hidden activations, and
+    pullback(g) runs that node's backward rule for x, which records one
+    `mlp_vjp` node on any tape, as grad() does on a graph tape (an array g
+    stays an array among its parents).  On plain arrays, as for every op, both
+    are numpy and nothing is recorded.  The `mlp_vjp` node is differentiable
+    once more in closed form: a JVP in the cotangent and a Hessian-vector
+    product in x and in every parameter.  Those second-order outputs, and the
+    parameter adjoints of the `mlp` node, are plain numpy: differentiating
+    them again raises NotImplementedError.
     """
     n_layers = sum(1 for name in params if name.startswith(f"{prefix}.w"))
     if not n_layers:
@@ -549,19 +545,11 @@ def mlp_pullback(params: dict, x, prefix: str = "mlp"):
         if k < n_layers - 1:
             h = np.tanh(y, out=y)
             hidden.append(h)
-    if not any(isinstance(n, Node) for n in inputs):
-        weights = values[1::2]
-
-        def pullback(g):
-            deltas, _ = _mlp_backward(weights, hidden, np.asarray(g, dtype=float))
-            return _times_transpose(deltas[0], weights[0])
-
-        return y, pullback
     node = _record("mlp", lambda *_: y, inputs, hidden)
     need_x = (1,) + (0,) * (2 * n_layers)
 
     def pullback(g):
-        return _vjp_mlp(node, node.parents, hidden, g, need_x)[0]
+        return _vjp_mlp(node, inputs, hidden, g, need_x)[0]
 
     return node, pullback
 
@@ -622,11 +610,8 @@ def _vjp_mlp_vjp(out, args, saved, u, need):
                 tangents.append(np.matmul(ebar, weights[k + 1]))
     if need[0]:
         grads[0] = tangents[-1]
-    # the sweep runs down to the lowest layer that owes x or a parameter something
-    owed = [j for j in range(n_layers - 1) if need[2 + 2 * j] or need[3 + 2 * j]]
-    stop = 0 if need[1] else owed[0] if owed else n_layers - 1
     abar = None
-    for k in range(n_layers - 1, stop, -1):
+    for k in range(n_layers - 1, 0, -1):
         hbar = -2.0 * hidden[k - 1]
         hbar *= tangents[k - 1]
         hbar *= errs[k - 1]

@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     except (NumericFailure, FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 2
-    except (CartmechError, ValueError, OSError) as err:
+    except (CartmechError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

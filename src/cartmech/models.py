@@ -5,18 +5,19 @@ model builds from them alone; every other method takes the bound leaves and
 a (B, D) state batch and is written with the autodiff ops, so one code path
 runs on the tape (training: one tape per loss) and on plain arrays
 (evaluation: no tape at all).  Input gradients of the networks come from
-autodiff.mlp_pullback, which is the numpy backward pass on arrays.  CHNN and
-CLNN keep the system's known constraints, learn per-body masses plus an MLP
-potential, build that mass from the ground truth's own mass blocks and run
-its own constrained flows and flavor change; NODE learns the flat vector
-field; HNN2D learns a Hamiltonian in joint angles with a
-Cholesky-parametrized inverse mass (pendulum chains only), and its field is
-that Hamiltonian's gradient written out around the pullbacks of its two
-networks.  Data is Cartesian (x, xdot), so each model converts into and out
-of its own state; the angle models decode through the ground truth's chain
-embedding.  A rollout or a loss binds once and decodes all of its states in
-one batched call, so CHNN and CLNN build their learned mass once per
-rollout or loss, and nothing built from a state is kept.
+autodiff.mlp_pullback, on nodes and on arrays alike.  CHNN and CLNN keep the
+system's known constraints, learn per-body masses plus an MLP potential,
+build that mass from the ground truth's own mass blocks and run its own
+constrained flows and flavor change; NODE learns the flat vector field;
+HNN2D learns a Hamiltonian in joint angles with a Cholesky-parametrized
+inverse mass (pendulum chains only), and its field is that Hamiltonian's
+gradient written out around the pullbacks of its two networks.  Data is
+Cartesian (x, xdot): to_state_node takes Cartesian (B, 2dn) arrays into the
+model's own state and decode_node takes states back; the angle models decode
+through the ground truth's chain embedding.  A rollout or a loss binds once
+and decodes all of its states in one batched call, so CHNN and CLNN build
+their learned mass once per rollout or loss, and nothing built from a state
+is kept.
 """
 from __future__ import annotations
 
@@ -54,15 +55,12 @@ class DynamicsModel:
     def dynamics_node(self, leaves: dict, w):
         raise NotImplementedError
 
-    def to_state_node(self, leaves: dict, raw):
-        return raw
+    def to_state_node(self, leaves: dict, xv: np.ndarray):
+        """Cartesian (B, 2dn) states, an array, to the model's own state."""
+        return xv
 
     def decode_node(self, leaves: dict, w):
         return w
-
-    def encode(self, xv: np.ndarray) -> np.ndarray:
-        """Cartesian (B, 2dn) states to the raw input of to_state_node."""
-        return xv
 
     def check_params(self, store: ad.ParamStore) -> None:
         """ShapeError unless the store's parameter names and each parameter's
@@ -90,7 +88,7 @@ class DynamicsModel:
         params = self.bind(dict(store.items()))
         xv0 = np.atleast_2d(np.asarray(xv0, dtype=float))
         times = np.asarray(times, dtype=float)
-        w0 = self.to_state_node(params, self.encode(xv0))
+        w0 = self.to_state_node(params, xv0)
         states = rollout_fixed(lambda w: self.dynamics_node(params, w), w0, times,
                                substeps=substeps)
         xv = self.decode_node(params, np.concatenate(states, axis=0))
@@ -161,8 +159,8 @@ class CHNN(_ConstrainedModel):
         return hamiltonian_flow(self._constraints, leaves["mass"][1],
                                 lambda x: self._grad_potential(leaves, x), z)
 
-    def to_state_node(self, leaves: dict, raw):
-        return change_flavor(leaves["mass"][0], raw)
+    def to_state_node(self, leaves: dict, xv):
+        return change_flavor(leaves["mass"][0], xv)
 
     def decode_node(self, leaves: dict, w):
         return change_flavor(leaves["mass"][1], w)
@@ -201,12 +199,15 @@ class _AngularModel(DynamicsModel):
         self.n_angles = system.config.n
         self._lengths = np.asarray(system.config.lengths)
 
-    def encode(self, xv: np.ndarray) -> np.ndarray:
-        xv = np.atleast_2d(xv)
+    def _angles(self, xv: np.ndarray) -> np.ndarray:
+        """Cartesian (B, 4N) states to (q, qdot) (B, 2N)."""
         dn = xv.shape[-1] // 2
         q, qdot = pendulum_angles(unflatten_matrix(xv[..., :dn], 2),
                                   unflatten_matrix(xv[..., dn:], 2), self._lengths)
         return np.concatenate([q, qdot], axis=-1)
+
+    def to_state_node(self, leaves: dict, xv):
+        return self._angles(xv)
 
     def _embed_node(self, q, qdot):
         """Differentiable chain embedding (q, qdot) (B, N) -> flat (x, xdot) (B, 4N)."""
@@ -293,7 +294,8 @@ class HNN2D(_AngularModel):
                       ad.mul(ad.narrow(d_inp, 1, 0, N), cos_q))
         return ad.concat([qdot, pdot], axis=1)
 
-    def to_state_node(self, leaves: dict, raw):
+    def to_state_node(self, leaves: dict, xv):
+        raw = self._angles(xv)
         B, N = raw.shape[0], self.n_angles
         _, _, _, L, _ = self._chart(leaves, raw)
         minv = ad.matmul(L, ad.transpose(L))

@@ -97,10 +97,9 @@ def pendulum_embed(q, qdot, lengths) -> tuple:
     this).  Each sum down the chain is one product with triu(ones), and the
     rates enter as (l qdot) cos q.
     """
-    q = q if isinstance(q, ad.Node) else np.asarray(q, dtype=float)
     l = np.asarray(lengths, dtype=float)
     down = np.triu(np.ones((l.size, l.size)))  # column j sums the links i <= j
-    row = q.shape[:-1] + (1, l.size)
+    row = np.shape(q)[:-1] + (1, l.size)
     s, c = ad.reshape(ad.sin(q), row), ad.reshape(ad.cos(q), row)
     X = ad.matmul(ad.mul(ad.concat([s, ad.neg(c)], axis=-2), l), down)
     V = ad.matmul(ad.mul(ad.concat([c, s], axis=-2), ad.reshape(ad.mul(l, qdot), row)), down)

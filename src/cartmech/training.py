@@ -69,26 +69,26 @@ class AdamW:
             store[name] = store[name] * (1.0 - lr * self.weight_decay) - lr * update
 
 
-def trajectory_loss_node(model, leaves: dict, chunks: np.ndarray,
-                         substeps: int = 1) -> ad.Node:
-    """Mean L1 rollout error of a chunk batch, as a tape node.
+def trajectory_loss_node(model, leaves: dict, chunks: np.ndarray, substeps: int = 1):
+    """Mean L1 rollout error of a chunk batch, as a tape node (an array when
+    no leaf is a node).
 
     chunks is (B, T, 2dn) Cartesian ground truth at uniform dt spacing; the
-    model is started from column 0 and compared against columns 1..T-1.
-    leaves are the parameters' tape nodes, which the model binds once.  The
-    predicted states are decoded in one call, time-major; each time's L1
-    error is summed over (B, 2dn) and those sums are added in time order.
+    model is started from column 0 and compared against columns 1..T-1,
+    which stay an array operand.  leaves are the parameters, which the model
+    binds once.  The predicted states are decoded in one call, time-major;
+    each time's L1 error is summed over (B, 2dn) and those sums are added in
+    time order.
     """
     chunks = np.asarray(chunks, dtype=float)
     B, T, D = chunks.shape
-    tape = next(iter(leaves.values())).tape
     leaves = model.bind(leaves)
     times = model.system.dt * np.arange(T)
-    w0 = model.to_state_node(leaves, model.encode(chunks[:, 0]))
+    w0 = model.to_state_node(leaves, chunks[:, 0])
     states = rollout_fixed(lambda w: model.dynamics_node(leaves, w), w0, times,
                            substeps=substeps)
     pred = model.decode_node(leaves, ad.concat(states[1:], axis=0))
-    truth = tape.constant(chunks[:, 1:].swapaxes(0, 1).reshape(-1, D))
+    truth = chunks[:, 1:].swapaxes(0, 1).reshape(-1, D)
     err = ad.reshape(ad.absolute(ad.sub(pred, truth)), (T - 1, B, D))
     total = ad.reduce_sum(ad.reduce_sum(err, axis=(1, 2)))
     return ad.mul(total, 1.0 / (B * (T - 1)))

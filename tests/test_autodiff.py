@@ -13,7 +13,9 @@ from cartmech.autodiff import (
     mlp_init,
 )
 from cartmech.dataset import load_checkpoint, save_checkpoint
+from cartmech.dynamics import constrained_hamiltonian_field, constrained_lagrangian_field
 from cartmech.errors import FormatError, ShapeError
+from cartmech.systems import build_system
 from reference_fields import input_gradient
 
 
@@ -642,24 +644,46 @@ def test_ops_on_plain_arrays_return_numpy_results_and_record_nothing(monkeypatch
                            if i != at)
                 assert _same_bits(out.value, expected(*args))
 
-    # the fused MLP and its pullback: plain numpy without a tape on arrays,
-    # the same bits as the `mlp` and `mlp_vjp` nodes
-    params = mlp_init(rng, 4, (5,), 1)
+    # the fused MLP and its pullback at every depth: plain numpy without a
+    # tape on arrays, the same bits as the `mlp` and `mlp_vjp` nodes
     g = rng.normal(size=(3, 1))
-    monkeypatch.setattr(ad, "Tape", CountingTape)
-    plain, pullback = ad.mlp_pullback(params, a)
-    gx = pullback(g)
-    assert isinstance(plain, np.ndarray) and isinstance(gx, np.ndarray)
-    assert not tapes
-    monkeypatch.undo()
-    tape = Tape()
-    leaves = {k: tape.constant(v) for k, v in params.items()}
-    node, node_pullback = ad.mlp_pullback(leaves, tape.constant(a))
-    assert _same_bits(plain, node.value) and _same_bits(plain, mlp_apply(params, a))
-    gx_node = node_pullback(g)
-    assert gx_node.op == "mlp_vjp" and gx_node.parents[1:] == node.parents
-    assert gx_node.parents[0] is g
-    assert _same_bits(gx, gx_node.value)
+    for hidden in MLP_DEPTHS:
+        params = mlp_init(rng, 4, hidden, 1)
+        monkeypatch.setattr(ad, "Tape", CountingTape)
+        plain, pullback = ad.mlp_pullback(params, a)
+        gx = pullback(g)
+        assert isinstance(plain, np.ndarray) and isinstance(gx, np.ndarray)
+        assert not tapes
+        monkeypatch.undo()
+        tape = Tape()
+        leaves = {k: tape.constant(v) for k, v in params.items()}
+        node, node_pullback = ad.mlp_pullback(leaves, tape.constant(a))
+        assert _same_bits(plain, node.value) and _same_bits(plain, mlp_apply(params, a))
+        gx_node = node_pullback(g)
+        assert gx_node.op == "mlp_vjp" and gx_node.parents[1:] == node.parents
+        assert gx_node.parents[0] is g
+        assert _same_bits(gx, gx_node.value), hidden
+
+    # fused ops: the two-pendulum's constrained fields on arrays open no tape
+    # and give the bits of the one fused node they record on the tape
+    system = build_system("npendulum", n=2)
+    ctx, cs = system.context(), system.topology.constraint_set
+    Z = system.sample(np.random.default_rng(29), 3)
+    dn = Z.shape[-1] // 2
+    x, v = Z[:, :dn], Z[:, dn:]
+    operands = (ctx.mass.inverse.T, ctx.grad_potential(x), v, cs.dphi(x), cs.dphidot_x(v))
+    fields = {"hamiltonian_field": constrained_hamiltonian_field,
+              "lagrangian_field": lambda *args: constrained_lagrangian_field(*args)[0]}
+    for op, field in fields.items():
+        monkeypatch.setattr(ad, "Tape", CountingTape)
+        plain = field(*operands)
+        assert isinstance(plain, np.ndarray)
+        assert not tapes
+        monkeypatch.undo()
+        tape = Tape()
+        node = field(tape.constant(operands[0]), *operands[1:])
+        assert node.op == op and len(tape) == 2
+        assert _same_bits(plain, node.value), op
 
 
 def test_gradients_through_narrow_of_concat_match_finite_differences():

@@ -351,6 +351,18 @@ def test_bad_arguments_exit_1_not_2():
     assert rc == 1
 
 
+def test_argument_too_large_to_allocate_exits_1_without_traceback(monkeypatch, tmp_path):
+    # a stand-in for numpy's error on, say, data.steps=1e13: a real request
+    # that size may be granted and paged in where memory is overcommitted
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(cli, "generate_dataset", fail)
+    rc, _, err = run_cli("generate", *TINY, "--out", str(tmp_path / "data"))
+    assert rc == 1
+    assert "error: Unable to allocate 72.8 TiB" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("setting", ["train.lr=NaN", "train.lr=1e400",
                                      "train.weight_decay=NaN", "train.weight_decay=1e400"])
 def test_non_finite_learning_rate_or_decay_exits_1_and_writes_nothing(workdir, tmp_path, setting):

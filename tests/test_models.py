@@ -153,15 +153,14 @@ def test_state_conversion_roundtrip_all_kinds():
     for kind in MODEL_KINDS:
         model = build_model(kind, system, hidden=(8,))
         store = model.init_params(np.random.default_rng(4))
-        raw = model.encode(W)
         tape = ad.Tape()
         leaves = model.bind({k: tape.constant(v) for k, v in store.items()})
-        w = model.to_state_node(leaves, tape.constant(raw))
-        back = model.decode_node(leaves, w).value
+        w = model.to_state_node(leaves, W)
+        back = ad._value(model.decode_node(leaves, w))
         np.testing.assert_allclose(back, W, atol=1e-9, err_msg=kind)
 
 
-def test_angular_encode_inverts_embedding():
+def test_angular_state_inverts_embedding():
     system = build_system("npendulum", n=3, lengths=(1.0, 0.7, 1.3))
     model = build_model("node-angular", system)
     rng = np.random.default_rng(5)
@@ -169,8 +168,8 @@ def test_angular_encode_inverts_embedding():
     qdot = rng.normal(0.0, 1.0, 3)
     X, V = pendulum_embed(q, qdot, (1.0, 0.7, 1.3))
     flat = np.concatenate([X.ravel(order="F"), V.ravel(order="F")])[None]
-    enc = model.encode(flat)
-    np.testing.assert_allclose(enc[0], np.concatenate([q, qdot]), atol=1e-12)
+    state = model.to_state_node({}, flat)
+    np.testing.assert_allclose(state[0], np.concatenate([q, qdot]), atol=1e-12)
     tape = ad.Tape()
     emb = model._embed_node(tape.constant(q[None]), tape.constant(qdot[None]))
     assert np.array_equal(emb.value, flat)
@@ -351,9 +350,9 @@ def test_rollout_builds_no_tape_and_matches_the_tape(kind, monkeypatch):
     times = system.dt * np.arange(4)
     tape = ad.Tape()
     leaves = model.bind(store.leaves(tape))
-    w0 = model.to_state_node(leaves, tape.constant(model.encode(W0)))
+    w0 = model.to_state_node(leaves, W0)
     states = rollout_fixed(lambda w: model.dynamics_node(leaves, w), w0, times)
-    on_tape = np.stack([model.decode_node(leaves, w).value for w in states], axis=1)
+    on_tape = np.stack([ad._value(model.decode_node(leaves, w)) for w in states], axis=1)
 
     tapes = _counting_tapes(monkeypatch)
     preds = model.rollout(store, W0, times)
@@ -433,7 +432,7 @@ def test_hnn2d_field_matches_the_gradient_of_its_hamiltonian(n):
     from reference_fields import reference_hnn2d_field
 
     system, model, store, W = _hnn2d_problem(n)
-    w = np.concatenate([model.encode(W)[:, :n], np.random.default_rng(n).normal(size=(4, n))], 1)
+    w = np.concatenate([model._angles(W)[:, :n], np.random.default_rng(n).normal(size=(4, n))], 1)
     params = dict(store.items())
     got = model.dynamics_node(params, w)
     assert isinstance(got, np.ndarray)
@@ -532,7 +531,7 @@ def test_diverging_rollout_raises_naming_its_first_non_finite_trajectory_and_tim
             evaluate_model(model, store, test_ds, horizon=3.0)
         times = test_ds.times[0, :101]
         params = model.bind(dict(store.items()))
-        w0 = model.to_state_node(params, model.encode(test_ds.states[:, 0]))
+        w0 = model.to_state_node(params, test_ds.states[:, 0])
         states = rollout_fixed(lambda w: model.dynamics_node(params, w), w0, times)
         finite = np.stack([np.isfinite(model.decode_node(params, w)).all(axis=1)
                            for w in states], axis=1)

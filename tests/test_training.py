@@ -81,9 +81,6 @@ def test_constant_model_loss_is_mean_l1_displacement():
         def __init__(self, system):
             self.system = system
 
-        def encode(self, xv):
-            return xv
-
         def bind(self, leaves):
             return leaves
 
@@ -102,12 +99,12 @@ def test_constant_model_loss_is_mean_l1_displacement():
     expected = np.mean([np.sum(np.abs(chunks[:, t] - chunks[:, 0])) for t in (1, 2, 3)]) / 6
     tape = ad.Tape()
     loss = trajectory_loss_node(model, {"unused": tape.constant(0.0)}, chunks)
-    np.testing.assert_allclose(float(loss.value), expected, atol=1e-14)
+    np.testing.assert_allclose(float(ad._value(loss)), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_loss_tape_has_no_input_node_but_the_parameters_and_the_truth(kind):
-    # the encoded initial states and every array operand stay arrays among
+def test_loss_tape_has_no_input_node_but_the_parameters(kind):
+    # the initial states, the truth and every array operand stay arrays among
     # their nodes' parents instead of becoming input nodes of the tape
     from cartmech.systems import build_system
 
@@ -120,7 +117,7 @@ def test_loss_tape_has_no_input_node_but_the_parameters_and_the_truth(kind):
     leaves = model.init_params(np.random.default_rng(7)).leaves(tape)
     trajectory_loss_node(model, leaves, np.repeat(W0[:, None], 3, axis=1))
     inputs = [node for node in tape.nodes if node.op is None]
-    assert len(inputs) == len(leaves) + 1
+    assert len(inputs) == len(leaves)
     assert all(node is leaf for node, leaf in zip(inputs, leaves.values()))
 
 
@@ -303,9 +300,6 @@ def test_train_aborts_after_consecutive_bad_steps():
         def init_params(self, rng):
             return ad.ParamStore({"w": np.zeros(1)})
 
-        def encode(self, xv):
-            return xv
-
         def bind(self, leaves):
             return leaves
 
@@ -337,9 +331,6 @@ def test_non_finite_gradient_skips_the_step():
         def init_params(self, rng):
             return ad.ParamStore({"a": np.array(1e200), "b": np.array(1e200),
                                   "c": np.array(1e-300)})
-
-        def encode(self, xv):
-            return xv
 
         def bind(self, leaves):
             return leaves
@@ -469,6 +460,14 @@ def test_non_finite_state_is_a_bad_step_with_its_reason():
     assert "non-finite state" in str(info.value)
 
 
+def counted(calls, name, fn):
+    """fn, counting its calls under name in the Counter calls."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_train_and_evaluate_look_up_the_names_a_tracer_replaces(monkeypatch):
     # perfbench traces a run by replacing these attributes for its duration,
     # so the package must look each one up when it calls it
@@ -481,27 +480,21 @@ def test_train_and_evaluate_look_up_the_names_a_tracer_replaces(monkeypatch):
 
     calls = Counter()
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     loss_node = training.trajectory_loss_node
 
     def traced_loss_node(model, leaves, chunks, substeps=1):
         # the tracer reads the tape from the leaves, which are the unbound ones
         assert all(isinstance(leaf, ad.Node) for leaf in leaves.values())
-        return counted("trajectory_loss_node", loss_node)(model, leaves, chunks, substeps)
+        return counted(calls, "trajectory_loss_node", loss_node)(model, leaves, chunks, substeps)
 
     monkeypatch.setattr(training, "trajectory_loss_node", traced_loss_node)
-    monkeypatch.setattr(training, "ad", SimpleNamespace(**{**vars(ad),
-                                                           "grad": counted("grad", ad.grad)}))
+    monkeypatch.setattr(training, "ad",
+                        SimpleNamespace(**{**vars(ad), "grad": counted(calls, "grad", ad.grad)}))
     for owner, name, key in ((training, "rollout_fixed", "training.rollout_fixed"),
                              (training.AdamW, "step", "AdamW.step"),
                              (integrators, "rollout_fixed", "integrators.rollout_fixed"),
                              (metrics, "evaluate_rollout", "evaluate_rollout")):
-        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+        monkeypatch.setattr(owner, name, counted(calls, key, getattr(owner, name)))
     system = build_system("npendulum", n=2)
     model = build_model("chnn", system, hidden=(8,))
     chunks = generate_dataset(system, 2, steps=10, seed=1, split="train").states
@@ -509,3 +502,42 @@ def test_train_and_evaluate_look_up_the_names_a_tracer_replaces(monkeypatch):
     evaluate_model(model, result.store, generate_dataset(system, 2, steps=5, seed=2, split="test"))
     assert calls == {"trajectory_loss_node": 1, "grad": 1, "training.rollout_fixed": 1,
                      "AdamW.step": 1, "integrators.rollout_fixed": 1, "evaluate_rollout": 1}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_loss_rollout_and_scoring_reach_the_names_a_tracer_replaces(kind, monkeypatch):
+    # perfbench attributes RK4 and scoring time by replacing these names: the
+    # loss, on nodes or on arrays, calls training.rollout_fixed; a rollout
+    # looks integrators.rollout_fixed up when it runs, not when models is
+    # imported; evaluate_model calls the model's rollout attribute and
+    # metrics.evaluate_rollout
+    from collections import Counter
+
+    from cartmech import integrators, metrics, models, training
+    from cartmech.dataset import generate_dataset
+    from cartmech.metrics import evaluate_model
+    from cartmech.systems import build_system
+
+    calls = Counter()
+
+    system = build_system("npendulum", n=2)
+    model = build_model(kind, system, hidden=(8,))
+    store = model.init_params(np.random.default_rng(11))
+    test_ds = generate_dataset(system, 2, steps=5, seed=12, split="test")
+    chunks = test_ds.states[:, :3]
+    model.rollout(store, chunks[:, 0], test_ds.times[0, :3])
+    assert not hasattr(models, "rollout_fixed")
+
+    monkeypatch.setattr(training, "rollout_fixed",
+                        counted(calls, "training.rollout_fixed", training.rollout_fixed))
+    monkeypatch.setattr(integrators, "rollout_fixed",
+                        counted(calls, "integrators.rollout_fixed", integrators.rollout_fixed))
+    monkeypatch.setattr(metrics, "evaluate_rollout",
+                        counted(calls, "evaluate_rollout", metrics.evaluate_rollout))
+    monkeypatch.setattr(model, "rollout", counted(calls, "model.rollout", model.rollout))
+    trajectory_loss_node(model, store.leaves(ad.Tape(graph=False)), chunks)
+    trajectory_loss_node(model, dict(store.items()), chunks)
+    assert calls == {"training.rollout_fixed": 2}
+    evaluate_model(model, store, test_ds)
+    assert calls == {"training.rollout_fixed": 2, "model.rollout": 1,
+                     "integrators.rollout_fixed": 1, "evaluate_rollout": 1}
