@@ -149,8 +149,3 @@ def apply_on_points(matrix, w):
     n = matrix.shape[-1]
     shape = w.shape
     return (matrix @ w.reshape(shape[:-1] + (n, shape[-1] // n))).reshape(shape)
-
-
-def apply_inverse_mass(mass: MassModel, w: np.ndarray) -> np.ndarray:
-    """(M^-1 kron I_d) w for flat point-major vectors w of shape (..., n*d)."""
-    return apply_on_points(mass.inverse.T, np.asarray(w))

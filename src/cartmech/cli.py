@@ -29,6 +29,7 @@ from .dataset import (
     load_dataset,
     save_checkpoint,
     save_dataset,
+    write_history,
 )
 from .dynamics import convert_flavor
 from .errors import CartmechError, NumericFailure, SchemaError, check_like, finite_positive
@@ -37,7 +38,7 @@ from .metrics import constraint_rmse_curve, energy_error, evaluate_model
 from .models import DEFAULT_HIDDEN, MODEL_KINDS, build_model
 from .states import LAGRANGIAN
 from .systems import build_system, disable_system_constraints, system_to_dict
-from .training import TrainConfig, train, write_history
+from .training import TrainConfig, train
 
 DEFAULT_CONFIG = {
     "system": {"kind": "npendulum"},
@@ -213,7 +214,8 @@ def cmd_train(args) -> int:
     system = ds.system
     model = _model_from_config(cfg, system)
     os.makedirs(args.out, exist_ok=True)
-    result = train(model, ds.states, _train_config(cfg), checkpoint_dir=args.out, log=_log)
+    result = train(model, ds.states, _train_config(cfg), log=_log)
+    save_checkpoint(result.store, os.path.join(args.out, "final.cmk"))
     write_history(result.history, os.path.join(args.out, "history.csv"))
     print(f"final_loss {result.history[-1, 1]:.17g}")
     print(f"bad_steps {result.bad_steps}")
@@ -224,8 +226,7 @@ def _run_evaluation(cfg: dict, model, store, dataset, out_path) -> None:
     result = evaluate_model(model, store, dataset, horizon=cfg["eval"]["horizon"],
                             substeps=cfg["train"]["substeps"])
     if out_path:
-        export_metrics_csv(out_path, result.times, result.rel_err, result.energy_err,
-                           result.phi_rmse)
+        export_metrics_csv(out_path, result)
     print(f"gm_rel_err {result.gm_rel_err:.17g}")
     print(f"gm_energy_err {result.gm_energy_err:.17g}")
     print(f"gm_phi_rmse {result.gm_phi_rmse:.17g}")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import apply_inverse_mass, body_point_coeffs
+from .bodies import apply_on_points, body_point_coeffs
 from .errors import ShapeError
 from .states import flatten_matrix, unflatten_matrix
 
@@ -238,8 +238,9 @@ def jacobian_psi(topology, z: np.ndarray, mass) -> np.ndarray:
     d = topology.dim
     dn = z.size // 2
     X = unflatten_matrix(z[:dn], d)
-    Xdot = unflatten_matrix(apply_inverse_mass(mass, z[dn:]), d)
+    Xdot = unflatten_matrix(apply_on_points(mass.inverse.T, z[dn:]), d)
     DPhi = jacobian_phi(topology, X)
     # D_p phidot = DPhi (M^-1 kron I_d), because Xdot = P M^-1
     return np.block([[DPhi, np.zeros_like(DPhi)],
-                     [jacobian_phidot_x(topology, X, Xdot), apply_inverse_mass(mass, DPhi)]])
+                     [jacobian_phidot_x(topology, X, Xdot),
+                      apply_on_points(mass.inverse.T, DPhi)]])

@@ -5,7 +5,7 @@ directories and CMK1 parameter checkpoints.  Both binaries are read through
 one bounded reader, whose FormatError names the file and the byte offset;
 a dataset with no rows, fewer than two times or states of the wrong width
 for its system raises FormatError when it is loaded.  Export: CSV
-trajectories and metric curves.
+trajectories, metric curves and training histories.
 
 Trajectories are integrated in Hamiltonian form and stored as (x, xdot)
 states, since learned models must never see momenta computed with the true
@@ -338,16 +338,19 @@ def export_trajectory_csv(path, times: np.ndarray, states: np.ndarray, dim: int)
             fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
 
 
-def export_metrics_csv(path, times: np.ndarray, rel_err: np.ndarray,
-                       energy_err: np.ndarray, phi_rmse: np.ndarray) -> None:
-    """Per-time metric curves plus a geometric-mean summary footer."""
-    from .metrics import geometric_mean
-
-    times = np.asarray(times, dtype=float)
+def export_metrics_csv(path, result) -> None:
+    """An EvalResult's per-time metric curves plus its geometric means as a footer."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,rel_err,energy_err,phi_rmse\n")
-        for t, r, e, p in zip(times, rel_err, energy_err, phi_rmse):
-            fh.write(",".join(map(_fmt, (t, r, e, p))) + "\n")
+        for row in zip(result.times, result.rel_err, result.energy_err, result.phi_rmse):
+            fh.write(",".join(map(_fmt, row)) + "\n")
         fh.write("geometric_mean," + ",".join(
-            _fmt(geometric_mean(np.asarray(c, dtype=float), times))
-            for c in (rel_err, energy_err, phi_rmse)) + "\n")
+            map(_fmt, (result.gm_rel_err, result.gm_energy_err, result.gm_phi_rmse))) + "\n")
+
+
+def write_history(history: np.ndarray, path) -> None:
+    """A training history's rows (epoch, mean loss, lr) as CSV."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("epoch,loss,lr\n")
+        for epoch, loss, lr in np.asarray(history):
+            fh.write(f"{int(epoch)},{_fmt(loss)},{_fmt(lr)}\n")

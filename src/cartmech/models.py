@@ -311,16 +311,8 @@ class HNN2D(_AngularModel):
         return self._embed_node(ad.narrow(w, 1, 0, N), qdot)
 
 
-MODEL_KINDS = ("chnn", "clnn", "node", "node-angular", "hnn2d")
-
-_MODEL_CLASSES = {
-    "chnn": CHNN,
-    "clnn": CLNN,
-    "node": NODE,
-    "node-angular": NODEAngular,
-    "hnn2d": HNN2D,
-}
-
+_MODEL_CLASSES = {cls.kind: cls for cls in (CHNN, CLNN, NODE, NODEAngular, HNN2D)}
+MODEL_KINDS = tuple(_MODEL_CLASSES)
 
 DEFAULT_HIDDEN = (256, 256, 256)
 

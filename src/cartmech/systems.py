@@ -116,15 +116,6 @@ def _dipole(r, rr, moment, u) -> tuple[np.ndarray, np.ndarray]:
     return field, along
 
 
-def dipole_field(r, moment) -> np.ndarray:
-    """B(r) = (3 r (r.m) - |r|^2 m) / |r|^5 in units with mu0/4pi = 1."""
-    r = np.asarray(r, dtype=float)
-    distance = math.sqrt(float(r @ r))
-    if distance < EPS_FIELD:
-        raise FieldSingularityError(f"field evaluated {distance:.2e} from a dipole")
-    return _dipole(r, np.vecdot(r, r)[..., None], np.asarray(moment, dtype=float), r)[0]
-
-
 class DipolePotential:
     """V(x) = -m0(x)^T B(x) with m0 = -q x/|x| and B the summed dipole fields.
 
@@ -137,8 +128,6 @@ class DipolePotential:
     def __init__(self, positions, moments, strength: float = 1.0):
         self.positions = np.atleast_2d(np.asarray(positions, dtype=float))
         self.moments = np.atleast_2d(np.asarray(moments, dtype=float))
-        if self.positions.shape != self.moments.shape:
-            raise ParameterDomainError("magnet positions and moments must pair up")
         self.strength = float(strength)
 
     def _field(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,10 +245,16 @@ class MagnetConfig:
         finite_positive("mass", (self.mass,))
         finite_positive("length", (self.length,))
         finite_positive("dt", (self.dt,))
-        object.__setattr__(self, "magnet_positions",
-                           tuple(tuple(float(v) for v in r) for r in self.magnet_positions))
-        object.__setattr__(self, "magnet_moments",
-                           tuple(tuple(float(v) for v in m) for m in self.magnet_moments))
+        for name in ("magnet_positions", "magnet_moments"):
+            vectors = tuple(tuple(float(v) for v in r) for r in getattr(self, name))
+            if not vectors or any(len(r) != 3 for r in vectors):
+                raise ParameterDomainError(
+                    f"{name} must be a non-empty list of 3-vectors, got {list(vectors)}")
+            object.__setattr__(self, name, vectors)
+        if len(self.magnet_moments) != len(self.magnet_positions):
+            raise ParameterDomainError(
+                f"magnet_moments must pair up with magnet_positions, got "
+                f"{len(self.magnet_moments)} and {len(self.magnet_positions)}")
 
 
 @dataclass(frozen=True)

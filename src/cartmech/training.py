@@ -4,18 +4,18 @@ The loss backpropagates through rollout_fixed, so every step of every chunk
 contributes gradient signal through the model's dynamics (and, for the
 constrained models, through the learned mass used to convert initial
 velocities into momenta).  Losses and predictions always compare Cartesian
-(x, xdot) states regardless of the model's internal coordinates.
+(x, xdot) states regardless of the model's internal coordinates.  train()
+writes no file: dataset.save_checkpoint and dataset.write_history export the
+parameters and the training history it returns.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .dataset import save_checkpoint
 from .errors import (DegenerateConfigurationError, NonFiniteStateError, ParameterDomainError,
                      TrainingError)
 from .integrators import rollout_fixed
@@ -116,8 +116,7 @@ class TrainResult:
     bad_steps: int
 
 
-def train(model, chunks: np.ndarray, config: TrainConfig,
-          checkpoint_dir=None, log=None) -> TrainResult:
+def train(model, chunks: np.ndarray, config: TrainConfig, log=None) -> TrainResult:
     """Minibatch AdamW over shuffled chunk batches with cosine annealing.
 
     Init and shuffle randomness derive from config.seed only, so a fixed seed
@@ -179,14 +178,4 @@ def train(model, chunks: np.ndarray, config: TrainConfig,
         history.append((float(epoch), mean_loss, lr_t))
         if log is not None:
             log(f"epoch {epoch}: loss {mean_loss:.6g} lr {lr_t:.3g}")
-    if checkpoint_dir:
-        save_checkpoint(store, os.path.join(checkpoint_dir, "final.cmk"))
     return TrainResult(store=store, history=np.array(history), bad_steps=bad_total)
-
-
-def write_history(history: np.ndarray, path) -> None:
-    """Training history as CSV with full-precision floats."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss,lr\n")
-        for epoch, loss, lr in np.asarray(history):
-            fh.write(f"{int(epoch)},{loss:.17g},{lr:.17g}\n")

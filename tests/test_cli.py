@@ -159,11 +159,22 @@ def test_generate_is_deterministic_and_has_no_workers_key(workdir, tmp_path):
 
 
 def test_train_writes_checkpoint_and_history(workdir):
-    assert (workdir / "run" / "final.cmk").is_file()
-    history = np.loadtxt(workdir / "run" / "history.csv", delimiter=",", skiprows=1,
-                         ndmin=2)
+    # the library's train() writes no file; the command saves what it returns
+    from cartmech.models import build_model
+    from cartmech.training import TrainConfig, train
+
+    run = workdir / "run"
+    assert sorted(p.name for p in run.iterdir()) == ["final.cmk", "history.csv"]
+    history = np.loadtxt(run / "history.csv", delimiter=",", skiprows=1, ndmin=2)
     assert history.shape == (2, 3)
     assert np.all(np.isfinite(history))
+    ds = load_dataset(workdir / "data" / "train")
+    model = build_model("chnn", ds.system, hidden=(8, 8))
+    result = train(model, ds.states, TrainConfig(epochs=2, batch_size=6))
+    final = load_checkpoint(run / "final.cmk")
+    assert final.names() == result.store.names()
+    for name in final.names():
+        np.testing.assert_array_equal(final[name], result.store[name])
 
 
 def test_train_is_deterministic(workdir, tmp_path):
@@ -396,6 +407,13 @@ def test_non_finite_system_parameter_exits_1_naming_its_key(settings):
     (("system.n=1" + "0" * 400,), "n"),  # more pendulums than an index holds
     (("system.kind=coupled", "system.pivot=[1e-200,0,0]"), "pivot"),  # |pivot|^2 underflows
     (("system.kind=coupled", "system.pivot=[0,0,0]"), "pivot"),
+    # magnet vectors that are not 3-vectors, or that do not pair up
+    (("system.kind=magnet", "system.magnet_positions=[[0,0]]",
+      "system.magnet_moments=[[0,1]]"), "magnet_positions"),
+    (("system.kind=magnet", "system.magnet_positions=[]", "system.magnet_moments=[]"),
+     "magnet_positions"),
+    (("system.kind=magnet", "system.magnet_moments=[[0,0,1,0],[0,0,1,0]]"), "magnet_moments"),
+    (("system.kind=magnet", "system.magnet_moments=[[0,0,1]]"), "magnet_moments"),
 ])
 def test_out_of_domain_system_parameter_exits_1_naming_it_without_warning(settings, name):
     # not the rest length derived from the pivot, numpy's overflow warning or

@@ -20,7 +20,7 @@ from cartmech.dataset import (
 )
 from cartmech.errors import FormatError, IntegrationError, ParameterDomainError
 from cartmech.integrators import Tolerances
-from cartmech.metrics import constraint_rmse_curve
+from cartmech.metrics import EvalResult, constraint_rmse_curve, evaluate_model
 from cartmech.models import build_model
 from cartmech.systems import build_system
 
@@ -252,17 +252,26 @@ def test_trajectory_csv_layout(tmp_path):
 
 def test_metrics_csv_footer(tmp_path):
     times = np.array([0.0, 1.0])
+    curves = (np.array([0.04, 0.09]), np.array([0.1, 0.1]), np.array([0.0, 0.0]))
     path = tmp_path / "metrics.csv"
-    export_metrics_csv(path, times, np.array([0.04, 0.09]),
-                       np.array([0.1, 0.1]), np.array([0.0, 0.0]))
+    export_metrics_csv(path, EvalResult(times, *curves, 0.06, 0.1, 1e-12))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,rel_err,energy_err,phi_rmse"
     assert len(lines) == 4
+    np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1, max_rows=2),
+                                  np.column_stack((times, *curves)))
     footer = lines[-1].split(",")
     assert footer[0] == "geometric_mean"
-    assert float(footer[1]) == pytest.approx(0.06, rel=1e-12)  # sqrt(0.04 * 0.09)
-    assert float(footer[2]) == pytest.approx(0.1, rel=1e-12)
-    assert float(footer[3]) == pytest.approx(1e-12)  # log floor
+    assert [float(v) for v in footer[1:]] == [0.06, 0.1, 1e-12]
+    # the footer of a real evaluation holds its scores to the last bit
+    ds = small_train(n=2, split="test")
+    model = build_model("node", ds.system, hidden=(4,))
+    result = evaluate_model(model, model.init_params(np.random.default_rng(0)), ds,
+                            horizon=0.3)
+    export_metrics_csv(path, result)
+    footer = path.read_text().strip().split("\n")[-1].split(",")
+    assert [float(v) for v in footer[1:]] == \
+        [result.gm_rel_err, result.gm_energy_err, result.gm_phi_rmse]
 
 
 def test_generate_validates_arguments():

@@ -7,7 +7,7 @@ from reference_fields import reference_hamiltonian_field, reference_lagrangian_f
 
 import cartmech.autodiff as ad
 from cartmech.autodiff import finite_difference_check
-from cartmech.bodies import BodySpec, apply_inverse_mass, assemble_mass_matrix
+from cartmech.bodies import BodySpec, apply_on_points, assemble_mass_matrix
 from cartmech.constraints import Link, anchor, jacobian_phi, jacobian_psi, phi, phidot, point
 from cartmech.dynamics import (
     DynamicsContext,
@@ -128,7 +128,7 @@ def test_field_matches_projection_oracle_on_every_system(name):
     for z in sampled:
         X, V = ctx_l.split(convert_flavor(ctx, z, LAGRANGIAN))
         xddot, _ = constrained_lagrangian_dynamics(ctx_l, X, V)
-        expected = apply_inverse_mass(system.mass, constrained_dynamics(ctx, z)[dn:])
+        expected = apply_on_points(system.mass.inverse.T, constrained_dynamics(ctx, z)[dn:])
         assert np.linalg.norm(flatten_matrix(xddot) - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -245,7 +245,7 @@ def test_grad_hamiltonian_matches_fd():
 def _multiplier_matrix(topology, mass, X):
     """K = DPhi M^-1 DPhi^T as the fields form it."""
     G = jacobian_phi(topology, X)
-    return G @ apply_inverse_mass(mass, G).mT
+    return G @ apply_on_points(mass.inverse.T, G).mT
 
 
 def test_pivot_guard_fires_wherever_the_condition_number_guard_did():

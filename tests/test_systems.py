@@ -27,9 +27,9 @@ from cartmech.states import HAMILTONIAN, LAGRANGIAN, flatten_matrix
 from cartmech.systems import (
     LinearGravity,
     SpringChain,
+    _dipole,
     _rigid_body_state,
     build_system,
-    dipole_field,
     system_from_dict,
     system_names,
     system_to_dict,
@@ -92,6 +92,16 @@ def test_config_validation():
         build_system("npendulum", n=0)
     with pytest.raises(ParameterDomainError):
         build_system("rotor", moments=(0.05, 0.05, 0.09))
+    # magnet vectors that are not 3-vectors or do not pair up, named before
+    # numpy's broadcasting error at the first field call
+    for params, key in (
+            ({"magnet_positions": ((0.0, 0.0),), "magnet_moments": ((0.0, 1.0),)},
+             "magnet_positions"),
+            ({"magnet_positions": (), "magnet_moments": ()}, "magnet_positions"),
+            ({"magnet_moments": ((0.0, 0.0, 1.0, 0.0),) * 2}, "magnet_moments"),
+            ({"magnet_moments": ((0.0, 0.0, 1.0),)}, "magnet_moments")):
+        with pytest.raises(ParameterDomainError, match=f"^{key} must"):
+            build_system("magnet", **params)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -220,12 +230,12 @@ def test_coupled_potential_gradient_fd():
 
 def test_dipole_field_frozen_examples():
     # on-axis doubling and equatorial half-strength with opposite sign
-    assert np.allclose(dipole_field([0.0, 0.0, 2.0], [0.0, 0.0, 1.0]),
-                       [0.0, 0.0, 0.25], atol=1e-15)
-    assert np.allclose(dipole_field([2.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
-                       [0.0, 0.0, -0.125], atol=1e-15)
-    with pytest.raises(FieldSingularityError):
-        dipole_field([0.0, 0.0, 1e-8], [0.0, 0.0, 1.0])
+    moment = np.array([0.0, 0.0, 1.0])
+    for r, expected in (([0.0, 0.0, 2.0], [0.0, 0.0, 0.25]),
+                        ([2.0, 0.0, 0.0], [0.0, 0.0, -0.125])):
+        r = np.array(r)
+        field = _dipole(r, np.vecdot(r, r)[..., None], moment, r)[0]
+        assert np.allclose(field, expected, atol=1e-15)
 
 
 def _dipole_fd_gradient(pot, X, h=1e-6):

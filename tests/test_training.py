@@ -5,7 +5,7 @@ import pytest
 
 import cartmech.autodiff as ad
 from cartmech.bodies import BodySpec, assemble_mass_matrix
-from cartmech.dataset import load_checkpoint
+from cartmech.dataset import write_history
 from cartmech.dynamics import ZeroPotential, convert_flavor
 from cartmech.errors import ParameterDomainError, TrainingError
 from cartmech.integrators import Tolerances, integrate_adaptive
@@ -20,7 +20,6 @@ from cartmech.training import (
     train,
     trajectory_loss,
     trajectory_loss_node,
-    write_history,
 )
 from test_models import linear_gradient, true_mass_store
 
@@ -371,27 +370,13 @@ def test_train_config_validation():
                 TrainConfig(**{name: value})
 
 
-def test_train_rejects_chunks_without_rows_or_steps(tmp_path):
+def test_train_rejects_chunks_without_rows_or_steps():
     # no rows gave a nan history, and fewer than two times no step at all
     model = build_model("node", free_particle_system(), hidden=(4,))
     chunks = free_particle_chunks(np.random.default_rng(9), 3)
     for bad in (chunks[:0], chunks[:, :1], chunks[:, :0], chunks[0]):
         with pytest.raises(ParameterDomainError, match=r"N >= 1 rows of T >= 2 times"):
-            train(model, bad, TrainConfig(epochs=1), checkpoint_dir=tmp_path)
-    assert not (tmp_path / "final.cmk").exists()
-
-
-def test_checkpoint_written_once_when_training_ends(tmp_path):
-    system = free_particle_system()
-    model = build_model("node", system, hidden=(4,))
-    chunks = free_particle_chunks(np.random.default_rng(10), 8)
-    cfg = TrainConfig(epochs=4, batch_size=8, lr=1e-3, seed=0)
-    result = train(model, chunks, cfg, checkpoint_dir=tmp_path)
-    # one checkpoint, when training ends
-    assert [p.name for p in tmp_path.iterdir()] == ["final.cmk"]
-    final = load_checkpoint(tmp_path / "final.cmk")
-    for name in result.store.names():
-        np.testing.assert_array_equal(final[name], result.store[name])
+            train(model, bad, TrainConfig(epochs=1))
 
 
 def test_degenerate_constraint_system_is_a_bad_step_with_its_reason():
