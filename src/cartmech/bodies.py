@@ -5,7 +5,8 @@ mass followed by the tips of its principal axes.  With X = [x_cm, x_1, .., x_d]
 (points as columns) and Delta the difference matrix mapping X to the rotation
 R = X Delta, the kinetic energy is Tr(Xdot M Xdot^T)/2 for a constant per-body
 mass block M built from the total mass m and the principal second moments
-lambda_i.  Point masses are the 0-dimensional special case with M = [m].
+lambda_i.  A point mass is the d = 0 body of the same formula: one point,
+Delta of shape (1, 0), lambda of shape (0,) and M = [m].
 
 mass_blocks and block_diag are written once in autodiff ops: the ground truth
 assembles its M and M^-1 from them with each BodySpec's arrays, and CHNN and
@@ -51,7 +52,7 @@ class BodySpec:
 
     @property
     def n_points(self) -> int:
-        return self.ndim + 1 if self.ndim else 1
+        return self.ndim + 1
 
 
 def delta_matrix(ndim: int) -> np.ndarray:
@@ -59,8 +60,6 @@ def delta_matrix(ndim: int) -> np.ndarray:
 
     Column j of Delta selects (x_j - x_cm), so Delta = [-1; I].
     """
-    if ndim < 1:
-        raise ShapeError("delta_matrix needs ndim >= 1")
     return np.vstack([-np.ones((1, ndim)), np.eye(ndim)])
 
 
@@ -72,25 +71,21 @@ def body_point_coeffs(body: BodySpec, c) -> np.ndarray:
     c = np.asarray(c, dtype=float).reshape(-1)
     if c.size != body.ndim:
         raise ShapeError(f"body-frame point has {c.size} coords, body is {body.ndim}-dimensional")
-    if body.ndim == 0:
-        return np.ones(1)
     e0 = np.zeros(body.ndim + 1)
     e0[0] = 1.0
     return e0 + delta_matrix(body.ndim) @ c
 
 
-def mass_blocks(m, lam=None) -> tuple:
+def mass_blocks(m, lam) -> tuple:
     """Per-body mass block M and its closed-form inverse, as arrays or tape nodes.
 
-    m is the total mass and lam the principal second moments (d,) of an
-    extended body, None for a point mass, where M = [m].  Otherwise
+    m is the total mass and lam the principal second moments (d,):
         M = m [[1 + sum(lam), -lam^T], [-lam, diag(lam)]]
         M^-1 = (ones + diag(0, 1/lam)) / m
     which reproduces Tr(Xdot M Xdot^T)/2 = m|xdot_cm|^2/2 + m Tr(Rdot S Rdot^T)/2
-    with S = diag(lam); both are SPD for any positive m and lam.
+    with S = diag(lam); both are SPD for any positive m and lam.  A point
+    mass is the d = 0 body, lam of shape (0,): M = [m] and M^-1 = [1/m].
     """
-    if lam is None:
-        return ad.reshape(m, (1, 1)), ad.reshape(ad.div(1.0, m), (1, 1))
     d = lam.shape[0]
     top = ad.concat([ad.reshape(ad.add(1.0, ad.reduce_sum(lam)), (1, 1)),
                      ad.reshape(ad.neg(lam), (1, d))], axis=1)
@@ -123,7 +118,7 @@ class MassModel:
 
 def assemble_mass_matrix(bodies) -> MassModel:
     """Block-diagonal M and its closed-form inverse for a list of BodySpec."""
-    blocks = [mass_blocks(b.mass, np.asarray(b.moments) if b.ndim else None) for b in bodies]
+    blocks = [mass_blocks(b.mass, np.asarray(b.moments, dtype=float)) for b in bodies]
     return MassModel(*(block_diag(side) for side in zip(*blocks)))
 
 

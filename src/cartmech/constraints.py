@@ -178,15 +178,14 @@ def _link_end(topology, ref: PointRef, k: int, e: np.ndarray, sign: float) -> np
 
 
 def auto_rigidity(bodies) -> list[Rigidity]:
-    """All intra-body point-pair rows for every extended body, in declaration order.
+    """All intra-body point-pair rows for every body, in declaration order
+    (a point mass, one point, has none).
 
     Reference geometry puts tips at unit distance from the center of mass, so
     squared targets are 1 (cm-tip) and 2 (tip-tip).
     """
     out = []
     for b, body in enumerate(bodies):
-        if body.ndim == 0:
-            continue
         for i in range(body.n_points):
             for j in range(i + 1, body.n_points):
                 sq = 1.0 if i == 0 else 2.0

@@ -55,21 +55,14 @@ from .states import HAMILTONIAN, LAGRANGIAN, flatten_matrix, symplectic_apply, u
 from .topology import SystemTopology
 
 
-class ZeroPotential:
-    def value(self, X: np.ndarray):
-        return np.zeros(X.shape[:-2])[()]
-
-    def grad(self, X: np.ndarray) -> np.ndarray:
-        return np.zeros_like(X)
-
-
 @dataclass(frozen=True)
 class DynamicsContext:
-    """Topology + mass model + potential + state flavor."""
+    """Topology + mass model + potential + state flavor.  The potential is
+    required: systems.SumPotential(), the empty sum, is the zero one."""
 
     topology: SystemTopology
     mass: MassModel
-    potential: object = ZeroPotential()
+    potential: object
     flavor: str = HAMILTONIAN
 
     @property
@@ -192,9 +185,8 @@ def constrained_hamiltonian_field(Minv, grad_V, v, G, D):
     Minv is the (n, n) inverse mass on the point index; grad_V is grad_X V
     and v = M^-1 p, both (..., dn); G = DPhi(x) and D = D_x phidot(v) are
     (..., C, dn).  Arrays, or tape nodes: then one `hamiltonian_field` node.
+    A free system is C = 0 and takes the same path, with empty K and W.
     """
-    if G.shape[-2] == 0:
-        return _flat(_col(v), ad.neg(_col(grad_V)))
     return ad.fused("hamiltonian_field", _hamiltonian_forward, (Minv, grad_V, v, G, D))[0]
 
 
@@ -203,10 +195,8 @@ def constrained_lagrangian_field(Minv, grad_V, v, G, D):
 
     Same inputs as constrained_hamiltonian_field, with v the velocity.  On
     the tape xddot is one `lagrangian_field` node and lambda its array,
-    which is not differentiated.
+    which is not differentiated.  C = 0 rows take the same path.
     """
-    if G.shape[-2] == 0:
-        return apply_on_points(Minv, ad.neg(grad_V)), np.zeros(G.shape[:-1])
     xddot, (lam, *_) = ad.fused("lagrangian_field", _lagrangian_forward, (Minv, grad_V, v, G, D))
     return xddot, lam.reshape(lam.shape[:-1])
 
@@ -256,8 +246,6 @@ def projection_matrix(dpsi: np.ndarray) -> np.ndarray:
     """
     two_dn = dpsi.shape[1]
     C = dpsi.shape[0] // 2
-    if C == 0:
-        return np.eye(two_dn)
     JDPsiT = symplectic_apply(dpsi).T  # J applied to each row of DPsi
     A = dpsi @ JDPsiT
     ad.check_pivots(A[:C, C:])

@@ -258,20 +258,19 @@ def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerance
         err_norm = _rms(h * np.add.reduce(_E_ROW * k, axis=0) / scale)
         accept = err_norm <= 1.0
 
-        if n_eval:
-            # quartic dense output at every t_eval point inside each accepted
-            # step; the one reaching t_span (h clamped to it) takes all left
-            reach = np.where(a.h >= t_span - a.t, n_eval,
-                             t_eval.searchsorted(a.t + a.h * (1 + 1e-12), side="right"))
-            end = np.where(accept, np.maximum(reach, a.eval_idx), a.eval_idx)
-            count = end - a.eval_idx
-            if np.count_nonzero(count):
-                i = np.repeat(np.arange(a.rows.size), count)
-                point = np.arange(i.size) + np.repeat(end - np.cumsum(count), count)
-                u = ((t_eval[point] - a.t[i]) / a.h[i])[:, None]
-                weights = (((DP_P[:, 3] * u + DP_P[:, 2]) * u + DP_P[:, 1]) * u + DP_P[:, 0]) * u
-                out[a.rows[i], point] = _combine(a.z[i], h[i], weights.T[:, :, None], k[:, i])
-                a.eval_idx = end
+        # quartic dense output at every t_eval point inside each accepted
+        # step; the one reaching t_span (h clamped to it) takes all left
+        reach = np.where(a.h >= t_span - a.t, n_eval,
+                         t_eval.searchsorted(a.t + a.h * (1 + 1e-12), side="right"))
+        end = np.where(accept, np.maximum(reach, a.eval_idx), a.eval_idx)
+        count = end - a.eval_idx
+        if np.count_nonzero(count):
+            i = np.repeat(np.arange(a.rows.size), count)
+            point = np.arange(i.size) + np.repeat(end - np.cumsum(count), count)
+            u = ((t_eval[point] - a.t[i]) / a.h[i])[:, None]
+            weights = (((DP_P[:, 3] * u + DP_P[:, 2]) * u + DP_P[:, 1]) * u + DP_P[:, 0]) * u
+            out[a.rows[i], point] = _combine(a.z[i], h[i], weights.T[:, :, None], k[:, i])
+            a.eval_idx = end
         # PI growth on accepted rows, plain shrink on rejected ones; the clamp
         # on err_norm only reaches rows whose factor is capped at MAX_FACTOR
         e = np.maximum(err_norm, 1e-300)

@@ -112,8 +112,8 @@ def _mass_nodes(leaves: dict, bodies) -> tuple:
     """Learned (M, M^-1): bodies.mass_blocks of exp of each body's log-mass and
     log-moment parameters, so both matrices are SPD for any parameter values."""
     blocks = [mass_blocks(ad.exp(leaves[f"mass.log_m{k}"]),
-                          ad.exp(leaves[f"mass.log_lam{k}"]) if body.ndim else None)
-              for k, body in enumerate(bodies)]
+                          ad.exp(leaves.get(f"mass.log_lam{k}", np.zeros(0))))
+              for k in range(len(bodies))]
     return tuple(block_diag(side) for side in zip(*blocks))
 
 

@@ -29,7 +29,7 @@ from .bodies import (
     velocity_to_momentum,
 )
 from .constraints import Joint, Link, anchor, point
-from .dynamics import DynamicsContext, ZeroPotential, constrained_dynamics, energy
+from .dynamics import DynamicsContext, constrained_dynamics, energy
 from .errors import (
     FieldSingularityError,
     GradientSingularityError,
@@ -160,13 +160,14 @@ class DipolePotential:
 
 
 class SumPotential:
-    """Pointwise sum of component potentials."""
+    """Pointwise sum of component potentials; the empty sum is the zero
+    potential, value zeros of the batch shape and grad zeros like X."""
 
     def __init__(self, *parts):
         self.parts = tuple(parts)
 
     def value(self, X: np.ndarray):
-        return sum(p.value(X) for p in self.parts)
+        return sum((p.value(X) for p in self.parts), np.zeros(X.shape[:-2]))[()]
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros_like(X)
@@ -186,6 +187,10 @@ def _chain_masses_and_lengths(cfg) -> None:
         if len(values) != cfg.n:
             raise ParameterDomainError("masses and lengths must have n entries")
         object.__setattr__(cfg, name, values)
+    # a link's constraint target is its squared length
+    if not all(0.0 < l * l < math.inf for l in cfg.lengths):
+        raise ParameterDomainError(
+            f"lengths must have finite, positive squares, got {list(cfg.lengths)}")
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,9 @@ class MagnetConfig:
 
     def __post_init__(self):
         finite_positive("mass", (self.mass,))
-        finite_positive("length", (self.length,))
+        (length,) = finite_positive("length", (self.length,))
+        if not 0.0 < length * length < math.inf:  # the link's constraint target
+            raise ParameterDomainError(f"length must have a finite, positive square, got {length}")
         finite_positive("dt", (self.dt,))
         for name in ("magnet_positions", "magnet_moments"):
             vectors = tuple(tuple(float(v) for v in r) for r in getattr(self, name))
@@ -443,7 +450,7 @@ def build_rotor(cfg: RotorConfig) -> System:
         omega_body[mid] += 3.0 * math.copysign(1.0, omega_body[mid])
         return _rigid_body_state(mass, R, np.zeros(3), np.zeros(3), omega_body)
 
-    return System("rotor", cfg, topology, mass, ZeroPotential(), sampler)
+    return System("rotor", cfg, topology, mass, SumPotential(), sampler)
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cartmech.autodiff as ad
 from cartmech.bodies import (
     BodySpec,
     assemble_mass_matrix,
@@ -66,9 +67,18 @@ def test_kinetic_energy_matches_cm_plus_rotation():
 
 
 def test_point_mass_block():
+    # a point mass is the d = 0 body of the one formula, lam of shape (0,)
     mass = assemble_mass_matrix([BodySpec.point(2.5)])
-    np.testing.assert_allclose(mass.matrix, [[2.5]])
-    np.testing.assert_allclose(mass.inverse, [[0.4]])
+    assert np.array_equal(mass.matrix, [[2.5]]) and np.array_equal(mass.inverse, [[0.4]])
+    # learned: exp of a log-mass leaf on a graph tape; d/dlog m of 3 m + 5 / m
+    tape = ad.Tape()
+    log_m = tape.constant(np.log(2.5))
+    M, Minv = mass_blocks(ad.exp(log_m), np.zeros(0))
+    assert M.value.shape == Minv.value.shape == (1, 1)
+    loss = ad.add(ad.reduce_sum(ad.mul(M, 3.0)), ad.reduce_sum(ad.mul(Minv, 5.0)))
+    (g,) = ad.grad(loss, [log_m])
+    m = np.exp(np.log(2.5))
+    np.testing.assert_allclose(g.value, 3.0 * m - 5.0 / m, rtol=1e-14)
 
 
 def test_mixed_assembly_blocks():

@@ -414,6 +414,11 @@ def test_non_finite_system_parameter_exits_1_naming_its_key(settings):
      "magnet_positions"),
     (("system.kind=magnet", "system.magnet_moments=[[0,0,1,0],[0,0,1,0]]"), "magnet_moments"),
     (("system.kind=magnet", "system.magnet_moments=[[0,0,1]]"), "magnet_moments"),
+    # a link length whose square overflows or underflows
+    (("system.lengths=[1e200,1]",), "lengths"),
+    (("system.lengths=[1e-200,1]",), "lengths"),
+    (("system.kind=magnet", "system.length=1e200"), "length"),
+    (("system.kind=magnet", "system.length=1e-200"), "length"),
 ])
 def test_out_of_domain_system_parameter_exits_1_naming_it_without_warning(settings, name):
     # not the rest length derived from the pivot, numpy's overflow warning or

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,24 @@ def test_last_t_eval_point_up_to_the_span_tolerance_is_emitted():
     assert single.states.tobytes() == batch.states[0].tobytes()
     np.testing.assert_allclose(batch.states[:, -1, 0], [math.exp(-1.0), 2.0 * math.exp(-1.0)],
                                rtol=1e-7)
+
+
+def test_empty_t_eval_integrates_and_emits_no_state():
+    # no output point is the general case: the same steps as t_eval = [t_span]
+    f = lambda z: np.stack([z[..., 1], -z[..., 0]], axis=-1)
+    z0 = np.array([[1.0, 0.0], [0.5, 0.3], [0.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = integrate_adaptive(f, z0[0], 2.0, t_eval=[])
+        batch = integrate_adaptive(f, z0, 2.0, t_eval=[])
+    assert single.states.shape == (0, 2) and batch.states.shape == (3, 0, 2)
+    assert single.times.shape == batch.times.shape == (0,)
+    end = integrate_adaptive(f, z0[0], 2.0, t_eval=[2.0])
+    assert (single.n_accepted, single.n_rejected) == (end.n_accepted, end.n_rejected)
+    ends = integrate_adaptive(f, z0, 2.0, t_eval=[2.0])
+    assert np.array_equal(batch.n_accepted, ends.n_accepted)
+    assert np.array_equal(batch.n_rejected, ends.n_rejected)
+    assert batch.failures == (None,) * 3
 
 
 def test_adaptive_requires_array_dynamics():

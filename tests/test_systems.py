@@ -102,6 +102,16 @@ def test_config_validation():
             ({"magnet_moments": ((0.0, 0.0, 1.0),)}, "magnet_moments")):
         with pytest.raises(ParameterDomainError, match=f"^{key} must"):
             build_system("magnet", **params)
+    # a link length whose square overflows or underflows, named before the
+    # constraint target or the sampler meets it
+    for name, params, key in (
+            ("npendulum", {"lengths": (1e200, 1.0)}, "lengths"),
+            ("npendulum", {"lengths": (1e-200, 1.0)}, "lengths"),
+            ("coupled", {"lengths": (1.0, 1.0, 1e200)}, "lengths"),
+            ("magnet", {"length": 1e200}, "length"),
+            ("magnet", {"length": 1e-200}, "length")):
+        with pytest.raises(ParameterDomainError, match=f"^{key} must have .*positive square"):
+            build_system(name, **params)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

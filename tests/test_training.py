@@ -6,12 +6,12 @@ import pytest
 import cartmech.autodiff as ad
 from cartmech.bodies import BodySpec, assemble_mass_matrix
 from cartmech.dataset import write_history
-from cartmech.dynamics import ZeroPotential, convert_flavor
+from cartmech.dynamics import convert_flavor
 from cartmech.errors import ParameterDomainError, TrainingError
 from cartmech.integrators import Tolerances, integrate_adaptive
 from cartmech.models import MODEL_KINDS, build_model
 from cartmech.states import LAGRANGIAN
-from cartmech.systems import System
+from cartmech.systems import SumPotential, System
 from cartmech.topology import SystemTopology
 from cartmech.training import (
     AdamW,
@@ -30,7 +30,7 @@ def free_particle_system(dim=1):
     """Unconstrained point mass: zdot = (v, 0) in both flavors."""
     topo = SystemTopology(dim=dim, bodies=[BodySpec.point(1.0)], constraints=[], anchors=[])
     return System("free", SimpleNamespace(dt=DT), topo,
-                  assemble_mass_matrix(topo.bodies), ZeroPotential())
+                  assemble_mass_matrix(topo.bodies), SumPotential())
 
 
 def free_particle_chunks(rng, count, steps=4):
