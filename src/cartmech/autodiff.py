@@ -12,9 +12,10 @@ runs the same rules on the nodes' values and returns arrays with the graph's
 bits, appending nothing (training's backward pass).  The generic ops support
 any order.  The fused tanh MLP is one `mlp` node whose derivatives are written
 in closed form; mlp_pullback returns its output with a pullback for any output
-cotangent, which records the x-adjoint as one `mlp_vjp` node keeping the
-backward errors alone: its second order rebuilds the slopes and deltas from
-them, bit for bit.  The MLP supports exactly second order: its second-order
+cotangent, which records the x-adjoint as one `mlp_vjp` node.  Both keep only
+what needs a hidden x hidden product to rebuild, the hidden activations but
+the first and the backward errors but the top one; their rules rebuild the
+rest bit for bit.  The MLP supports exactly second order: its second-order
 outputs and parameter adjoints have no backward rule, and grad() raises
 NotImplementedError naming such an op.  fused() and define_vjp() let other
 modules record a composite function as one node with a closed-form first-order
@@ -507,7 +508,7 @@ def _times_transpose(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _mlp_backward(weights: list, hidden: list, g: np.ndarray) -> tuple:
     """(deltas, errs) of the backward pass for the output cotangent g, all
-    arrays; an `mlp_vjp` node keeps errs alone (see _vjp_mlp_vjp)."""
+    arrays; an `mlp_vjp` node keeps errs[:-1] (see _vjp_mlp_vjp)."""
     deltas, errs = [g], []
     for k in range(len(weights) - 1, 0, -1):
         errs.insert(0, _times_transpose(deltas[0], weights[k]))
@@ -519,15 +520,15 @@ def mlp_pullback(params: dict, x, prefix: str = "mlp"):
     """(y, pullback): the tanh MLP on rows of x (linear final layer) and the
     map from an output cotangent g, shaped like y, to the adjoint of x.
 
-    y is one `mlp` node for any depth, keeping the hidden activations, and
-    pullback(g) runs that node's backward rule for x, which records one
-    `mlp_vjp` node on any tape, as grad() does on a graph tape (an array g
-    stays an array among its parents).  On plain arrays, as for every op, both
-    are numpy and nothing is recorded.  The `mlp_vjp` node is differentiable
-    once more in closed form: a JVP in the cotangent and a Hessian-vector
-    product in x and in every parameter.  Those second-order outputs, and the
-    parameter adjoints of the `mlp` node, are plain numpy: differentiating
-    them again raises NotImplementedError.
+    y is one `mlp` node for any depth, keeping hidden[1:] (see _hidden), and
+    pullback(g) runs that node's backward rule for x on the full list, which
+    records one `mlp_vjp` node on any tape, as grad() does on a graph tape (an
+    array g stays an array among its parents).  On plain arrays, as for every
+    op, both are numpy and nothing is recorded.  The `mlp_vjp` node is
+    differentiable once more in closed form: a JVP in the cotangent and a
+    Hessian-vector product in x and in every parameter.  Those second-order
+    outputs, and the parameter adjoints of the `mlp` node, are plain numpy:
+    differentiating them again raises NotImplementedError.
     """
     n_layers = sum(1 for name in params if name.startswith(f"{prefix}.w"))
     if not n_layers:
@@ -545,11 +546,12 @@ def mlp_pullback(params: dict, x, prefix: str = "mlp"):
         if k < n_layers - 1:
             h = np.tanh(y, out=y)
             hidden.append(h)
-    node = _record("mlp", lambda *_: y, inputs, hidden)
+    kept = hidden[1:]
+    node = _record("mlp", lambda *_: y, inputs, kept)
     need_x = (1,) + (0,) * (2 * n_layers)
 
     def pullback(g):
-        return _vjp_mlp(node, inputs, hidden, g, need_x)[0]
+        return _vjp_mlp(node, inputs, kept, g, need_x, hidden)[0]
 
     return node, pullback
 
@@ -563,15 +565,29 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def _vjp_mlp(out, args, hidden, g, need):
-    """x-adjoint as an `mlp_vjp` node keeping (hidden, errs), hidden the `mlp`
-    node's own list; parameter adjoints from the same pass (arrays when g and args are)."""
+def _hidden(args, kept) -> list:
+    """[h_1, *kept] for an `mlp` node with operands (x, W_0, b_0, ...): h_1 is
+    rebuilt with the forward's conversion and ops, so bit for bit."""
+    if len(args) < 5:  # one layer, no hidden activation
+        return []
+    x, w, b = (np.asarray(_value(a), dtype=float) for a in args[:3])
+    y = np.matmul(x, w)
+    y += b
+    return [np.tanh(y, out=y), *kept]
+
+
+def _vjp_mlp(out, args, kept, g, need, hidden=None):
+    """x-adjoint as an `mlp_vjp` node keeping (kept, errs[:-1]), kept the `mlp`
+    node's own hidden[1:]; parameter adjoints from the same pass (arrays when
+    g and args are).  hidden is rebuilt unless the caller holds it."""
     weights = [_value(w) for w in args[1::2]]
+    if hidden is None:
+        hidden = _hidden(args, kept)
     deltas, errs = _mlp_backward(weights, hidden, _value(g))
     grads = [None] * len(args)
     if need[0]:
         grads[0] = _adjoint(_times_transpose(deltas[0], weights[0]), "mlp_vjp", g, args,
-                            (hidden, errs))
+                            (kept, errs[:-1]))
     acts = [_value(args[0]), *hidden]
     for k, delta in enumerate(deltas):
         if need[1 + 2 * k]:
@@ -589,12 +605,16 @@ def _vjp_mlp_vjp(out, args, saved, u, need):
     The adjoint of W_k gathers (t_{k-1} s_k)^T delta_k (u^T delta_0 for k = 0)
     and, since delta_{k-1} = e_k s_k reads s_k = 1 - h_k^2, the adjoint
     -2 h_k t_{k-1} e_k of h_k flows back through the forward pass to x and
-    the parameters below layer k.  The node keeps (hidden, errs): s_k and
-    delta_k = e_k s_k are rebuilt bit for bit, and delta_{L-1} is g, args[0].
+    the parameters below layer k.  The node keeps (hidden[1:], errs[:-1]):
+    h_1, e_{L-1} = g W_{L-1}^T (_mlp_backward's first op), s_k and delta_k =
+    e_k s_k are rebuilt bit for bit, and delta_{L-1} is g, args[0].
     """
-    hidden, errs = saved
-    slopes = [1.0 - h * h for h in hidden]
+    kept, errs = saved
+    hidden = _hidden(args[1:], kept)
     weights = [_value(w) for w in args[2::2]]
+    if hidden:
+        errs = [*errs, _times_transpose(_value(args[0]), weights[-1])]
+    slopes = [1.0 - h * h for h in hidden]
     acts = [_value(args[1]), *hidden]
     n_layers = len(weights)
     grads = [None] * len(args)

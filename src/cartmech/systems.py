@@ -26,6 +26,7 @@ from .bodies import (
     BodySpec,
     MassModel,
     assemble_mass_matrix,
+    mass_blocks,
     velocity_to_momentum,
 )
 from .constraints import Joint, Link, anchor, point
@@ -178,6 +179,19 @@ class SumPotential:
 
 # -- configs ---------------------------------------------------------------------
 
+def _finite_mass_block(key: str, mass: float, moments=()) -> None:
+    """ParameterDomainError naming key unless the mass block M of a body with
+    this mass and these moments, and M^-1, are finite: a positive mass or
+    moment so small that its reciprocal overflows is refused here, not at the
+    first field call."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = mass_blocks(mass, np.asarray(moments, dtype=float))
+    if not all(np.isfinite(block).all() for block in blocks):
+        shown = list(moments) if key == "moments" else mass
+        raise ParameterDomainError(
+            f"{key} must give a finite mass matrix and inverse, got {shown}")
+
+
 def _chain_masses_and_lengths(cfg) -> None:
     """Check a chain config's n and fill in unit masses and lengths (n each)."""
     if not 1 <= cfg.n <= sys.maxsize:  # beyond, (1.0,) * n overflows
@@ -187,6 +201,8 @@ def _chain_masses_and_lengths(cfg) -> None:
         if len(values) != cfg.n:
             raise ParameterDomainError("masses and lengths must have n entries")
         object.__setattr__(cfg, name, values)
+    for mass in cfg.masses:
+        _finite_mass_block("masses", mass)
     # a link's constraint target is its squared length
     if not all(0.0 < l * l < math.inf for l in cfg.lengths):
         raise ParameterDomainError(
@@ -248,6 +264,7 @@ class MagnetConfig:
 
     def __post_init__(self):
         finite_positive("mass", (self.mass,))
+        _finite_mass_block("mass", self.mass)
         (length,) = finite_positive("length", (self.length,))
         if not 0.0 < length * length < math.inf:  # the link's constraint target
             raise ParameterDomainError(f"length must have a finite, positive square, got {length}")
@@ -276,6 +293,8 @@ class GyroscopeConfig:
     def __post_init__(self):
         finite_positive("mass", (self.mass,))
         object.__setattr__(self, "moments", finite_positive("moments", self.moments))
+        _finite_mass_block("mass", self.mass)
+        _finite_mass_block("moments", self.mass, self.moments)
         finite_positive("dt", (self.dt,))
 
 
@@ -294,6 +313,8 @@ class RotorConfig:
             raise ParameterDomainError(
                 f"rotor moments must be pairwise distinct, got {moments}")
         object.__setattr__(self, "moments", moments)
+        _finite_mass_block("mass", self.mass)
+        _finite_mass_block("moments", self.mass, moments)
         finite_positive("dt", (self.dt,))
 
 

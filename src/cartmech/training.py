@@ -69,6 +69,12 @@ class AdamW:
             store[name] = store[name] * (1.0 - lr * self.weight_decay) - lr * update
 
 
+def _finite_square(g: np.ndarray) -> bool:
+    """Whether g * g, which AdamW's second moment takes, is finite."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(g * g).all())
+
+
 def trajectory_loss_node(model, leaves: dict, chunks: np.ndarray, substeps: int = 1):
     """Mean L1 rollout error of a chunk batch, as a tape node (an array when
     no leaf is a node).
@@ -121,13 +127,15 @@ def train(model, chunks: np.ndarray, config: TrainConfig, log=None) -> TrainResu
 
     Init and shuffle randomness derive from config.seed only, so a fixed seed
     reproduces the run bit for bit.  A non-finite loss, gradient or state
-    (NonFiniteStateError), or a DegenerateConfigurationError from a guarded
-    solve, skips the optimizer step and logs the reason; max_bad_steps
-    consecutive ones abort with TrainingError.  Each step records on a
-    first-order tape (ad.Tape(graph=False)), so its backward pass runs on
-    arrays and adds no nodes, and clears it when it ends, skipped or not: a
-    step holds one step's graph, and the loss and leaf nodes still bound
-    then keep their values and nothing else.
+    (NonFiniteStateError), a gradient whose square overflows (AdamW's second
+    moment would turn inf and freeze its parameters), or a
+    DegenerateConfigurationError from a guarded solve, skips the optimizer
+    step and logs the reason; max_bad_steps consecutive ones abort with
+    TrainingError.  Each step records on a first-order tape
+    (ad.Tape(graph=False)), so its backward pass runs on arrays and adds no
+    nodes, and clears it when it ends, skipped or not: a step holds one
+    step's graph, and the loss and leaf nodes still bound then keep their
+    values and nothing else.
     """
     chunks = np.asarray(chunks, dtype=float)
     if chunks.ndim != 3 or chunks.shape[0] < 1 or chunks.shape[1] < 2:
@@ -156,6 +164,8 @@ def train(model, chunks: np.ndarray, config: TrainConfig, log=None) -> TrainResu
                     grads = dict(zip(names, ad.grad(loss, [leaves[name] for name in names])))
                     if not all(np.isfinite(g).all() for g in grads.values()):
                         bad = "non-finite gradient"
+                    elif not all(_finite_square(g) for g in grads.values()):
+                        bad = "gradient whose square overflows"
             except NonFiniteStateError:
                 bad = "non-finite state"
             except DegenerateConfigurationError as err:

@@ -319,9 +319,9 @@ def test_grad_wrt_interior_node_is_retained():
 
 def test_clear_frees_the_graph_of_nodes_still_held():
     # a node held after clear() keeps its value bit for bit and pins nothing
-    # else: the mlp node's hidden activation, reached only through the graph,
-    # is freed at once
-    vals = _mlp_problem((8,))
+    # else: the mlp node's kept hidden activation, reached only through the
+    # graph, is freed at once
+    vals = _mlp_problem((8, 8))
     tape = Tape()
     leaves = {name: tape.constant(value) for name, value in vals.items()}
     y = mlp_apply(leaves, leaves["x"])
@@ -377,7 +377,7 @@ def _every_rule_loss(tape, vals):
     """A scalar through every op with a rule, the MLP's input gradient among
     them; returns it with the leaves ("U" is unused)."""
     leaves = {name: tape.constant(value) for name, value in vals.items()}
-    x = leaves["x"]
+    x, b0 = leaves["x"], leaves["mlp.b0"]
     y, pullback = ad.mlp_pullback(leaves, x)
     gx = pullback(leaves["G"])
     K = ad.add(ad.matmul(ad.transpose(y), y), np.eye(4))
@@ -385,7 +385,7 @@ def _every_rule_loss(tape, vals):
     terms = [ad.reduce_sum(ad.absolute(ad.spd_solve(K, rhs))),
              ad.reduce_sum(ad.div(ad.sin(gx), ad.exp(ad.cos(x))), axis=1),
              ad.neg(ad.reduce_sum(ad.tanh(ad.reshape(y, (20,))))),
-             ad.reduce_sum(ad.sub(ad.expand(leaves["mlp.b0"], (5, 8)), 0.5) * 3.0)]
+             ad.reduce_sum(ad.sub(ad.expand(b0, (5, *b0.shape)), 0.5) * 3.0)]
     total = terms[0]
     for term in terms[1:]:
         total = ad.add(total, ad.reduce_sum(term))
@@ -393,23 +393,26 @@ def _every_rule_loss(tape, vals):
 
 
 def test_first_order_tape_returns_the_graphs_gradients_as_arrays_and_does_not_grow():
-    vals = _mlp_problem((8, 8))
-    graph_tape = Tape()
-    out, leaves = _every_rule_loss(graph_tape, vals)
-    want = [g.value for g in grad(out, list(leaves.values()))]
+    # at every depth; at (8,) the rules rebuild both residuals the MLP's nodes
+    # drop, h_1 and the top backward error
+    for hidden in MLP_DEPTHS:
+        vals = _mlp_problem(hidden)
+        graph_tape = Tape()
+        out, leaves = _every_rule_loss(graph_tape, vals)
+        want = [g.value for g in grad(out, list(leaves.values()))]
 
-    tape = Tape(graph=False)
-    out, leaves = _every_rule_loss(tape, vals)
-    before = len(tape)
-    got = grad(out, list(leaves.values()))
-    assert len(tape) == before
-    assert all(type(g) is np.ndarray for g in got)
-    for name, g, w in zip(leaves, got, want):
-        assert _same_bits(g, w), name
-    assert not got[list(leaves).index("U")].any()
-    tape.clear()
-    with pytest.raises(ValueError, match="cleared"):
-        grad(out, list(leaves.values()))
+        tape = Tape(graph=False)
+        out, leaves = _every_rule_loss(tape, vals)
+        before = len(tape)
+        got = grad(out, list(leaves.values()))
+        assert len(tape) == before
+        assert all(type(g) is np.ndarray for g in got)
+        for name, g, w in zip(leaves, got, want):
+            assert _same_bits(g, w), (hidden, name)
+        assert not got[list(leaves).index("U")].any()
+        tape.clear()
+        with pytest.raises(ValueError, match="cleared"):
+            grad(out, list(leaves.values()))
 
 
 def _mlp_problem(hidden):

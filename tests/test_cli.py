@@ -419,6 +419,12 @@ def test_non_finite_system_parameter_exits_1_naming_its_key(settings):
     (("system.lengths=[1e-200,1]",), "lengths"),
     (("system.kind=magnet", "system.length=1e200"), "length"),
     (("system.kind=magnet", "system.length=1e-200"), "length"),
+    # a mass or moment whose reciprocal overflows the mass block's inverse
+    (("system.masses=[1e-320,1]",), "masses"),
+    (("system.kind=magnet", "system.mass=1e-320"), "mass"),
+    (("system.kind=gyroscope", "system.mass=1e-320"), "mass"),
+    (("system.kind=gyroscope", "system.moments=[1e-320,0.05,0.09]"), "moments"),
+    (("system.kind=rotor", "system.moments=[1e-320,0.05,0.09]"), "moments"),
 ])
 def test_out_of_domain_system_parameter_exits_1_naming_it_without_warning(settings, name):
     # not the rest length derived from the pivot, numpy's overflow warning or

@@ -112,6 +112,18 @@ def test_config_validation():
             ("magnet", {"length": 1e-200}, "length")):
         with pytest.raises(ParameterDomainError, match=f"^{key} must have .*positive square"):
             build_system(name, **params)
+    # a positive mass or moment whose mass block or its inverse overflows,
+    # named before the first field call meets the inf
+    for name, params, key in (
+            ("npendulum", {"masses": (1e-320, 1.0)}, "masses"),
+            ("coupled", {"masses": (1.0, 1.0, 1e-320)}, "masses"),
+            ("magnet", {"mass": 1e-320}, "mass"),
+            ("gyroscope", {"mass": 1e-320}, "mass"),
+            ("gyroscope", {"moments": (1e-320, 0.05, 0.09)}, "moments"),
+            ("rotor", {"moments": (1e-320, 0.05, 0.09)}, "moments"),
+            ("rotor", {"mass": 1e-300, "moments": (1e-10, 0.05, 0.09)}, "moments")):
+        with pytest.raises(ParameterDomainError, match=f"^{key} must give a finite mass matrix"):
+            build_system(name, **params)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

@@ -265,13 +265,14 @@ def test_train_holds_one_step_graph_at_each_backward_pass(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["chnn", "hnn2d"])
 def test_mlp_vjp_nodes_keep_their_errors_and_share_the_mlp_hidden_list(kind):
-    # a training step's forward tape: each `mlp_vjp` node saves (hidden, errs),
-    # hidden being its `mlp` node's own list, one err per hidden layer; the
-    # second order rebuilds the slopes and deltas from them
+    # a training step's forward tape: each `mlp` node keeps hidden[1:], and
+    # each `mlp_vjp` node keeps (that same list, errs[:-1]); the rules rebuild
+    # h_1 and the top error, which need no hidden x hidden product
     from cartmech.systems import build_system
     from test_models import lagrangian_batch
 
-    hidden = (8, 8)
+    hidden = (8, 8, 8)
+    n_layers = len(hidden) + 1
     system = build_system("npendulum", n=2)
     model = build_model(kind, system, hidden=hidden)
     _, W = lagrangian_batch(system, np.random.default_rng(5), 4)
@@ -280,15 +281,27 @@ def test_mlp_vjp_nodes_keep_their_errors_and_share_the_mlp_hidden_list(kind):
     trajectory_loss_node(model, store.leaves(tape), np.stack([W] * 3, axis=1))
     mlps = [node for node in tape.nodes if node.op == "mlp"]
     vjps = [node for node in tape.nodes if node.op == "mlp_vjp"]
-    assert vjps
+    assert mlps and vjps
+    values = [[getattr(p, "value", p) for p in node.parents] for node in mlps]
+    rows = [x.size // x.shape[-1] for x, *_ in values]
+    for mlp, (h, *params) in zip(mlps, values):
+        forward = []
+        for w, b in zip(params[0:-2:2], params[1:-2:2]):
+            h = np.tanh(h @ w + b)
+            forward.append(h)
+        assert type(mlp.extra) is list and len(mlp.extra) == n_layers - 2
+        assert all(np.array_equal(a, b) for a, b in zip(mlp.extra, forward[1:]))
+    saved = [sum(h.nbytes for h in mlp.extra) for mlp in mlps]
     for vjp in vjps:
-        (mlp,) = [m for m in mlps if len(m.parents) == len(vjp.parents) - 1
-                  and all(a is b for a, b in zip(m.parents, vjp.parents[1:]))]
-        assert len(vjp.extra) == 2
-        saved_hidden, errs = vjp.extra
-        assert saved_hidden is mlp.extra
-        assert len(errs) == len(hidden)
-        assert [e.shape for e in errs] == [h.shape for h in saved_hidden]
+        (at,) = [i for i, m in enumerate(mlps) if len(m.parents) == len(vjp.parents) - 1
+                 and all(a is b for a, b in zip(m.parents, vjp.parents[1:]))]
+        kept, errs = vjp.extra
+        assert kept is mlps[at].extra
+        assert len(errs) == n_layers - 2
+        assert [e.shape for e in errs] == [h.shape for h in kept]
+        saved.append(sum(e.nbytes for e in errs))
+        rows.append(rows[at])
+    assert sum(saved) == sum(rows) * (n_layers - 2) * hidden[0] * 8
 
 
 def test_train_aborts_after_consecutive_bad_steps():
@@ -321,14 +334,17 @@ def test_train_aborts_after_consecutive_bad_steps():
 
 
 def test_non_finite_gradient_skips_the_step():
-    # the loss carries a*(b*c) = 1e100 (finite), but backward forms
-    # d/dc = a*b = 1e400, which overflows to inf
+    # a = b = 1e200, c = 1e-300: the loss carries a*(b*c) = 1e100 (finite),
+    # but backward forms d/dc = a*b = 1e400, which overflows to inf.  With
+    # b = 1 every gradient is finite, but d/dc = 1e200 squares to inf, which
+    # would freeze c in AdamW's second moment
     class Overflowing:
-        def __init__(self, system):
+        def __init__(self, system, b):
             self.system = system
+            self.b = b
 
         def init_params(self, rng):
-            return ad.ParamStore({"a": np.array(1e200), "b": np.array(1e200),
+            return ad.ParamStore({"a": np.array(1e200), "b": np.array(self.b),
                                   "c": np.array(1e-300)})
 
         def bind(self, leaves):
@@ -343,18 +359,20 @@ def test_non_finite_gradient_skips_the_step():
         def dynamics_node(self, leaves, w):
             return ad.mul(w, 0.0)
 
-    model = Overflowing(free_particle_system())
     chunks = free_particle_chunks(np.random.default_rng(9), 4, steps=1)
-    start = model.init_params(None)
-    messages = []
-    with np.errstate(over="ignore"):
-        tape = ad.Tape()
-        assert np.isfinite(trajectory_loss_node(model, start.leaves(tape), chunks).value)
-        result = train(model, chunks, TrainConfig(epochs=1, batch_size=4), log=messages.append)
-    assert result.bad_steps == 1
-    assert any("non-finite gradient" in m for m in messages)
-    for name in start.names():
-        assert np.array_equal(result.store[name], start[name])
+    for b, reason in ((1e200, "non-finite gradient"), (1.0, "gradient whose square overflows")):
+        model = Overflowing(free_particle_system(), b)
+        start = model.init_params(None)
+        messages = []
+        with np.errstate(over="ignore"):
+            tape = ad.Tape()
+            assert np.isfinite(trajectory_loss_node(model, start.leaves(tape), chunks).value)
+            result = train(model, chunks, TrainConfig(epochs=1, batch_size=4),
+                           log=messages.append)
+        assert result.bad_steps == 1
+        assert any(reason in m for m in messages), messages
+        for name in start.names():
+            assert np.array_equal(result.store[name], start[name])
 
 
 def test_train_config_validation():
