@@ -50,6 +50,7 @@ MAX_FACTOR = 10.0
 # PI controller exponents (integral / proportional on the previous error).
 K_I = 0.7 / 5
 K_P = 0.4 / 5
+MAX_STEPS = 1_000_000  # attempts (accepted or rejected steps) a row makes before it fails
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ class _Active:
             setattr(self, name, value[mask])
 
 
-def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerances(),
-                       max_steps: int = 1_000_000) -> Trajectory:
+def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerances()) -> Trajectory:
     """Integrate dz/dt = f(z) from t=0 to t=t_span with Dormand-Prince 5(4).
 
     z0 is one state (N,) or a batch (B, N).  The result holds the dense
@@ -162,7 +162,7 @@ def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerance
 
     One state: f is called with (N,) states, and step underflow, a non-finite
     state or an exhausted step budget raise IntegrationError with the time
-    and the accepted step count.
+    and the accepted step count; the budget is MAX_STEPS attempts.
 
     A batch: f is called with the (R, N) rows still running and
     must treat each row on its own.  Every row keeps its own t, step size, PI
@@ -229,10 +229,10 @@ def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerance
         a.h = np.minimum(a.h, t_span - a.t)
         # a finished row has h <= 0, so one test finds every row that stops
         stop = a.h < 1e-14 * np.maximum(1.0, np.abs(a.t))
-        if attempts >= max_steps or stop.any():
+        if attempts >= MAX_STEPS or stop.any():
             leave(a.t >= t_span)
-            if attempts >= max_steps:
-                leave(np.ones(a.rows.size, dtype=bool), f"exceeded {max_steps} steps")
+            if attempts >= MAX_STEPS:
+                leave(np.ones(a.rows.size, dtype=bool), f"exceeded {MAX_STEPS} steps")
             leave(a.h < 1e-14 * np.maximum(1.0, np.abs(a.t)), "step size underflow")
             if not a.rows.size:
                 break

@@ -70,10 +70,8 @@ def constraint_rmse_curve(system, states: np.ndarray) -> np.ndarray:
     """Per-state RMS of the holonomic constraint values (zeros if unconstrained)."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     topo = system.topology
-    if topo.constraint_set.n_rows == 0:
-        return np.zeros(states.shape[:-1])
     vals = phi(topo, unflatten_matrix(states[..., :states.shape[-1] // 2], topo.dim))
-    return np.sqrt(np.mean(vals ** 2, axis=-1))
+    return np.sqrt(np.sum(vals ** 2, axis=-1) / max(vals.shape[-1], 1))
 
 
 @dataclass(frozen=True)
@@ -95,16 +93,17 @@ def evaluate_rollout(system, preds: np.ndarray, truth: np.ndarray,
 
     Curves are means over the N trajectories; the summary numbers are
     geometric means of those mean curves over time.  A finite prediction can
-    still overflow its scores: RolloutDivergedError names the first
-    trajectory and time whose score is not finite.
+    still overflow its scores: with numpy's warnings off, RolloutDivergedError
+    names the first trajectory and time whose score is not finite.
     """
     preds = np.asarray(preds, dtype=float)
     truth = np.asarray(truth, dtype=float)
     times = np.asarray(times, dtype=float)
     if preds.shape != truth.shape:
         raise ShapeError(f"prediction/truth shapes differ: {preds.shape} vs {truth.shape}")
-    curves = (relative_error(preds, truth), energy_error(system, preds, truth),
-              constraint_rmse_curve(system, preds))
+    with np.errstate(all="ignore"):
+        curves = (relative_error(preds, truth), energy_error(system, preds, truth),
+                  constraint_rmse_curve(system, preds))
     finite = np.logical_and.reduce([np.isfinite(c) for c in curves])
     if not finite.all():
         row, t = np.argwhere(~finite)[0]

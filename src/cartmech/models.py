@@ -81,17 +81,19 @@ class DynamicsModel:
         the store's arrays.  The states of all T times are decoded in one
         call, time-major.  check_params vets the store first;
         RolloutDivergedError names the first trajectory and time that are
-        not finite."""
+        not finite.  numpy warns of nothing in the rollout: its checks, and
+        the pivot test's NonFiniteStateError, name a failure."""
         from .integrators import rollout_fixed
 
         self.check_params(store)
         params = self.bind(dict(store.items()))
         xv0 = np.atleast_2d(np.asarray(xv0, dtype=float))
         times = np.asarray(times, dtype=float)
-        w0 = self.to_state_node(params, xv0)
-        states = rollout_fixed(lambda w: self.dynamics_node(params, w), w0, times,
-                               substeps=substeps)
-        xv = self.decode_node(params, np.concatenate(states, axis=0))
+        with np.errstate(all="ignore"):
+            w0 = self.to_state_node(params, xv0)
+            states = rollout_fixed(lambda w: self.dynamics_node(params, w), w0, times,
+                                   substeps=substeps)
+            xv = self.decode_node(params, np.concatenate(states, axis=0))
         preds = np.ascontiguousarray(xv.reshape(len(states), len(xv0), -1).swapaxes(0, 1))
         if not np.isfinite(preds).all():
             row, t = np.argwhere(~np.isfinite(preds))[0, :2]

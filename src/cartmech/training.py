@@ -20,6 +20,8 @@ from .errors import (DegenerateConfigurationError, NonFiniteStateError, Paramete
                      TrainingError)
 from .integrators import rollout_fixed
 
+MAX_BAD_STEPS = 10  # consecutive skipped steps that abort a run
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -29,13 +31,12 @@ class TrainConfig:
     weight_decay: float = 1e-4
     substeps: int = 1
     seed: int = 0
-    max_bad_steps: int = 10
 
     def __post_init__(self):
         for name in ("lr", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterDomainError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("epochs", "batch_size", "lr", "substeps", "max_bad_steps"):
+        for name in ("epochs", "batch_size", "lr", "substeps"):
             if getattr(self, name) <= 0:
                 raise ParameterDomainError(f"{name} must be positive")
         if self.weight_decay < 0:
@@ -67,12 +68,6 @@ class AdamW:
             v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * g * g
             update = (m / c1) / (np.sqrt(v / c2) + self.eps)
             store[name] = store[name] * (1.0 - lr * self.weight_decay) - lr * update
-
-
-def _finite_square(g: np.ndarray) -> bool:
-    """Whether g * g, which AdamW's second moment takes, is finite."""
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(g * g).all())
 
 
 def trajectory_loss_node(model, leaves: dict, chunks: np.ndarray, substeps: int = 1):
@@ -130,8 +125,9 @@ def train(model, chunks: np.ndarray, config: TrainConfig, log=None) -> TrainResu
     (NonFiniteStateError), a gradient whose square overflows (AdamW's second
     moment would turn inf and freeze its parameters), or a
     DegenerateConfigurationError from a guarded solve, skips the optimizer
-    step and logs the reason; max_bad_steps consecutive ones abort with
-    TrainingError.  Each step records on a first-order tape
+    step and logs the reason; MAX_BAD_STEPS consecutive ones abort with
+    TrainingError; numpy warns of nothing in a step, so these checks name
+    its failure.  Each step records on a first-order tape
     (ad.Tape(graph=False)), so its backward pass runs on arrays and adds no
     nodes, and clears it when it ends, skipped or not: a step holds one
     step's graph, and the loss and leaf nodes still bound then keep their
@@ -156,20 +152,21 @@ def train(model, chunks: np.ndarray, config: TrainConfig, log=None) -> TrainResu
             batch = chunks[order[start:start + config.batch_size]]
             tape = ad.Tape(graph=False)
             leaves = store.leaves(tape)
-            try:
-                loss = trajectory_loss_node(model, leaves, batch, config.substeps)
-                value = float(loss.value)
-                bad = None if np.isfinite(value) else "non-finite loss"
-                if bad is None:
-                    grads = dict(zip(names, ad.grad(loss, [leaves[name] for name in names])))
-                    if not all(np.isfinite(g).all() for g in grads.values()):
-                        bad = "non-finite gradient"
-                    elif not all(_finite_square(g) for g in grads.values()):
-                        bad = "gradient whose square overflows"
-            except NonFiniteStateError:
-                bad = "non-finite state"
-            except DegenerateConfigurationError as err:
-                bad = f"degenerate system (pivot ratio {err.ratio:.3g})"
+            with np.errstate(all="ignore"):
+                try:
+                    loss = trajectory_loss_node(model, leaves, batch, config.substeps)
+                    value = float(loss.value)
+                    bad = None if np.isfinite(value) else "non-finite loss"
+                    if bad is None:
+                        grads = dict(zip(names, ad.grad(loss, [leaves[name] for name in names])))
+                        if not all(np.isfinite(g).all() for g in grads.values()):
+                            bad = "non-finite gradient"
+                        elif not all(np.isfinite(g * g).all() for g in grads.values()):
+                            bad = "gradient whose square overflows"
+                except NonFiniteStateError:
+                    bad = "non-finite state"
+                except DegenerateConfigurationError as err:
+                    bad = f"degenerate system (pivot ratio {err.ratio:.3g})"
             # frees the step's graph now, though loss and leaves stay bound
             tape.clear()
             if bad is not None:
@@ -177,7 +174,7 @@ def train(model, chunks: np.ndarray, config: TrainConfig, log=None) -> TrainResu
                 bad_streak += 1
                 if log is not None:
                     log(f"epoch {epoch}: {bad}, step skipped ({bad_streak} consecutive)")
-                if bad_streak >= config.max_bad_steps:
+                if bad_streak >= MAX_BAD_STEPS:
                     raise TrainingError(f"aborting: {bad_streak} consecutive bad steps "
                                         f"(last: {bad}) at epoch {epoch}")
                 continue

@@ -76,8 +76,7 @@ SYSTEM_KEYS = {
 RUN_KEYS = {
     "data": {"n_traj", "steps", "dt", "rtol", "atol", "seed"},
     "model": {"kind", "hidden"},
-    "train": {"epochs", "batch_size", "lr", "weight_decay", "substeps", "seed",
-              "max_bad_steps"},
+    "train": {"epochs", "batch_size", "lr", "weight_decay", "substeps", "seed"},
     "eval": {"horizon", "n_test", "seed"},
 }
 
@@ -100,7 +99,7 @@ def test_configuration_holds_exactly_the_settable_keys(kind):
     assert {f.name for f in fields(TrainConfig)} == RUN_KEYS["train"]
 
 
-def test_unknown_key_reports_dotted_path():
+def test_unknown_key_reports_dotted_path(tmp_path):
     rc, _, err = run_cli("print-config", "--set", "data.bogus=1")
     assert rc == 1
     assert "data.bogus" in err
@@ -108,6 +107,13 @@ def test_unknown_key_reports_dotted_path():
     rc, _, err = run_cli("print-config", "--set", "optimizer.lr=0.1")
     assert rc == 1
     assert "optimizer" in err
+
+    # the bad-step budget is a constant now, so a saved config naming it is stale
+    saved = tmp_path / "old.json"
+    saved.write_text(json.dumps({"train": {"max_bad_steps": 10}}))
+    rc, _, err = run_cli("print-config", "--config", str(saved))
+    assert rc == 1
+    assert "train.max_bad_steps" in err
 
 
 def test_wrong_value_type_is_rejected():
@@ -297,7 +303,6 @@ def test_ablation_requires_constrained_model(workdir):
     assert "model.kind" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_training_exits_2(workdir):
     rc, _, err = run_cli("train", *TINY, "--set", "train.lr=1e12",
                          "--set", "train.epochs=30",
@@ -305,6 +310,23 @@ def test_divergent_training_exits_2(workdir):
                          "--out", str(workdir / "boom"))
     assert rc == 2
     assert "numeric failure" in err
+
+
+def test_overflowing_training_steps_are_skipped_without_a_numpy_warning(tmp_path):
+    # hnn2d without hidden layers: epoch 0's gradient squares to inf and
+    # epochs 3-5 overflow in the forward pass; numpy's warning used to
+    # escape main, and now the step checks skip and log all four steps
+    rc, _, err = run_cli("generate", "--set", "system.n=2", "--set", "data.n_traj=8",
+                         "--set", "data.steps=20", "--set", "data.seed=0",
+                         "--set", "eval.n_test=2", "--out", str(tmp_path / "data"))
+    assert rc == 0, err
+    rc, out, err = run_cli("train", "--set", "system.n=2", "--set", "model.kind=hnn2d",
+                           "--set", "model.hidden=[]", "--set", "train.epochs=6",
+                           "--set", "train.batch_size=4", "--data", str(tmp_path / "data" / "train"),
+                           "--out", str(tmp_path / "run"))
+    assert rc == 0, err
+    assert "bad_steps 4" in out.splitlines()
+    assert "Warning" not in err and err.count("step skipped") == 4
 
 
 def test_missing_files_are_user_errors(tmp_path):
@@ -567,7 +589,6 @@ def _dataset_with(workdir, tmp_path, key, value):
     return bad
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
     """0 on good input, 1 on a missing or corrupt file, 2 on a numeric
     failure where the subcommand can hit one, and never a traceback."""

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cartmech import integrators
 from cartmech.errors import IntegrationError, ParameterDomainError
 from cartmech.integrators import Tolerances, integrate_adaptive, rk4_step, rollout_fixed
 from cartmech.systems import build_system
@@ -149,25 +150,27 @@ def test_batch_row_failures_stay_on_their_row():
     assert batch.n_accepted[1] == alone.n_accepted
 
 
-def test_step_budget_ends_only_the_rows_that_exhaust_it():
+def test_step_budget_ends_only_the_rows_that_exhaust_it(monkeypatch):
     # z = (x, v, w) with x' = v, v' = -w^2 x, w' = 0: the still row finishes
     # in a few growing steps, the fast oscillator runs out of its 10 attempts
+    monkeypatch.setattr(integrators, "MAX_STEPS", 10)
+
     def f(z):
         return np.stack([z[:, 1], -z[:, 2] ** 2 * z[:, 0], 0.0 * z[:, 2]], axis=1)
 
     t_eval = np.linspace(0.0, 1.0, 3)
     Z0 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 100.0]])
-    batch = integrate_adaptive(f, Z0, 1.0, t_eval=t_eval, max_steps=10)
+    batch = integrate_adaptive(f, Z0, 1.0, t_eval=t_eval)
     still, fast = batch.failures
     assert still is None
     assert isinstance(fast, IntegrationError) and "exceeded 10 steps" in str(fast)
     assert batch.n_accepted[1] + batch.n_rejected[1] == 10
     assert np.all(np.isnan(batch.states[1]))
-    alone = integrate_adaptive(lambda z: f(z[None])[0], Z0[0], 1.0, t_eval=t_eval, max_steps=10)
+    alone = integrate_adaptive(lambda z: f(z[None])[0], Z0[0], 1.0, t_eval=t_eval)
     assert np.array_equal(batch.states[0], alone.states)
     assert (batch.n_accepted[0], batch.n_rejected[0]) == (alone.n_accepted, alone.n_rejected)
     with pytest.raises(IntegrationError, match="exceeded 10 steps"):
-        integrate_adaptive(lambda z: f(z[None])[0], Z0[1], 1.0, t_eval=t_eval, max_steps=10)
+        integrate_adaptive(lambda z: f(z[None])[0], Z0[1], 1.0, t_eval=t_eval)
 
 
 @pytest.mark.parametrize("value", [0.0, -1e-7, float("nan"), float("inf")])

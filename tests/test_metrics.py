@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cartmech.bodies import BodySpec, assemble_mass_matrix
+from cartmech.constraints import phi
 from cartmech.errors import ShapeError
 from cartmech.metrics import (
     constraint_rmse_curve,
@@ -8,7 +10,9 @@ from cartmech.metrics import (
     geometric_mean,
     relative_error,
 )
-from cartmech.systems import build_system
+from cartmech.states import unflatten_matrix
+from cartmech.systems import SumPotential, System, build_system
+from cartmech.topology import SystemTopology
 
 
 def test_relative_error_trivial_values():
@@ -81,6 +85,19 @@ def test_constraint_rmse_curve_values():
     off = np.array([0.0, -2.0, 0.0, 0.0])  # phi = 3
     curve = constraint_rmse_curve(system, np.stack([on, off]))
     np.testing.assert_allclose(curve, [0.0, 3.0], atol=1e-12)
+    # a free system (no rows) goes through the same formula and reads 0; with
+    # rows, the sum over C divided by C is np.mean's value to the bit
+    topo = SystemTopology(dim=2, bodies=[BodySpec.point(1.0)] * 2, constraints=[], anchors=[])
+    free = System("free", None, topo, assemble_mass_matrix(topo.bodies), SumPotential())
+    rng = np.random.default_rng(3)
+    curve = constraint_rmse_curve(free, rng.normal(size=(3, 5, 8)))
+    assert curve.shape == (3, 5) and not curve.any()
+    for system in (build_system("npendulum", n=3), build_system("rotor")):
+        states = system.sample(rng, 12).reshape(3, 4, -1) * rng.uniform(0.5, 2.0, (3, 4, 1))
+        vals = phi(system.topology, unflatten_matrix(states[..., :states.shape[-1] // 2],
+                                                     system.topology.dim))
+        want = np.sqrt(np.mean(vals ** 2, axis=-1))
+        assert constraint_rmse_curve(system, states).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("horizon", [0.0, -0.3, float("nan"), float("inf")])
@@ -155,9 +172,8 @@ def test_finite_rollout_with_overflowing_scores_raises_naming_trajectory_and_tim
     for name in store.names():
         if name.startswith("cholesky.w"):
             store[name] = 10.0 * store[name]
-    with np.errstate(all="ignore"):
-        preds = model.rollout(store, test_ds.states[:, 0], test_ds.times[0])
-        with pytest.raises(RolloutDivergedError) as info:
-            evaluate_model(model, store, test_ds)
+    preds = model.rollout(store, test_ds.states[:, 0], test_ds.times[0])
+    with pytest.raises(RolloutDivergedError) as info:
+        evaluate_model(model, store, test_ds)
     assert np.isfinite(preds).all()
     assert str(info.value) == "trajectory 0 has a non-finite score at t = 0.3"

@@ -526,15 +526,32 @@ def test_diverging_rollout_raises_naming_its_first_non_finite_trajectory_and_tim
     for name in store.names():
         if name.startswith("cholesky.w"):
             store[name] = 10.0 * store[name]
-    with np.errstate(all="ignore"):
-        with pytest.raises(RolloutDivergedError) as info:
-            evaluate_model(model, store, test_ds, horizon=3.0)
-        times = test_ds.times[0, :101]
-        params = model.bind(dict(store.items()))
-        w0 = model.to_state_node(params, test_ds.states[:, 0])
+    with pytest.raises(RolloutDivergedError) as info:
+        evaluate_model(model, store, test_ds, horizon=3.0)
+    times = test_ds.times[0, :101]
+    params = model.bind(dict(store.items()))
+    w0 = model.to_state_node(params, test_ds.states[:, 0])
+    with np.errstate(all="ignore"):  # the test's own recomputation of the rollout
         states = rollout_fixed(lambda w: model.dynamics_node(params, w), w0, times)
         finite = np.stack([np.isfinite(model.decode_node(params, w)).all(axis=1)
                            for w in states], axis=1)
     row = np.flatnonzero(~finite.all(axis=1))[0]
     t = times[np.flatnonzero(~finite[row])[0]]
     assert str(info.value) == f"trajectory {row} is not finite at t = {t:.6g}"
+
+
+@pytest.mark.parametrize("kind", ["chnn", "clnn"])
+def test_exact_field_magnet_row_fails_by_name_without_a_numpy_warning(kind):
+    # row 7 of the seed-1,000,000 magnet test split, rolled with the system's
+    # own grad V at one RK4 substep per dt: the state overflows and the pivot
+    # test raises NonFiniteStateError; numpy's overflow warning used to come first
+    from cartmech.errors import NonFiniteStateError
+
+    system = build_system("magnet")
+    ctx = system.context()
+    W0 = convert_flavor(ctx, system.sample(np.random.default_rng([1_000_000, 7])), LAGRANGIAN)
+    model = build_model(kind, system, hidden=(8,),
+                        grad_potential=lambda leaves, x: ctx.grad_potential(x))
+    store = model.init_params(np.random.default_rng(0))
+    with pytest.raises(NonFiniteStateError):
+        model.rollout(store, W0, system.dt * np.arange(101))

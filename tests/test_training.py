@@ -14,6 +14,7 @@ from cartmech.states import LAGRANGIAN
 from cartmech.systems import SumPotential, System
 from cartmech.topology import SystemTopology
 from cartmech.training import (
+    MAX_BAD_STEPS,
     AdamW,
     TrainConfig,
     cosine_lr,
@@ -328,7 +329,7 @@ def test_train_aborts_after_consecutive_bad_steps():
     messages = []
     with pytest.raises(TrainingError):
         train(Exploding(free_particle_system()), chunks,
-              TrainConfig(epochs=50, batch_size=2, lr=1e-3, max_bad_steps=10),
+              TrainConfig(epochs=50, batch_size=2, lr=1e-3),
               log=messages.append)
     assert sum("non-finite" in m for m in messages) == 10
 
@@ -364,15 +365,32 @@ def test_non_finite_gradient_skips_the_step():
         model = Overflowing(free_particle_system(), b)
         start = model.init_params(None)
         messages = []
-        with np.errstate(over="ignore"):
-            tape = ad.Tape()
-            assert np.isfinite(trajectory_loss_node(model, start.leaves(tape), chunks).value)
-            result = train(model, chunks, TrainConfig(epochs=1, batch_size=4),
-                           log=messages.append)
+        tape = ad.Tape()
+        assert np.isfinite(trajectory_loss_node(model, start.leaves(tape), chunks).value)
+        result = train(model, chunks, TrainConfig(epochs=1, batch_size=4), log=messages.append)
         assert result.bad_steps == 1
         assert any(reason in m for m in messages), messages
         for name in start.names():
             assert np.array_equal(result.store[name], start[name])
+
+
+def test_overflowing_forward_is_a_bad_step_without_a_numpy_warning():
+    # hnn2d without hidden layers on a small two-pendulum set: epoch 0's
+    # gradient squares to inf, and epochs 3-5 overflow in the forward pass.
+    # numpy used to warn first, which the suite's RuntimeWarning filter
+    # turned into an error
+    from cartmech.dataset import generate_dataset
+    from cartmech.systems import build_system
+
+    system = build_system("npendulum", n=2)
+    chunks = generate_dataset(system, 8, steps=20, seed=0).states
+    messages = []
+    result = train(build_model("hnn2d", system, hidden=()), chunks,
+                   TrainConfig(epochs=6, batch_size=4, seed=0), log=messages.append)
+    assert result.bad_steps == 4
+    assert [m.split(", step")[0] for m in messages if "step skipped" in m] == [
+        "epoch 0: gradient whose square overflows", "epoch 3: non-finite loss",
+        "epoch 4: non-finite loss", "epoch 5: non-finite loss"]
 
 
 def test_train_config_validation():
@@ -408,10 +426,9 @@ def test_degenerate_constraint_system_is_a_bad_step_with_its_reason():
     chunks = np.stack([W] * 3, axis=1)
     messages = []
     with pytest.raises(TrainingError) as info:
-        train(model, chunks, TrainConfig(epochs=5, batch_size=4, max_bad_steps=3),
-              log=messages.append)
+        train(model, chunks, TrainConfig(epochs=5, batch_size=4), log=messages.append)
     skipped = [m for m in messages if "step skipped" in m]
-    assert len(skipped) == 3
+    assert len(skipped) == MAX_BAD_STEPS == 10
     assert all("degenerate" in m and "pivot ratio" in m for m in skipped)
     assert "degenerate" in str(info.value)
 
@@ -455,10 +472,9 @@ def test_non_finite_state_is_a_bad_step_with_its_reason():
     chunks[1, 0, 0] = np.nan
     messages = []
     with pytest.raises(TrainingError) as info:
-        train(model, chunks, TrainConfig(epochs=5, batch_size=4, max_bad_steps=2),
-              log=messages.append)
+        train(model, chunks, TrainConfig(epochs=10, batch_size=4), log=messages.append)
     skipped = [m for m in messages if "step skipped" in m]
-    assert len(skipped) == 2
+    assert len(skipped) == MAX_BAD_STEPS == 10
     assert all("non-finite state" in m for m in skipped)
     assert "non-finite state" in str(info.value)
 
