@@ -31,7 +31,7 @@ def main():
         back = load_dataset(tmp)
         print("roundtrip exact:", np.array_equal(back.states, ds.states))
         manifest = json.loads((pathlib.Path(tmp) / "manifest.json").read_text())
-        print("manifest:", {k: manifest[k] for k in ("system", "dt", "states_shape")})
+        print("manifest:", {k: manifest[k] for k in ("system", "states_shape")})
 
         csv_path = pathlib.Path(tmp) / "traj0.csv"
         export_trajectory_csv(csv_path, ds.times[0], ds.states[0], system.topology.dim)

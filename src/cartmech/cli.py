@@ -5,10 +5,10 @@ print-config.  Every subcommand but export is driven by one JSON config with
 sections system/data/model/train/eval, read with --config and overridden
 entry by entry with --set; every value has an explicit default, and unknown
 keys and wrong-typed values are rejected with their dotted path.  simulate
-rolls one initial state, drawn with data.seed, over eval.horizon seconds:
-the ground truth, or with --checkpoint the configured model at
-train.substeps.  Exit codes: 0 success, 1 user error, 2 numeric failure
-(errors.NumericFailure).
+rolls one initial state, drawn with data.seed, over eval.horizon seconds in
+steps of system.dt: the ground truth, or with --checkpoint the configured
+model at train.substeps, scored by evaluate_rollout.  Exit codes: 0 success,
+1 user error, 2 numeric failure (errors.NumericFailure).
 """
 from __future__ import annotations
 
@@ -34,15 +34,15 @@ from .dataset import (
 from .dynamics import convert_flavor
 from .errors import CartmechError, NumericFailure, SchemaError, check_like, finite_positive
 from .integrators import Tolerances, integrate_adaptive
-from .metrics import constraint_rmse_curve, energy_error, evaluate_model
+from .metrics import evaluate_model, evaluate_rollout
 from .models import DEFAULT_HIDDEN, MODEL_KINDS, build_model
 from .states import LAGRANGIAN
-from .systems import build_system, disable_system_constraints, system_to_dict
+from .systems import disable_system_constraints, system_from_dict, system_to_dict
 from .training import TrainConfig, train
 
 DEFAULT_CONFIG = {
     "system": {"kind": "npendulum"},
-    "data": {"n_traj": 200, "steps": 100, "dt": 0.03, **asdict(Tolerances()), "seed": 0},
+    "data": {"n_traj": 200, "steps": 100, **asdict(Tolerances()), "seed": 0},
     "model": {"kind": "chnn", "hidden": list(DEFAULT_HIDDEN)},
     "train": asdict(TrainConfig()),
     "eval": {"horizon": 3.0, "n_test": 20, "seed": 1000000},
@@ -53,21 +53,15 @@ DEFAULT_CONFIG = {
 
 def _resolve_system(doc: dict) -> dict:
     """The system section with every default made explicit, from the system
-    built once (so parameter names, types and domains are enforced), without dt."""
+    built once (so parameter names, types and domains are enforced)."""
     if not isinstance(doc, dict):
         raise SchemaError("system: expected an object")
-    doc = dict(doc)
-    kind = doc.pop("kind", DEFAULT_CONFIG["system"]["kind"])
-    if "dt" in doc:
-        raise SchemaError("system.dt: the time step belongs under data.dt")
     try:
-        resolved = system_to_dict(build_system(kind, **doc))
+        return system_to_dict(system_from_dict({**DEFAULT_CONFIG["system"], **doc}))
     except SchemaError:
         raise
     except (TypeError, ValueError) as err:
         raise SchemaError(f"system: {err}") from None
-    resolved.pop("dt")
-    return resolved
 
 
 def resolve_config(doc: dict | None) -> dict:
@@ -134,12 +128,6 @@ def load_config(args) -> dict:
     return resolve_config(doc)
 
 
-def _system_from_config(cfg: dict):
-    params = dict(cfg["system"])
-    kind = params.pop("kind")
-    return build_system(kind, dt=cfg["data"]["dt"], **params)
-
-
 def _tolerances(cfg: dict) -> Tolerances:
     return Tolerances(cfg["data"]["rtol"], cfg["data"]["atol"])
 
@@ -161,7 +149,7 @@ def cmd_print_config(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args)
-    system = _system_from_config(cfg)
+    system = system_from_dict(cfg["system"])
     tol = _tolerances(cfg)
     train_ds = generate_dataset(system, cfg["data"]["n_traj"], steps=cfg["data"]["steps"],
                                 tolerances=tol, seed=cfg["data"]["seed"], split="train",
@@ -178,7 +166,7 @@ def cmd_generate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
-    system = _system_from_config(cfg)
+    system = system_from_dict(cfg["system"])
     (horizon,) = finite_positive("eval.horizon", (cfg["eval"]["horizon"],))
     count = horizon / system.dt
     if not np.isfinite(count):
@@ -200,11 +188,11 @@ def cmd_simulate(args) -> int:
         states = truth
     if args.out:
         export_trajectory_csv(args.out, t_eval, states, system.topology.dim)
-    e_drift = energy_error(system, states, np.broadcast_to(truth[0], states.shape))
-    phi_curve = constraint_rmse_curve(system, states)
+    result = evaluate_rollout(system, states[None],
+                              np.broadcast_to(truth[0], states.shape)[None], t_eval)
     print(f"steps {steps}")
-    print(f"max_rel_energy_error {np.max(e_drift):.17g}")
-    print(f"max_phi_rmse {np.max(phi_curve):.17g}")
+    print(f"max_rel_energy_error {np.max(result.energy_err):.17g}")
+    print(f"max_phi_rmse {np.max(result.phi_rmse):.17g}")
     return 0
 
 

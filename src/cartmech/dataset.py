@@ -28,7 +28,7 @@ import numpy as np
 
 from .autodiff import ParamStore
 from .dynamics import convert_flavor
-from .errors import FormatError, IntegrationError, ParameterDomainError, finite_positive
+from .errors import FormatError, ParameterDomainError
 from .integrators import Tolerances, integrate_adaptive
 from .states import LAGRANGIAN
 from .systems import System, system_from_dict, system_to_dict
@@ -180,7 +180,6 @@ def save_dataset(dataset: Dataset, directory) -> None:
     manifest = {
         "format_version": FORMAT_VERSION,
         "system": dataset.system_spec,
-        "dt": dataset.dt,
         "split": dataset.split,
         "seed": dataset.seed,
         "tolerances": {"rtol": dataset.tolerances.rtol, "atol": dataset.tolerances.atol},
@@ -239,28 +238,23 @@ def load_dataset(directory) -> Dataset:
         raise FormatError(f"{path}: states_shape {list(s_shape)} needs N >= 1 rows "
                           f"of T >= 2 times")
     tolerances = _entry(manifest, "tolerances", dict, path)
+    system_spec = _entry(manifest, "system", dict, path)
     try:
         tol = Tolerances(float(_entry(tolerances, "rtol", (int, float), path)),
                          float(_entry(tolerances, "atol", (int, float), path)))
-        (dt,) = finite_positive("dt", (_entry(manifest, "dt", (int, float), path),))
-    except ParameterDomainError as err:
+        system = system_from_dict(system_spec)
+    except ValueError as err:  # SchemaError and ParameterDomainError among them
         raise FormatError(f"{path}: {err}") from None
-    system_spec = _entry(manifest, "system", dict, path)
-    if system_spec.get("dt") != dt:
-        raise FormatError(f"{path}: dt {dt!r} disagrees with system.dt {system_spec.get('dt')!r}")
     split = _entry(manifest, "split", str, path)
     seed = _entry(manifest, "seed", int, path)
     payload = _Reader(os.path.join(directory, "payload.bin"))
     times, states = payload.floats(t_shape), payload.floats(s_shape)
     payload.end()
-    dataset = Dataset(system_spec, dt, split, seed, tol, times, states)
-    try:
-        dn = dataset.system.topology.dn
-    except ValueError as err:  # SchemaError and ParameterDomainError among them
-        raise FormatError(f"{path}: {err}") from None
-    if s_shape[2] != 2 * dn:
+    if s_shape[2] != 2 * system.topology.dn:
         raise FormatError(f"{path}: states_shape {list(s_shape)} has D = {s_shape[2]}, "
-                          f"but its system's states have 2dn = {2 * dn}")
+                          f"but its system's states have 2dn = {2 * system.topology.dn}")
+    dataset = Dataset(system_spec, system.dt, split, seed, tol, times, states)
+    vars(dataset)["system"] = system  # the cached property, filled with the system built here
     return dataset
 
 

@@ -172,122 +172,125 @@ def integrate_adaptive(f, z0, t_span: float, t_eval, tol: Tolerances = Tolerance
     rows), per-row n_accepted/n_rejected arrays, and failures: the
     IntegrationError of each row, or None where the row finished.  Each row
     is computed exactly as a run of that state alone would compute it.
-    Exceptions raised by f propagate.
+    Exceptions raised by f propagate.  numpy's warnings are off throughout,
+    so these checks, not a warning, decide how an overflowing run ends.
     """
-    z0 = np.asarray(z0, dtype=float)
-    if z0.ndim not in (1, 2):
-        raise ValueError(f"z0 must be (N,) or (B, N), got shape {z0.shape}")
-    single = z0.ndim == 1
-    if t_span <= 0:
-        raise ValueError("t_span must be positive")
-    t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.size and (t_eval[0] < 0 or t_eval[-1] > t_span * (1 + 1e-12) or np.any(np.diff(t_eval) < 0)):
-        raise ValueError("t_eval must be increasing inside [0, t_span]")
+    with np.errstate(all="ignore"):
+        z0 = np.asarray(z0, dtype=float)
+        if z0.ndim not in (1, 2):
+            raise ValueError(f"z0 must be (N,) or (B, N), got shape {z0.shape}")
+        single = z0.ndim == 1
+        if t_span <= 0:
+            raise ValueError("t_span must be positive")
+        t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.size and (t_eval[0] < 0 or t_eval[-1] > t_span * (1 + 1e-12)
+                            or np.any(np.diff(t_eval) < 0)):
+            raise ValueError("t_eval must be increasing inside [0, t_span]")
 
-    def field(rows):
-        out = f(rows[0] if single else rows)
-        if not isinstance(out, np.ndarray):
-            raise TypeError("integrate_adaptive requires a plain-array dynamics function")
-        return out[None] if single else out
+        def field(rows):
+            out = f(rows[0] if single else rows)
+            if not isinstance(out, np.ndarray):
+                raise TypeError("integrate_adaptive requires a plain-array dynamics function")
+            return out[None] if single else out
 
-    z0 = np.atleast_2d(z0)
-    n_rows, size = z0.shape
-    n_eval = t_eval.size
-    n_start = int(np.searchsorted(t_eval, 0.0, side="right"))
-    out = np.full((n_rows, n_eval, size), np.nan)
-    out[:, :n_start] = z0[:, None]
-    n_accepted = np.zeros(n_rows, dtype=int)
-    n_rejected = np.zeros(n_rows, dtype=int)
-    failures: list = [None] * n_rows
+        z0 = np.atleast_2d(z0)
+        n_rows, size = z0.shape
+        n_eval = t_eval.size
+        n_start = int(np.searchsorted(t_eval, 0.0, side="right"))
+        out = np.full((n_rows, n_eval, size), np.nan)
+        out[:, :n_start] = z0[:, None]
+        n_accepted = np.zeros(n_rows, dtype=int)
+        n_rejected = np.zeros(n_rows, dtype=int)
+        failures: list = [None] * n_rows
 
-    a = _Active(rows=np.arange(n_rows), t=np.zeros(n_rows), h=np.zeros(n_rows),
-                err_prev=np.ones(n_rows), z=z0.copy(), f_now=np.zeros_like(z0),
-                n_acc=n_accepted.copy(), eval_idx=np.full(n_rows, n_start))
-    # every active row makes one attempt per pass, so a row's attempt count is
-    # the number of finished passes and only its accepted steps are per row
-    attempts = 0
+        a = _Active(rows=np.arange(n_rows), t=np.zeros(n_rows), h=np.zeros(n_rows),
+                    err_prev=np.ones(n_rows), z=z0.copy(), f_now=np.zeros_like(z0),
+                    n_acc=n_accepted.copy(), eval_idx=np.full(n_rows, n_start))
+        # every active row makes one attempt per pass, so a row's attempt count is
+        # the number of finished passes and only its accepted steps are per row
+        attempts = 0
 
-    def leave(mask, reason=None):
-        """Drop the rows under mask, recording their counts and failure."""
-        if not np.count_nonzero(mask):
-            return
-        for i in np.flatnonzero(mask):
-            r = a.rows[i]
-            n_accepted[r] = a.n_acc[i]
-            n_rejected[r] = attempts - a.n_acc[i]
-            if reason is not None:
-                failures[r] = IntegrationError(f"{reason} at t={a.t[i]:.6g}", t=float(a.t[i]),
-                                               step=int(a.n_acc[i]))
-        a.keep(~mask)
+        def leave(mask, reason=None):
+            """Drop the rows under mask, recording their counts and failure."""
+            if not np.count_nonzero(mask):
+                return
+            for i in np.flatnonzero(mask):
+                r = a.rows[i]
+                n_accepted[r] = a.n_acc[i]
+                n_rejected[r] = attempts - a.n_acc[i]
+                if reason is not None:
+                    failures[r] = IntegrationError(f"{reason} at t={a.t[i]:.6g}", t=float(a.t[i]),
+                                                   step=int(a.n_acc[i]))
+            a.keep(~mask)
 
-    leave(~np.all(np.isfinite(a.z), axis=1), "non-finite state")
-    if a.rows.size:
-        a.f_now = field(a.z)  # refreshed only on accepted steps
-        a.h = _initial_step(field, a.z, a.f_now, t_span, tol)
+        leave(~np.all(np.isfinite(a.z), axis=1), "non-finite state")
+        if a.rows.size:
+            a.f_now = field(a.z)  # refreshed only on accepted steps
+            a.h = _initial_step(field, a.z, a.f_now, t_span, tol)
 
-    while a.rows.size:
-        a.h = np.minimum(a.h, t_span - a.t)
-        # a finished row has h <= 0, so one test finds every row that stops
-        stop = a.h < 1e-14 * np.maximum(1.0, np.abs(a.t))
-        if attempts >= MAX_STEPS or stop.any():
-            leave(a.t >= t_span)
-            if attempts >= MAX_STEPS:
-                leave(np.ones(a.rows.size, dtype=bool), f"exceeded {MAX_STEPS} steps")
-            leave(a.h < 1e-14 * np.maximum(1.0, np.abs(a.t)), "step size underflow")
-            if not a.rows.size:
-                break
-
-        k = np.empty((7,) + a.z.shape)
-        k[0] = a.f_now  # first-same-as-last
-        h = a.h[:, None]
-        for s in range(1, 7):
-            zs = _combine(a.z, h, _A_ROWS[s], k[:s])
-            # a finite sum has no nan or inf term; one that overflowed goes
-            # through the exact test, which then finds no row to drop
-            if not math.isfinite(np.add.reduce(zs, axis=None)):
-                bad = ~np.all(np.isfinite(zs), axis=1)
-                leave(bad, "non-finite state")
-                k, h, zs = k[:, ~bad], h[~bad], zs[~bad]
+        while a.rows.size:
+            a.h = np.minimum(a.h, t_span - a.t)
+            # a finished row has h <= 0, so one test finds every row that stops
+            stop = a.h < 1e-14 * np.maximum(1.0, np.abs(a.t))
+            if attempts >= MAX_STEPS or stop.any():
+                leave(a.t >= t_span)
+                if attempts >= MAX_STEPS:
+                    leave(np.ones(a.rows.size, dtype=bool), f"exceeded {MAX_STEPS} steps")
+                leave(a.h < 1e-14 * np.maximum(1.0, np.abs(a.t)), "step size underflow")
                 if not a.rows.size:
                     break
-            k[s] = field(zs)
-        if not a.rows.size:
-            break
-        z_new = zs  # the last stage sits at the new state: DP_A[6] is DP_B without its 0
-        scale = tol.atol + tol.rtol * np.maximum(np.abs(a.z), np.abs(z_new))
-        err_norm = _rms(h * np.add.reduce(_E_ROW * k, axis=0) / scale)
-        accept = err_norm <= 1.0
 
-        # quartic dense output at every t_eval point inside each accepted
-        # step; the one reaching t_span (h clamped to it) takes all left
-        reach = np.where(a.h >= t_span - a.t, n_eval,
-                         t_eval.searchsorted(a.t + a.h * (1 + 1e-12), side="right"))
-        end = np.where(accept, np.maximum(reach, a.eval_idx), a.eval_idx)
-        count = end - a.eval_idx
-        if np.count_nonzero(count):
-            i = np.repeat(np.arange(a.rows.size), count)
-            point = np.arange(i.size) + np.repeat(end - np.cumsum(count), count)
-            u = ((t_eval[point] - a.t[i]) / a.h[i])[:, None]
-            weights = (((DP_P[:, 3] * u + DP_P[:, 2]) * u + DP_P[:, 1]) * u + DP_P[:, 0]) * u
-            out[a.rows[i], point] = _combine(a.z[i], h[i], weights.T[:, :, None], k[:, i])
-            a.eval_idx = end
-        # PI growth on accepted rows, plain shrink on rejected ones; the clamp
-        # on err_norm only reaches rows whose factor is capped at MAX_FACTOR
-        e = np.maximum(err_norm, 1e-300)
-        grow = np.fmin(MAX_FACTOR, np.fmax(MIN_FACTOR, SAFETY * e ** -K_I * a.err_prev ** K_P))
-        shrink = np.fmax(MIN_FACTOR, SAFETY * e ** -0.2)
-        kept = accept[:, None]
-        a.t = np.where(accept, a.t + a.h, a.t)
-        a.z = np.where(kept, z_new, a.z)
-        a.f_now = np.where(kept, k[6], a.f_now)
-        a.err_prev = np.where(accept, np.maximum(err_norm, 1e-10), a.err_prev)
-        a.h = a.h * np.where(accept, grow, shrink)
-        a.n_acc = a.n_acc + accept
-        attempts += 1
+            k = np.empty((7,) + a.z.shape)
+            k[0] = a.f_now  # first-same-as-last
+            h = a.h[:, None]
+            for s in range(1, 7):
+                zs = _combine(a.z, h, _A_ROWS[s], k[:s])
+                # a finite sum has no nan or inf term; one that overflowed goes
+                # through the exact test, which then finds no row to drop
+                if not math.isfinite(np.add.reduce(zs, axis=None)):
+                    bad = ~np.all(np.isfinite(zs), axis=1)
+                    leave(bad, "non-finite state")
+                    k, h, zs = k[:, ~bad], h[~bad], zs[~bad]
+                    if not a.rows.size:
+                        break
+                k[s] = field(zs)
+            if not a.rows.size:
+                break
+            z_new = zs  # the last stage sits at the new state: DP_A[6] is DP_B without its 0
+            scale = tol.atol + tol.rtol * np.maximum(np.abs(a.z), np.abs(z_new))
+            err_norm = _rms(h * np.add.reduce(_E_ROW * k, axis=0) / scale)
+            accept = err_norm <= 1.0
 
-    if not single:
-        out[[r for r, err in enumerate(failures) if err is not None]] = np.nan
-        return Trajectory(t_eval.copy(), out, n_accepted, n_rejected, tuple(failures))
-    if failures[0] is not None:
-        raise failures[0]
-    return Trajectory(t_eval.copy(), out[0], int(n_accepted[0]), int(n_rejected[0]))
+            # quartic dense output at every t_eval point inside each accepted
+            # step; the one reaching t_span (h clamped to it) takes all left
+            reach = np.where(a.h >= t_span - a.t, n_eval,
+                             t_eval.searchsorted(a.t + a.h * (1 + 1e-12), side="right"))
+            end = np.where(accept, np.maximum(reach, a.eval_idx), a.eval_idx)
+            count = end - a.eval_idx
+            if np.count_nonzero(count):
+                i = np.repeat(np.arange(a.rows.size), count)
+                point = np.arange(i.size) + np.repeat(end - np.cumsum(count), count)
+                u = ((t_eval[point] - a.t[i]) / a.h[i])[:, None]
+                weights = (((DP_P[:, 3] * u + DP_P[:, 2]) * u + DP_P[:, 1]) * u + DP_P[:, 0]) * u
+                out[a.rows[i], point] = _combine(a.z[i], h[i], weights.T[:, :, None], k[:, i])
+                a.eval_idx = end
+            # PI growth on accepted rows, plain shrink on rejected ones; the clamp
+            # on err_norm only reaches rows whose factor is capped at MAX_FACTOR
+            e = np.maximum(err_norm, 1e-300)
+            grow = np.fmin(MAX_FACTOR, np.fmax(MIN_FACTOR, SAFETY * e ** -K_I * a.err_prev ** K_P))
+            shrink = np.fmax(MIN_FACTOR, SAFETY * e ** -0.2)
+            kept = accept[:, None]
+            a.t = np.where(accept, a.t + a.h, a.t)
+            a.z = np.where(kept, z_new, a.z)
+            a.f_now = np.where(kept, k[6], a.f_now)
+            a.err_prev = np.where(accept, np.maximum(err_norm, 1e-10), a.err_prev)
+            a.h = a.h * np.where(accept, grow, shrink)
+            a.n_acc = a.n_acc + accept
+            attempts += 1
+
+        if not single:
+            out[[r for r, err in enumerate(failures) if err is not None]] = np.nan
+            return Trajectory(t_eval.copy(), out, n_accepted, n_rejected, tuple(failures))
+        if failures[0] is not None:
+            raise failures[0]
+        return Trajectory(t_eval.copy(), out[0], int(n_accepted[0]), int(n_rejected[0]))

@@ -545,7 +545,6 @@ def system_to_dict(system: System) -> dict:
 
 def system_from_dict(doc: dict) -> System:
     doc = dict(doc)
-    kind = doc.pop("kind", None)
-    if kind is None:
+    if "kind" not in doc:
         raise ValueError("system document needs a 'kind' entry")
-    return build_system(kind, **doc)
+    return build_system(doc.pop("kind"), **doc)

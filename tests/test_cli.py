@@ -45,10 +45,10 @@ def workdir(tmp_path_factory):
 
 
 def test_print_config_output_is_valid_input(tmp_path):
-    rc, out, _ = run_cli("print-config", "--set", "data.dt=0.05")
+    rc, out, _ = run_cli("print-config", "--set", "system.dt=0.05")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["data"]["dt"] == 0.05
+    assert doc["system"]["dt"] == 0.05
     assert doc["train"]["epochs"] == 2000
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(out)
@@ -62,7 +62,7 @@ def test_print_config_resolves_system_defaults():
     doc = json.loads(out)
     assert doc["system"]["kind"] == "npendulum"
     assert doc["system"]["masses"] == [1.0, 1.0, 1.0]
-    assert "dt" not in doc["system"]
+    assert doc["system"]["dt"] == 0.03
 
 
 SYSTEM_KEYS = {
@@ -74,7 +74,7 @@ SYSTEM_KEYS = {
     "rotor": {"mass", "moments", "dt"},
 }
 RUN_KEYS = {
-    "data": {"n_traj", "steps", "dt", "rtol", "atol", "seed"},
+    "data": {"n_traj", "steps", "rtol", "atol", "seed"},
     "model": {"kind", "hidden"},
     "train": {"epochs", "batch_size", "lr", "weight_decay", "substeps", "seed"},
     "eval": {"horizon", "n_test", "seed"},
@@ -82,7 +82,7 @@ RUN_KEYS = {
 
 
 @pytest.mark.parametrize("kind", sorted(SYSTEM_KEYS))
-def test_configuration_holds_exactly_the_settable_keys(kind):
+def test_configuration_holds_exactly_the_settable_keys(kind, tmp_path):
     # the initial-state draws are fixed in the samplers, not settable
     from dataclasses import fields
 
@@ -93,10 +93,27 @@ def test_configuration_holds_exactly_the_settable_keys(kind):
     rc, out, err = run_cli("print-config", "--set", f"system.kind={kind}")
     assert rc == 0, err
     doc = json.loads(out)
-    assert set(doc["system"]) == SYSTEM_KEYS[kind] - {"dt"} | {"kind"}
+    assert set(doc["system"]) == SYSTEM_KEYS[kind] | {"kind"}
     assert {section: set(doc[section]) for section in RUN_KEYS} == RUN_KEYS
     assert set(doc) == set(RUN_KEYS) | {"system"}
     assert {f.name for f in fields(TrainConfig)} == RUN_KEYS["train"]
+    # one description of a system, time step included: print-config's
+    # section, the library's dict and the generated manifest's entry
+    assert doc["system"] == system_to_dict(build_system(kind))
+    small = ("--set", f"system.kind={kind}", "--set", "system.dt=0.05",
+             "--set", "data.n_traj=1", "--set", "eval.n_test=1", "--set", "data.steps=5")
+    rc, out, err = run_cli("print-config", *small)
+    assert rc == 0, err
+    rc, _, err = run_cli("generate", *small, "--out", str(tmp_path))
+    assert rc == 0, err
+    manifest = json.loads((tmp_path / "test" / "manifest.json").read_text())
+    assert json.loads(out)["system"] == system_to_dict(build_system(kind, dt=0.05)) \
+        == manifest["system"]
+    assert "dt" not in manifest
+    for split in ("train", "test"):
+        ds = load_dataset(tmp_path / split)
+        assert ds.dt == ds.system.dt == 0.05
+    assert ds.times[0, 1] == 0.05
 
 
 def test_unknown_key_reports_dotted_path(tmp_path):
@@ -115,6 +132,15 @@ def test_unknown_key_reports_dotted_path(tmp_path):
     assert rc == 1
     assert "train.max_bad_steps" in err
 
+    # the time step is a system parameter, so data.dt is unknown too
+    rc, _, err = run_cli("print-config", "--set", "data.dt=0.03")
+    assert rc == 1
+    assert "unknown key data.dt" in err
+    saved.write_text(json.dumps({"data": {"dt": 0.03}}))
+    rc, _, err = run_cli("print-config", "--config", str(saved))
+    assert rc == 1
+    assert "unknown key data.dt" in err
+
 
 def test_wrong_value_type_is_rejected():
     rc, _, err = run_cli("print-config", "--set", "data.n_traj=many")
@@ -130,9 +156,10 @@ def test_wrong_value_type_is_rejected():
     assert rc == 1
     assert "system.n" in err and "not supported" not in err
 
-    rc, _, err = run_cli("print-config", "--set", "system.kind=[1]")
-    assert rc == 1
-    assert "system.kind" in err and "unhashable" not in err
+    for kind in ("[1]", "null"):
+        rc, _, err = run_cli("print-config", "--set", f"system.kind={kind}")
+        assert rc == 1
+        assert "system.kind" in err and "unhashable" not in err
 
     # a boolean is not an integer, not even inside a list
     rc, _, err = run_cli("print-config", "--set", "model.hidden=[true,2]")
@@ -504,6 +531,20 @@ def _diverging_checkpoint(tmp_path):
     return path
 
 
+def _overflowing_checkpoint(tmp_path):
+    """A two-pendulum node whose output bias is 1e170: its rollout stays
+    finite, but its energy and constraint scores overflow."""
+    from cartmech.models import build_model
+    from cartmech.systems import build_system
+
+    model = build_model("node", build_system("npendulum", n=2), hidden=(8, 8))
+    store = model.init_params(np.random.default_rng(0))
+    store["field.b2"] = np.full(store["field.b2"].shape, 1e170)
+    path = tmp_path / "overflowing.cmk"
+    save_checkpoint(store, path)
+    return path
+
+
 def test_evaluate_degenerate_model_exits_2_without_traceback(workdir, tmp_path):
     rc, _, err = run_cli("evaluate", *TINY, "--checkpoint", str(_heavy_checkpoint(workdir, tmp_path)),
                          "--dataset", str(workdir / "data" / "test"))
@@ -644,7 +685,9 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         (ablate(data / "train", cut_data), 1),
         (ablate(data / "train", data / "test", *diverge), 2),
         # non-finite or negative numbers, each named in the message
-        (("generate", *TINY, "--set", "data.dt=1e400", "--out", out), 1, "dt", "inf"),
+        (("generate", *TINY, "--set", "system.dt=1e400", "--out", out), 1, "dt", "inf"),
+        (("generate", *TINY, "--set", "system.dt=0", "--out", out), 1, "dt", "0.0"),
+        (("simulate", "--set", "system.dt=-0.03"), 1, "dt", "-0.03"),
         (("generate", *TINY, "--set", "data.rtol=NaN", "--out", out), 1, "rtol", "nan"),
         (("simulate", "--set", "data.rtol=-1"), 1, "rtol", "-1.0"),
         (("simulate", "--set", "data.rtol=NaN"), 1, "rtol", "nan"),
@@ -679,12 +722,13 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
           for shape in ([0, 11, 8], [2, 0, 8], [2, 1, 8], [2, 11, 3])
           for cut in [_dataset_cut(workdir, tmp_path, *shape)]
           for cmd in (train(cut), evaluate(good_ckpt, cut), export(cut))),
-        # a dataset whose dt is not finite and positive
-        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", 0.0)), 1, "dt", "0.0"),
-        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", -0.03)), 1, "dt", "-0.03"),
-        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", float("inf"))), 1, "dt", "inf"),
-        # a dataset whose dt disagrees with its system's, both values shown
-        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "dt", 0.05)), 1, "0.05", "0.03"),
+        # a dataset whose system.dt is not finite and positive
+        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "system.dt", 0.0)), 1,
+         "dt", "0.0"),
+        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "system.dt", -0.03)), 1,
+         "dt", "-0.03"),
+        (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "system.dt", float("inf"))), 1,
+         "dt", "inf"),
         # a wrong-typed system parameter in the manifest, named by its key
         (export(_dataset_with(workdir, tmp_path, "system.n", "x")), 1, "system.n"),
         (evaluate(good_ckpt, _dataset_with(workdir, tmp_path, "system.gravity", [1])), 1,
@@ -692,6 +736,19 @@ def test_file_reading_subcommands_exit_codes(workdir, tmp_path):
         # a model whose rollout overflows
         ((*evaluate(_diverging_checkpoint(tmp_path), data / "test"), "--set", "model.kind=hnn2d"),
          2, "trajectory 0 is not finite"),
+        # a finite rollout whose scores overflow
+        ((*simulate(_overflowing_checkpoint(tmp_path)), "--set", "model.kind=node"), 2,
+         "trajectory 0 has a non-finite score at t = 0.03"),
+        # finite but huge system parameters: the ground truth overflows
+        *((("simulate", "--set", f"system.kind={kind}", "--set", f"system.{key}=1e308"), 2,
+           "numeric failure", message)
+          for kind, key, message in (("gyroscope", "mass", "positive definite system is not finite"),
+                                     ("magnet", "mass", "non-finite state at t=0"),
+                                     ("rotor", "mass", "non-finite state at t=0"),
+                                     ("npendulum", "gravity", "non-finite state at t=0"))),
+        (("generate", "--set", "system.kind=gyroscope", "--set", "system.mass=1e308",
+          "--set", "data.n_traj=2", "--set", "eval.n_test=1", "--set", "data.steps=10",
+          "--out", out), 2, "positive definite system is not finite"),
     ]
     for args, expected, *named in table:
         rc, _, err = run_cli(*args)

@@ -88,6 +88,18 @@ def test_save_load_roundtrip_is_exact_and_byte_stable(tmp_path):
     save_dataset(loaded, out2)
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
     assert (out1 / "payload.bin").read_bytes() == (out2 / "payload.bin").read_bytes()
+    # dt is stated once, in the system entry; an older manifest's second
+    # copy at the top level is ignored
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert "dt" not in manifest and manifest["system"]["dt"] == ds.dt
+    (out2 / "manifest.json").write_text(
+        json.dumps(dict(manifest, dt=ds.dt), indent=2, sort_keys=True) + "\n")
+    for loaded in (load_dataset(out1), load_dataset(out2)):
+        assert (loaded.system_spec, loaded.dt, loaded.split, loaded.seed, loaded.tolerances) \
+            == (ds.system_spec, ds.dt, ds.split, ds.seed, ds.tolerances)
+        assert loaded.times.tobytes() == ds.times.tobytes()
+        assert loaded.states.tobytes() == ds.states.tobytes()
+        assert loaded.system.dt == ds.dt
 
 
 def test_load_rejects_bad_version_and_truncation(tmp_path):
@@ -111,9 +123,9 @@ def test_load_rejects_missing_or_ill_typed_manifest_entries(tmp_path):
     good = json.loads((tmp_path / "manifest.json").read_text())
     broken = [{k: v for k, v in good.items() if k != key} for key in good]
     broken += [dict(good, **{key: value}) for key, value in (
-        ("times_shape", "2x5"), ("states_shape", [2, 5.0, 8]), ("dt", "0.03"),
-        ("seed", 1.5), ("split", None), ("system", [1]), ("dtype", "<f4"),
-        ("order", "F"), ("tolerances", {"rtol": 1e-7}),
+        ("times_shape", "2x5"), ("states_shape", [2, 5.0, 8]), ("seed", 1.5),
+        ("split", None), ("system", [1]), ("system", dict(good["system"], dt="0.03")),
+        ("dtype", "<f4"), ("order", "F"), ("tolerances", {"rtol": 1e-7}),
         # the payload size still matches, but the shapes disagree
         ("times_shape", [1, 10]), ("times_shape", [10]), ("states_shape", [2, 40]),
         ("states_shape", [5, 2, 8]))]
